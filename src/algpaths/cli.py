@@ -53,6 +53,18 @@ def _parse_roots(text: str) -> list[complex]:
     return [complex(part.strip().replace(" ", "")) for part in text.split(",")]
 
 
+def _positive_int(text: str) -> int:
+    # argparse also runs this on a string default, so a bad ALGPATHS_THREADS
+    # becomes a usage error of the one subcommand that reads it
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value}")
+    return value
+
+
 def _parse_sig(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(","))
 
@@ -312,8 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=1000)
     p.add_argument("--self-adjoint", action="store_true")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("ALGPATHS_THREADS", "1")))
+    p.add_argument("--threads", type=_positive_int, default=os.environ.get("ALGPATHS_THREADS", "1"),
+                   help="worker processes for the restart blocks (default: $ALGPATHS_THREADS or 1); "
+                        "the scan result does not depend on it")
     _add_common(p)
     p.set_defaults(func=_cmd_distance)
 

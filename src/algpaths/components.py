@@ -13,6 +13,7 @@ between distinct components.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -183,55 +184,93 @@ def line_direction(el: AlgebraicElement, cfg: ToleranceConfig = ToleranceConfig(
 # -- distance scans ------------------------------------------------------------
 
 
-def _descend_pair(x, y, rng, self_adjoint, inner_iters=200, delta0=0.25):
-    """Greedy local descent of ||x - y|| by conjugating one endpoint at a time.
+# Perturbations pre-drawn for one block of restarts are capped at this many
+# bytes, so scan memory depends on the dimension, never on the budget: 36
+# restarts per block at m = 3, 20 at m = 4, a single one from m = 13 on.
+_SCAN_BLOCK_BYTES = 1 << 20
+_SCAN_ITERS = 200
+_SCAN_DELTA0 = 0.25
 
-    Conjugation keeps each endpoint exactly on its component, so there is no
-    projection step; the step size is halved whenever a move does not improve
-    the distance.
+
+def _scan_block_size(m: int) -> int:
+    return max(1, _SCAN_BLOCK_BYTES // (_SCAN_ITERS * m * m * 16))
+
+
+def _frobenius(z: np.ndarray) -> np.ndarray:
+    """Frobenius norms over the last two axes, bit-exact with ``np.linalg.norm``.
+
+    ``np.linalg.norm`` sums the squares of the strided real and imaginary
+    views with two BLAS dot products; a ``(1, n) @ (n, 1)`` product over the
+    same strided views takes that dot product, where ``einsum``, a contiguous
+    copy or ``norm(axis=...)`` round differently in the last bit.
     """
-    m = x.shape[0]
+    flat = z.shape[:-2] + (z.shape[-2] * z.shape[-1],)
+    re, im = z.real.reshape(flat), z.imag.reshape(flat)
+    sq = re[..., None, :] @ re[..., :, None] + im[..., None, :] @ im[..., :, None]
+    return np.sqrt(sq[..., 0, 0])
+
+
+def _scan_block(ks, seed, sig1, sig2, roots, self_adjoint, cond_bound):
+    """Restarts ``ks`` of a distance scan, advanced together in lockstep.
+
+    Restart ``k`` samples its pair from the seeds ``(seed, k, 0)`` and
+    ``(seed, k, 1)`` and its perturbations from the stream ``(seed, k, 2)``,
+    then descends ``||x - y||`` greedily by conjugating one endpoint at a
+    time (``x`` on even steps, ``y`` on odd ones).  Conjugation keeps each
+    endpoint exactly on its component, so there is no projection step; a
+    restart halves its step size whenever a move does not improve its
+    distance and stops once the step collapses.  The stacked linear algebra
+    works matrix by matrix, so restart ``k`` comes out bit-identical however
+    the restarts are grouped into blocks.
+
+    Returns the distances ``(B,)`` and the endpoints ``x`` and ``y``
+    ``(B, m, m)``, row ``j`` belonging to restart ``ks[j]``.
+    """
+    m, n = sig1.dim, len(ks)
+    x = np.empty((n, m, m), dtype=complex)
+    y = np.empty((n, m, m), dtype=complex)
+    z = np.empty((n, _SCAN_ITERS, m, m), dtype=complex)
+    sample = partial(random_element, roots=roots, self_adjoint=self_adjoint, cond_bound=cond_bound)
+    for j, k in enumerate(ks):
+        x[j] = sample(sig1, seed=(seed, k, 0)).a
+        y[j] = sample(sig2, seed=(seed, k, 1)).a
+        draws = rng_from(seed, k, 2).standard_normal((_SCAN_ITERS, 2, m, m))
+        z[j].real, z[j].imag = draws[:, 0], draws[:, 1]
+    z /= _frobenius(z)[..., None, None]
+
     eye = np.eye(m, dtype=complex)
-    dist = operator_norm(x - y)
-    delta = delta0
-    for it in range(inner_iters):
-        if delta < 1e-12:
+    dist = np.linalg.svd(x - y, compute_uv=False)[:, 0]
+    delta = np.full(n, _SCAN_DELTA0)
+    for it in range(_SCAN_ITERS):
+        live = np.flatnonzero(delta >= 1e-12)
+        if live.size == 0:
             break
-        z = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-        z /= np.linalg.norm(z)
+        step = delta[live, None, None]
+        zs = z[live, it]
         if self_adjoint:
-            h = 0.5 * (z + z.conj().T)
+            h = 0.5 * (zs + zs.conj().swapaxes(-1, -2))
             # Cayley transform: exactly unitary for Hermitian h
-            g = np.linalg.solve(eye - 0.5j * delta * h, eye + 0.5j * delta * h)
+            c = 0.5j * step * h
+            g = np.linalg.solve(eye - c, eye + c)
         else:
-            g = eye + delta * z
-        target = x if it % 2 == 0 else y
-        moved = g @ target
+            g = eye + step * zs
+        xs, ys = x[live], y[live]
+        moved = g @ (xs if it % 2 == 0 else ys)
         if self_adjoint:
-            moved = moved @ g.conj().T
-            moved = 0.5 * (moved + moved.conj().T)
+            moved = moved @ g.conj().swapaxes(-1, -2)
+            moved = 0.5 * (moved + moved.conj().swapaxes(-1, -2))
         else:
-            moved = np.linalg.solve(g.T, moved.T).T
-        cand = operator_norm(moved - y) if it % 2 == 0 else operator_norm(x - moved)
+            moved = np.linalg.solve(g.swapaxes(-1, -2), moved.swapaxes(-1, -2)).swapaxes(-1, -2)
+        diff = moved - ys if it % 2 == 0 else xs - moved
+        cand = np.linalg.svd(diff, compute_uv=False)[:, 0]
         # require a genuine decrease; round-off level "improvements" would
         # let exactly-placed pairs (scalars) drift off their true distance
-        if cand < dist - 1e-13 * (1.0 + dist):
-            dist = cand
-            if it % 2 == 0:
-                x = moved
-            else:
-                y = moved
-        else:
-            delta *= 0.5
+        now = dist[live]
+        better = cand < now - 1e-13 * (1.0 + now)
+        dist[live[better]] = cand[better]
+        (x if it % 2 == 0 else y)[live[better]] = moved[better]
+        delta[live[~better]] *= 0.5
     return dist, x, y
-
-
-def _scan_restart(args):
-    (k, seed, sig1, sig2, roots, self_adjoint, cond_bound) = args
-    x = random_element(sig1, roots, seed=(seed, k, 0), self_adjoint=self_adjoint, cond_bound=cond_bound)
-    y = random_element(sig2, roots, seed=(seed, k, 1), self_adjoint=self_adjoint, cond_bound=cond_bound)
-    dist, xa, ya = _descend_pair(x.a, y.a, rng_from(seed, k, 2), self_adjoint)
-    return dist, k, xa, ya
 
 
 def distance_scan(
@@ -249,9 +288,14 @@ def distance_scan(
 
     Runs ``budget`` independent restarts, each sampling a pair and descending
     locally, and reports the smallest distance found together with the
-    witnessing pair.  Restart ``k`` draws from the sub-stream ``(seed, k)``,
-    so reports are reproducible, enlarging the budget only extends the
-    restart list, and parallel execution reduces to the same answer.
+    witnessing pair (the lowest restart index among equal distances).
+    Restart ``k`` draws from the sub-stream ``(seed, k)``, so reports are
+    reproducible and enlarging the budget only extends the restart list.
+
+    Restarts run in lockstep blocks whose pre-drawn perturbations take about
+    ``_SCAN_BLOCK_BYTES``, so memory is bounded by the dimension whatever the
+    budget.  ``workers > 1`` maps the same blocks over that many processes;
+    every restart comes out bit-identical, so the report does not change.
     """
     if sig1 == sig2:
         raise BadSignature("distance scan needs two distinct signatures")
@@ -262,18 +306,25 @@ def distance_scan(
             raise BadSignature(f"signature {s.ranks} does not fit {roots.n} roots")
     if budget < 1:
         raise BadSignature("budget must be positive")
+    if workers < 1:
+        raise BadSignature("workers must be positive")
 
-    jobs = [(k, seed, sig1, sig2, roots, self_adjoint, cond_bound) for k in range(budget)]
+    size = _scan_block_size(sig1.dim)
+    blocks = [range(s, min(s + size, budget)) for s in range(0, budget, size)]
+    task = partial(_scan_block, seed=seed, sig1=sig1, sig2=sig2, roots=roots,
+                   self_adjoint=self_adjoint, cond_bound=cond_bound)
+
+    def best(results):
+        rows = (row for ks, (d, x, y) in zip(blocks, results) for row in zip(d, ks, x, y))
+        return min(rows, key=lambda row: (row[0], row[1]))
+
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_restart, jobs, chunksize=max(1, budget // (8 * workers))))
+            dist, _, xa, ya = best(pool.map(task, blocks))
     else:
-        results = [_scan_restart(j) for j in jobs]
-
-    best = min(results, key=lambda t: (t[0], t[1]))
-    dist, _, xa, ya = best
+        dist, _, xa, ya = best(map(task, blocks))
     wx = certify(xa, roots, cfg)
     wy = certify(ya, roots, cfg)
     return DistanceScanReport(

@@ -34,6 +34,7 @@ from .algebraic import (
 )
 from .components import partition_ranks, same_component, signature
 from .errors import (
+    AlgpathsError,
     CertificationFailed,
     FactorizationFailed,
     NotAlgebraic,
@@ -800,10 +801,10 @@ def min_degree_search(
     p_coeffs = roots.poly_coeffs()
     residual_by_degree: dict[int, float] = {}
 
-    poly_seed = None
+    # the polygonal path only seeds one restart; the search runs without it
     try:
         poly_seed = connect_polygonal(a, b, cfg, seed=seed)
-    except Exception:
+    except AlgpathsError:
         poly_seed = None
 
     for d in range(1, d_max + 1):

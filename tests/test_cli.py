@@ -84,6 +84,29 @@ def test_distance_json_and_csv(tmp_path):
     assert len(lines) == 3 and lines[1] == lines[2]
 
 
+def test_threads_must_be_a_positive_integer(monkeypatch, capsys):
+    args = ["distance", "--roots", "0,1", "--sig", "1,1", "--sig2", "0,2", "--seed", "3",
+            "--budget", "2"]
+    for bad in ("abc", "0", "-2", "1.5"):
+        with pytest.raises(SystemExit) as err:
+            main(args + ["--threads", bad])
+        assert err.value.code == EXIT_USAGE
+    monkeypatch.setenv("ALGPATHS_THREADS", "abc")
+    with pytest.raises(SystemExit) as err:
+        main(args)
+    assert err.value.code == EXIT_USAGE
+    assert "--threads" in capsys.readouterr().err
+    # commands that run no scan never read the variable
+    with pytest.raises(SystemExit) as err:
+        main(["decompose", "--help"])
+    assert err.value.code == 0
+    assert main(args + ["--threads", "1"]) == 0
+    monkeypatch.setenv("ALGPATHS_THREADS", "2")
+    capsys.readouterr()
+    assert main(args) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["threads"] == 2
+
+
 def test_reports_are_byte_identical_for_fixed_seed(tmp_path):
     outs = []
     for name in ("r1.json", "r2.json"):

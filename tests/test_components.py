@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
+from algpaths import components
 from algpaths.algebraic import certify, random_element, spectral_resolution, validate_roots
 from algpaths.components import (
     ComponentSignature,
+    _frobenius,
+    _scan_block,
+    _scan_block_size,
     distance_scan,
     is_isolated,
     line_direction,
@@ -211,10 +215,12 @@ def test_distance_scan_deterministic():
 def test_distance_scan_parallel_matches_serial():
     sig1 = ComponentSignature((1, 1), 2)
     sig2 = ComponentSignature((0, 2), 2)
-    serial = distance_scan(sig1, sig2, R01, budget=12, seed=3)
-    parallel = distance_scan(sig1, sig2, R01, budget=12, seed=3, workers=2)
+    budget = 2 * _scan_block_size(2) + 5  # two full blocks and a partial one
+    serial = distance_scan(sig1, sig2, R01, budget=budget, seed=3)
+    parallel = distance_scan(sig1, sig2, R01, budget=budget, seed=3, workers=2)
     assert serial.best_distance == parallel.best_distance
-    np.testing.assert_array_equal(serial.witness[1].a, parallel.witness[1].a)
+    for ws, wp in zip(serial.witness, parallel.witness):
+        np.testing.assert_array_equal(ws.a, wp.a)
 
 
 def test_distance_scan_preconditions():
@@ -223,6 +229,114 @@ def test_distance_scan_preconditions():
         distance_scan(sig, sig, R01, budget=5, seed=0)
     with pytest.raises(BadSignature):
         distance_scan(sig, ComponentSignature((2, 2), 4), R01, budget=5, seed=0)
+    other = ComponentSignature((2, 1), 3)
+    with pytest.raises(BadSignature):
+        distance_scan(sig, other, R01, budget=0, seed=0)
+    with pytest.raises(BadSignature):
+        distance_scan(sig, other, R01, budget=5, seed=0, workers=0)
+
+
+# The per-restart descent the lockstep scan replaced, kept as the reference it
+# must reproduce bit for bit: one matrix at a time, perturbations drawn as the
+# descent goes.
+
+
+def _reference_descend(x, y, rng, self_adjoint, inner_iters=200, delta0=0.25):
+    m = x.shape[0]
+    eye = np.eye(m, dtype=complex)
+    dist = operator_norm(x - y)
+    delta = delta0
+    for it in range(inner_iters):
+        if delta < 1e-12:
+            break
+        z = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        z /= np.linalg.norm(z)
+        if self_adjoint:
+            h = 0.5 * (z + z.conj().T)
+            g = np.linalg.solve(eye - 0.5j * delta * h, eye + 0.5j * delta * h)
+        else:
+            g = eye + delta * z
+        target = x if it % 2 == 0 else y
+        moved = g @ target
+        if self_adjoint:
+            moved = moved @ g.conj().T
+            moved = 0.5 * (moved + moved.conj().T)
+        else:
+            moved = np.linalg.solve(g.T, moved.T).T
+        cand = operator_norm(moved - y) if it % 2 == 0 else operator_norm(x - moved)
+        if cand < dist - 1e-13 * (1.0 + dist):
+            dist = cand
+            if it % 2 == 0:
+                x = moved
+            else:
+                y = moved
+        else:
+            delta *= 0.5
+    return dist, x, y
+
+
+def _reference_restart(k, seed, sig1, sig2, roots, self_adjoint):
+    x = random_element(sig1, roots, seed=(seed, k, 0), self_adjoint=self_adjoint)
+    y = random_element(sig2, roots, seed=(seed, k, 1), self_adjoint=self_adjoint)
+    return _reference_descend(x.a, y.a, rng_from(seed, k, 2), self_adjoint)
+
+
+SCAN_SHAPES = [
+    ((1, 2), (2, 1), (0, 1), True),
+    ((1, 2), (2, 1), (0, 1), False),
+    ((1, 1, 2), (0, 2, 2), (0, 1, 2), False),
+    ((2, 0), (0, 2), (0, 1), False),  # scalars: every step fails, all restarts freeze early
+    ((2, 3), (3, 2), (0, 1), False),
+]
+
+
+def _block(ks, sig1, sig2, roots, self_adjoint, seed=11):
+    return _scan_block(ks, seed=seed, sig1=sig1, sig2=sig2, roots=roots,
+                       self_adjoint=self_adjoint, cond_bound=20.0)
+
+
+@pytest.mark.parametrize("ranks1, ranks2, roots, self_adjoint", SCAN_SHAPES,
+                         ids=["m3-self-adjoint", "m3-general", "m4-three-roots", "m2-central", "m5"])
+def test_scan_block_is_bit_identical_to_per_restart_descent(ranks1, ranks2, roots, self_adjoint,
+                                                            monkeypatch):
+    m = sum(ranks1)
+    sig1, sig2 = ComponentSignature(ranks1, m), ComponentSignature(ranks2, m)
+    roots = validate_roots(list(roots))
+    budget = 7
+    ref = [_reference_restart(k, 11, sig1, sig2, roots, self_adjoint) for k in range(budget)]
+    dist, x, y = _block(range(budget), sig1, sig2, roots, self_adjoint)
+    for k, (d, xa, ya) in enumerate(ref):
+        assert dist[k] == d
+        np.testing.assert_array_equal(x[k], xa)
+        np.testing.assert_array_equal(y[k], ya)
+
+    # blocks of three restarts, the last one partial: same best restart
+    monkeypatch.setattr(components, "_SCAN_BLOCK_BYTES", 3 * 200 * m * m * 16)
+    assert _scan_block_size(m) == 3
+    rep = distance_scan(sig1, sig2, roots, budget=budget, seed=11, self_adjoint=self_adjoint)
+    best = min(range(budget), key=lambda k: (ref[k][0], k))
+    assert rep.best_distance == ref[best][0]
+    np.testing.assert_array_equal(rep.witness[0].a, ref[best][1])
+    np.testing.assert_array_equal(rep.witness[1].a, ref[best][2])
+
+
+def test_scan_restart_ignores_block_boundaries_and_budget():
+    sig1, sig2 = ComponentSignature((1, 2), 3), ComponentSignature((2, 1), 3)
+    whole = _block(range(9), sig1, sig2, R01, False)
+    for ks in (range(0, 4), range(4, 9), range(6, 8), [8, 2, 5]):
+        part = _block(ks, sig1, sig2, R01, False)
+        for j, k in enumerate(ks):
+            assert part[0][j] == whole[0][k]
+            np.testing.assert_array_equal(part[1][j], whole[1][k])
+            np.testing.assert_array_equal(part[2][j], whole[2][k])
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 8, 16])
+def test_frobenius_is_bit_exact_with_numpy_norm(m):
+    rng = rng_from(m, 30)
+    z = rng.standard_normal((4, 6, m, m)) + 1j * rng.standard_normal((4, 6, m, m))
+    want = np.array([[np.linalg.norm(z[i, j]) for j in range(6)] for i in range(4)])
+    np.testing.assert_array_equal(_frobenius(z), want)
 
 
 def test_three_root_scan_runs_and_logs():

@@ -5,11 +5,13 @@ import pytest
 import scipy.linalg
 
 from algpaths.algebraic import certify, random_element, validate_roots
+from algpaths import paths
 from algpaths.errors import (
     CertificationFailed,
     NotLocallyClose,
     NotSameComponent,
     NotSelfAdjoint,
+    SubspaceSplitFailed,
 )
 from algpaths.matkernel import MatrixPolynomial, operator_norm
 from algpaths.paths import (
@@ -281,6 +283,31 @@ def test_mindeg_reports_residual_curve():
     found = min_degree_search(a, b, d_max=2, budget=4, seed=0, self_adjoint=True, min_motion=0.1)
     assert set(found.residual_by_degree) == {1, 2}
     assert found.residual_by_degree[1] >= found.residual_by_degree[2] * 0.1  # curve recorded
+
+
+def test_mindeg_search_runs_without_polygonal_seed(monkeypatch):
+    def split_fails(*args, **kwargs):
+        raise SubspaceSplitFailed("no split")
+
+    fits = []
+    monkeypatch.setattr(paths, "connect_polygonal", split_fails)
+    monkeypatch.setattr(paths, "_polygonal_fit_coeffs", lambda *args: fits.append(args))
+    a = random_element((1, 1), R01, seed=(0, 21), self_adjoint=True)
+    b = random_element((1, 1), R01, seed=(0, 22), self_adjoint=True)
+    found = min_degree_search(a, b, d_max=2, budget=3, seed=0)
+    assert 2 in found.residual_by_degree  # the degree-2 restarts ran
+    assert fits == []  # without a polygonal seed to fit
+
+
+def test_mindeg_does_not_swallow_foreign_errors(monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("bug in the polygonal constructor")
+
+    monkeypatch.setattr(paths, "connect_polygonal", broken)
+    a = random_element((1, 1), R01, seed=(0, 21), self_adjoint=True)
+    b = random_element((1, 1), R01, seed=(0, 22), self_adjoint=True)
+    with pytest.raises(RuntimeError, match="bug in the polygonal"):
+        min_degree_search(a, b, d_max=2, budget=3, seed=0)
 
 
 # -- verification ------------------------------------------------------------------
