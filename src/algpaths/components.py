@@ -189,7 +189,6 @@ def line_direction(el: AlgebraicElement, cfg: ToleranceConfig = ToleranceConfig(
 # restarts per block at m = 3, 20 at m = 4, a single one from m = 13 on.
 _SCAN_BLOCK_BYTES = 1 << 20
 _SCAN_ITERS = 200
-_SCAN_DELTA0 = 0.25
 
 
 def _scan_block_size(m: int) -> int:
@@ -240,7 +239,7 @@ def _scan_block(ks, seed, sig1, sig2, roots, self_adjoint, cond_bound):
 
     eye = np.eye(m, dtype=complex)
     dist = np.linalg.svd(x - y, compute_uv=False)[:, 0]
-    delta = np.full(n, _SCAN_DELTA0)
+    delta = np.full(n, 0.25)
     for it in range(_SCAN_ITERS):
         live = np.flatnonzero(delta >= 1e-12)
         if live.size == 0:
