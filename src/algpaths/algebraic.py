@@ -136,21 +136,23 @@ class PartitionOfUnity:
         return self.members[0].shape[0]
 
 
-def eval_defining_poly(a: np.ndarray, roots: RootSystem) -> tuple[np.ndarray, float]:
-    """Evaluate ``prod (a - l_i)`` and return it with its natural magnitude.
+def eval_defining_poly(a: np.ndarray, roots: RootSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Evaluate ``prod (a - l_i)`` with its natural magnitude and ``||a||``.
 
     The magnitude ``prod_i (||a|| + |l_i|)`` bounds the intermediate products,
     so residuals are meaningful relative to it even for very large arguments.
+    ``a`` is one matrix or a stack ``(N, m, m)``; the magnitude and norm then
+    carry the leading sample axis.
     """
-    a = as_matrix(a)
-    eye = identity_like(a)
-    norm_a = operator_norm(a)
+    a = np.asarray(a, dtype=complex)
+    eye = np.eye(a.shape[-1], dtype=complex)
+    norm_a = np.linalg.svd(a, compute_uv=False)[..., 0]
     value = eye
     scale = 1.0
     for r in roots.roots:
         value = value @ (a - r * eye)
-        scale *= norm_a + abs(r)
-    return value, max(1.0, scale)
+        scale = scale * (norm_a + abs(r))
+    return value, np.maximum(1.0, scale), norm_a
 
 
 def certify(a, roots: RootSystem, cfg: ToleranceConfig = ToleranceConfig()) -> AlgebraicElement:
@@ -162,13 +164,13 @@ def certify(a, roots: RootSystem, cfg: ToleranceConfig = ToleranceConfig()) -> A
     yardstick.
     """
     a = as_matrix(a)
-    value, scale = eval_defining_poly(a, roots)
+    value, scale, norm_a = eval_defining_poly(a, roots)
     residual = operator_norm(value)
-    tol = cfg.residual_tol * scale
+    tol = cfg.residual_tol * float(scale)
     if residual > tol:
         raise NotAlgebraic(residual, tol)
     herm = operator_norm(a - a.conj().T)
-    self_adjoint = herm <= cfg.residual_tol * (1.0 + operator_norm(a))
+    self_adjoint = bool(herm <= cfg.residual_tol * (1.0 + norm_a))
     return AlgebraicElement(a=a, roots=roots, residual=residual, self_adjoint=self_adjoint)
 
 

@@ -352,23 +352,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(ns, argv):
+def _apply_config_file(parser, ns, argv):
     if not getattr(ns, "config", None):
         return ns
-    stored = _load_json(ns.config)
-    given = {a.split("=")[0].lstrip("-").replace("-", "_") for a in argv if a.startswith("--")}
-    for key, value in stored.items():
+    extra = []
+    for key, value in _load_json(ns.config).items():
         attr = key.replace("-", "_")
-        if attr in vars(ns) and attr not in given:
-            setattr(ns, attr, value)
-    return ns
+        if attr not in vars(ns) or attr == "command" or value is None or value is False:
+            continue
+        flag = "--" + attr.replace("_", "-")
+        extra.append(flag if value is True else f"{flag}={value}")
+    # stored values go in front of the subcommand's own flags and are parsed like
+    # them: each gets its flag's type and checks, and an explicit flag wins
+    i = argv.index(ns.command) + 1
+    return parser.parse_args(argv[:i] + extra + argv[i:])
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     ns = parser.parse_args(argv)
-    ns = _apply_config_file(ns, argv)
+    ns = _apply_config_file(parser, ns, argv)
     try:
         return ns.func(ns)
     except PreconditionError as exc:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import NotNearIdentity
 
@@ -92,33 +93,9 @@ def rank(a: np.ndarray, cfg: ToleranceConfig = ToleranceConfig()) -> int:
 
 # -- exponential and logarithm ------------------------------------------------
 
-_EXP_SERIES_MAX_TERMS = 40
-
-
 def mat_exp(x: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling and squaring around a series core.
-
-    The argument is scaled so its operator norm is at most 0.5, the series is
-    summed to machine precision (it terminates after a handful of terms at
-    that norm), and the result is squared back up.
-    """
-    x = as_matrix(x)
-    nrm = operator_norm(x)
-    if nrm == 0.0:
-        return identity_like(x)
-    squarings = max(0, int(np.ceil(np.log2(nrm / 0.5))))
-    y = x / (2.0**squarings)
-
-    acc = identity_like(x)
-    term = identity_like(x)
-    for k in range(1, _EXP_SERIES_MAX_TERMS + 1):
-        term = term @ y / k
-        acc = acc + term
-        if np.max(np.abs(term)) <= np.finfo(float).eps * np.max(np.abs(acc)):
-            break
-    for _ in range(squarings):
-        acc = acc @ acc
-    return acc
+    """Matrix exponential (``scipy.linalg.expm``, Al-Mohy & Higham 2009)."""
+    return scipy.linalg.expm(as_matrix(x))
 
 
 _LOG_SERIES_MAX_TERMS = 20000

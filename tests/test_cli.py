@@ -136,6 +136,23 @@ def test_config_file_supplies_defaults(tmp_path, capsys):
     assert capsys.readouterr().out == baseline
 
 
+def test_config_values_get_their_flags_type_and_check(tmp_path, capsys):
+    args = ["distance", "--roots", "0,1", "--sig", "1,1", "--sig2", "0,2", "--seed", "0",
+            "--budget", "4"]
+    for bad in ("abc", 0):
+        cfgfile = _write(tmp_path / "bad.json", {"threads": bad})
+        with pytest.raises(SystemExit) as err:
+            main(args + ["--config", cfgfile])
+        assert err.value.code == EXIT_USAGE
+        assert "--threads" in capsys.readouterr().err
+    cfgfile = _write(tmp_path / "good.json", {"threads": 2})
+    assert main(args + ["--config", cfgfile]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["threads"] == 2
+    # an explicit flag wins, also when abbreviated
+    assert main(args + ["--config", cfgfile, "--thr", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["threads"] == 1
+
+
 def test_exit_code_precondition(tmp_path):
     a = _write(tmp_path / "a.json", _matrix([[1, 0], [0, 0]]))
     b = _write(tmp_path / "b.json", _matrix([[1, 0], [0, 1]]))

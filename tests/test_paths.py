@@ -13,7 +13,7 @@ from algpaths.errors import (
     NotSelfAdjoint,
     SubspaceSplitFailed,
 )
-from algpaths.matkernel import MatrixPolynomial, operator_norm
+from algpaths.matkernel import MatrixPolynomial, ToleranceConfig, operator_norm
 from algpaths.paths import (
     PolynomialPath,
     connect_exp_global,
@@ -354,3 +354,154 @@ def test_verify_roundtrips_serialized_paths():
     if found.succeeded:
         back = path_from_json(path_to_json(found.path))
         verify_path(back, roots)
+
+
+# -- exponential sample grid ---------------------------------------------------------
+
+# The per-sample evaluation the stacked grid replaced, kept as the reference it
+# must reproduce to rounding: a scaling-and-squaring series exponential, and
+# one sample at a time with g(t)^{-1} built from the factors e^{-tc}.
+
+
+def _reference_exp(x):
+    nrm = operator_norm(x)
+    eye = np.eye(x.shape[0], dtype=complex)
+    if nrm == 0.0:
+        return eye
+    squarings = max(0, int(np.ceil(np.log2(nrm / 0.5))))
+    y = x / (2.0**squarings)
+    acc = eye
+    term = eye
+    for k in range(1, 41):
+        term = term @ y / k
+        acc = acc + term
+        if np.max(np.abs(term)) <= np.finfo(float).eps * np.max(np.abs(acc)):
+            break
+    for _ in range(squarings):
+        acc = acc @ acc
+    return acc
+
+
+def _reference_value(path, t):
+    if t == 0:
+        return path.base.a
+    eye = np.eye(path.base.dim, dtype=complex)
+    g = eye
+    for c in path.generators:
+        g = _reference_exp((1j * c if path.self_adjoint_mode else c) * t) @ g
+    if path.self_adjoint_mode:
+        return g @ path.base.a @ g.conj().T
+    ginv = eye
+    for c in path.generators:
+        ginv = ginv @ _reference_exp(-c * t)
+    return g @ path.base.a @ ginv
+
+
+def _reference_samples(path, roots, samples):
+    """(t, x, membership residual, its scale, hermiticity residual, ||x||) per sample."""
+    out = []
+    for t in np.linspace(0.0, 1.0, samples):
+        x = _reference_value(path, float(t))
+        value = np.eye(x.shape[0], dtype=complex)
+        norm_x = operator_norm(x)
+        scale = 1.0
+        for r in roots.roots:
+            value = value @ (x - r * np.eye(x.shape[0]))
+            scale *= norm_x + abs(r)
+        out.append((float(t), x, operator_norm(value), max(1.0, scale),
+                    operator_norm(x - x.conj().T), norm_x))
+    return out
+
+
+def _exp_path(m, k, self_adjoint, seed):
+    """A certified base with ``k`` random generators of operator norm 1/2."""
+    roots = validate_roots([0, 1, 2] if self_adjoint else [0, 1, 1j])
+    ranks = (m - m // 2 - m // 4, m // 2, m // 4)
+    base = random_element(ranks, roots, seed=(seed, m, k), self_adjoint=self_adjoint)
+    rng = rng_from(seed, m, k, 1)
+    gens = []
+    for _ in range(k):
+        z = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        if self_adjoint:
+            z = 0.5 * (z + z.conj().T)
+        gens.append(0.5 * z / operator_norm(z))
+    return paths.ExpSimilarityPath(base=base, generators=tuple(gens),
+                                   self_adjoint_mode=self_adjoint), roots
+
+
+GRID_SHAPES = [(m, k, sa) for sa in (False, True) for k in (1, 2, 3) for m in (2, 4, 8, 16)]
+
+
+@pytest.mark.parametrize("m, k, self_adjoint", GRID_SHAPES,
+                         ids=[f"{'sa' if sa else 'gen'}-k{k}-m{m}" for m, k, sa in GRID_SHAPES])
+def test_exp_grid_matches_per_sample_reference(m, k, self_adjoint):
+    path, roots = _exp_path(m, k, self_adjoint, seed=41)
+    ref = _reference_samples(path, roots, samples=40)
+    ts = np.linspace(0.0, 1.0, 40)
+    xs = path.values(ts)
+    for (t, x, *_), got in zip(ref, xs):
+        assert operator_norm(got - x) <= 1e-13 * operator_norm(x)
+        assert operator_norm(path.value(t) - x) <= 1e-13 * operator_norm(x)
+    assert xs[0].tobytes() == path.base.a.tobytes()  # bit for bit, signed zeros too
+    assert path.value(0.0).tobytes() == path.base.a.tobytes()
+    np.testing.assert_array_equal(path.transporter(0.0), np.eye(m))
+
+    cert = verify_path(path, roots, expected_endpoint=ref[-1][1], samples=40)
+    scale = max(s[3] for s in ref)
+    assert abs(cert.worst_membership - max(s[2] for s in ref)) <= 1e-13 * scale
+    assert cert.endpoint_error <= 1e-13 * operator_norm(ref[-1][1])
+    if self_adjoint:
+        herm_ref = max(operator_norm(c - c.conj().T) for c in path.generators)
+        herm_ref = max([herm_ref] + [s[4] for s in ref])
+        assert abs(cert.worst_hermiticity - herm_ref) <= 1e-13 * (1.0 + max(s[5] for s in ref))
+    else:
+        assert cert.worst_hermiticity is None
+
+
+@pytest.mark.parametrize("self_adjoint", [False, True], ids=["general", "self-adjoint"])
+def test_exp_grid_certificate_ignores_block_boundaries(self_adjoint, monkeypatch):
+    path, roots = _exp_path(4, 2, self_adjoint, seed=43)
+    end = path.value(1.0)
+    whole = verify_path(path, roots, expected_endpoint=end)
+    # blocks of seven samples: the boundaries fall inside the grid of 100
+    monkeypatch.setattr(paths, "_GRID_BLOCK_BYTES", 7 * 16 * 4 * 4)
+    assert verify_path(path, roots, expected_endpoint=end) == whole
+
+
+def test_exp_grid_reports_the_first_failing_sample():
+    # A base slightly off the solution set: p(x(t)) = g p(a) g^{-1} moves with
+    # t, so the residuals are well above rounding and ordered along the path.
+    path, roots = _exp_path(4, 2, False, seed=47)
+    off = np.array(path.base.a)
+    off[0, 1] += 1e-6
+    base = type(path.base)(a=off, roots=roots, residual=0.0, self_adjoint=False)
+    path = paths.ExpSimilarityPath(base=base, generators=path.generators)
+    ref = _reference_samples(path, roots, samples=100)
+    ratios = np.array([res / scale for _, _, res, scale, _, _ in ref])
+    assert ratios[0] < ratios.max()
+    for tol in (ratios[0] * (ratios.max() / ratios[0]) ** q for q in (0.3, 0.6, 0.9)):
+        # keep the squeezed tolerance away from every ratio by far more than rounding
+        assert np.min(np.abs(ratios / tol - 1.0)) > 1e-9
+        first = int(np.argmax(ratios > tol))
+        t, _, res, _, _, _ = ref[first]
+        with pytest.raises(CertificationFailed) as err:
+            verify_path(path, roots, ToleranceConfig(residual_tol=tol))
+        assert err.value.sample_t == t
+        assert abs(err.value.value - res) <= 1e-9 * res
+        assert str(err.value).startswith(f"membership fails at t = {t:.4f}: residual ")
+
+
+@pytest.mark.parametrize("m", [2, 8, 16])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("self_adjoint", [False, True], ids=["general", "self-adjoint"])
+def test_verify_exp_path_calls_expm_once_per_generator_and_block(m, k, self_adjoint, monkeypatch):
+    path, roots = _exp_path(m, k, self_adjoint, seed=53)
+    end = path.value(1.0)
+    calls = []
+    expm = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda x: calls.append(x.shape) or expm(x))
+    verify_path(path, roots, expected_endpoint=end, samples=100)
+    per_block = max(1, paths._GRID_BLOCK_BYTES // (16 * m * m))
+    blocks = -(-100 // per_block)
+    assert len(calls) == (k if self_adjoint else 2 * k) * blocks
+    assert all(shape[0] <= per_block for shape in calls)
