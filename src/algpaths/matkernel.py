@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NotNearIdentity
 
@@ -95,6 +94,10 @@ def rank(a: np.ndarray, cfg: ToleranceConfig = ToleranceConfig()) -> int:
 
 def mat_exp(x: np.ndarray) -> np.ndarray:
     """Matrix exponential (``scipy.linalg.expm``, Al-Mohy & Higham 2009)."""
+    # imported here, not at the top: loading scipy.linalg ahead of the other
+    # algpaths modules left every process about 1 MB larger (import order alone)
+    import scipy.linalg
+
     return scipy.linalg.expm(as_matrix(x))
 
 
