@@ -14,6 +14,7 @@ from .algebraic import (
     certify,
     q_reduction,
     random_element,
+    random_elements,
     recombine,
     spectral_resolution,
     validate_roots,
@@ -37,6 +38,7 @@ from .errors import (
     DimMismatch,
     EmptyRealPart,
     FactorizationFailed,
+    MagnitudeOverflow,
     MultipleRoots,
     NotAlgebraic,
     NotLocallyClose,

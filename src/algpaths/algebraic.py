@@ -16,7 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadSignature, EmptyRealPart, MultipleRoots, NotAlgebraic, ResolutionResidualExceeded
+from .errors import (
+    BadSignature,
+    EmptyRealPart,
+    MagnitudeOverflow,
+    MultipleRoots,
+    NotAlgebraic,
+    ResolutionResidualExceeded,
+)
 from .matkernel import ToleranceConfig, as_matrix, identity_like, operator_norm
 from .seeding import conditioned_invertible, haar_unitary, rng_from
 
@@ -30,6 +37,7 @@ __all__ = [
     "spectral_resolution",
     "recombine",
     "random_element",
+    "random_elements",
 ]
 
 _DISTINCTNESS_RTOL = 1e-12
@@ -57,6 +65,25 @@ class RootSystem:
         for r in self.roots:
             coeffs = np.convolve(coeffs, np.array([-r, 1.0 + 0.0j]))
         return coeffs
+
+    def magnitude(self, norm):
+        """The scale ``prod_i (norm + |l_i|)`` that residuals of ``p`` are judged by.
+
+        ``norm`` bounds the argument of ``p`` (a float or an array of them);
+        the product bounds every intermediate of the evaluation.  A product
+        that overflows, or a non-finite ``norm``, would scale a tolerance to
+        ``inf`` or NaN, which passes every residual, so it raises
+        :class:`MagnitudeOverflow` instead.
+        """
+        scale = 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for r in self.roots:
+                scale = scale * (norm + abs(r))
+        if not np.all(np.isfinite(scale)):
+            raise MagnitudeOverflow(
+                f"magnitude scale prod(||x|| + |l_i|) is not finite for ||x|| up to {np.max(norm):.3e}"
+            )
+        return scale
 
     def __eq__(self, other):
         return isinstance(other, RootSystem) and self.roots == other.roots
@@ -139,20 +166,46 @@ class PartitionOfUnity:
 def eval_defining_poly(a: np.ndarray, roots: RootSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Evaluate ``prod (a - l_i)`` with its natural magnitude and ``||a||``.
 
-    The magnitude ``prod_i (||a|| + |l_i|)`` bounds the intermediate products,
-    so residuals are meaningful relative to it even for very large arguments.
-    ``a`` is one matrix or a stack ``(N, m, m)``; the magnitude and norm then
-    carry the leading sample axis.
+    The magnitude :meth:`RootSystem.magnitude` of ``||a||``, floored at one,
+    bounds the intermediate products, so residuals are meaningful relative to
+    it even for very large arguments.  ``a`` is one matrix or a stack
+    ``(N, m, m)``; the magnitude and norm then carry the leading sample axis.
     """
     a = np.asarray(a, dtype=complex)
     eye = np.eye(a.shape[-1], dtype=complex)
     norm_a = np.linalg.svd(a, compute_uv=False)[..., 0]
+    scale = roots.magnitude(norm_a)
     value = eye
-    scale = 1.0
     for r in roots.roots:
         value = value @ (a - r * eye)
-        scale = scale * (norm_a + abs(r))
     return value, np.maximum(1.0, scale), norm_a
+
+
+def _certify_stack(a: np.ndarray, roots: RootSystem, cfg: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Certify every matrix of a stack ``(N, m, m)``.
+
+    Each element is judged against its own scaled tolerance; the first one
+    in stack order that fails raises :class:`NotAlgebraic` with its residual
+    and tolerance.  A stack with non-finite entries, or whose magnitude
+    overflows, raises :class:`MagnitudeOverflow` first.  One stacked SVD
+    takes the residuals ``||p(a_j)||`` and the Hermiticity defects
+    ``||a_j - a_j*||`` together.  Returns the residuals and the
+    self-adjointness flags, both ``(N,)``.
+    """
+    n = a.shape[0]
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    if not finite.all():
+        raise MagnitudeOverflow(f"element {int(np.argmin(finite))} has non-finite entries")
+    value, scale, norm_a = eval_defining_poly(a, roots)
+    defects = np.concatenate((value, a - a.conj().swapaxes(-1, -2)))
+    sv = np.linalg.svd(defects, compute_uv=False)[:, 0]
+    residual, herm = sv[:n], sv[n:]
+    tol = cfg.residual_tol * scale
+    bad = ~(residual <= tol)  # a NaN residual fails
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise NotAlgebraic(float(residual[j]), float(tol[j]))
+    return residual, herm <= cfg.residual_tol * (1.0 + norm_a)
 
 
 def certify(a, roots: RootSystem, cfg: ToleranceConfig = ToleranceConfig()) -> AlgebraicElement:
@@ -161,17 +214,12 @@ def certify(a, roots: RootSystem, cfg: ToleranceConfig = ToleranceConfig()) -> A
     The acceptance threshold is ``residual_tol`` scaled by the evaluation
     magnitude, so elements far from the origin (points on a complex line, for
     instance) are judged against their own arithmetic rather than an absolute
-    yardstick.
+    yardstick.  This is the one-matrix case of the stacked certificate that
+    :func:`random_elements` applies to a whole stack.
     """
     a = as_matrix(a)
-    value, scale, norm_a = eval_defining_poly(a, roots)
-    residual = operator_norm(value)
-    tol = cfg.residual_tol * float(scale)
-    if residual > tol:
-        raise NotAlgebraic(residual, tol)
-    herm = operator_norm(a - a.conj().T)
-    self_adjoint = bool(herm <= cfg.residual_tol * (1.0 + norm_a))
-    return AlgebraicElement(a=a, roots=roots, residual=residual, self_adjoint=self_adjoint)
+    residual, self_adjoint = _certify_stack(a[None], roots, cfg)
+    return AlgebraicElement(a=a, roots=roots, residual=float(residual[0]), self_adjoint=bool(self_adjoint[0]))
 
 
 def _resolution_tolerance(norm_a: float, roots: RootSystem, cfg: ToleranceConfig) -> float:
@@ -251,19 +299,27 @@ def recombine(part: PartitionOfUnity, cfg: ToleranceConfig = ToleranceConfig()) 
     return certify(acc, part.roots, cfg)
 
 
-def random_element(
+def random_elements(
     sig,
     roots: RootSystem,
-    seed: int,
+    seeds,
     self_adjoint: bool = False,
     cond_bound: float = 20.0,
     cfg: ToleranceConfig = ToleranceConfig(),
-) -> AlgebraicElement:
-    """Random certified element with the prescribed rank signature.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Random certified elements with the prescribed rank signature, one per seed.
 
     Conjugates the diagonal model (root ``l_i`` repeated ``sig[i]`` times) by
     a random similarity with bounded condition number, or by a random unitary
-    in the self-adjoint case.  Deterministic per seed.
+    in the self-adjoint case.  Element ``j`` draws from its own generator
+    ``rng_from(seeds[j])`` alone, so it is bit-identical whichever seeds share
+    its stack; the factoring and the certificate then run on the whole stack
+    ``(N, m, m)`` at once.  A signature with a single present root gives that
+    root times the identity for every seed.
+
+    Returns the stack with each element's residual and self-adjointness flag.
+    Every element is certified; the first failing one in seed order raises
+    :class:`NotAlgebraic`.
     """
     ranks = tuple(int(r) for r in getattr(sig, "ranks", sig))
     if len(ranks) != roots.n or any(r < 0 for r in ranks):
@@ -276,16 +332,35 @@ def random_element(
 
     present = [i for i, r in enumerate(ranks) if r > 0]
     if len(present) == 1:
-        a = roots.roots[present[0]] * np.eye(m, dtype=complex)
-        return certify(a, roots, cfg)
+        a = np.repeat((roots.roots[present[0]] * np.eye(m, dtype=complex))[None], len(seeds), axis=0)
+        return (a, *_certify_stack(a, roots, cfg))
 
     diag = np.repeat(np.array(roots.roots, dtype=complex), ranks)
-    rng = rng_from(seed)
+    rngs = [rng_from(seed) for seed in seeds]
     if self_adjoint:
-        u = haar_unitary(m, rng)
-        a = (u * diag) @ u.conj().T
-        a = 0.5 * (a + a.conj().T)  # exact Hermiticity
+        u = haar_unitary(m, rngs)
+        a = (u * diag) @ u.conj().swapaxes(-1, -2)
+        a = 0.5 * (a + a.conj().swapaxes(-1, -2))  # exact Hermiticity
     else:
-        s = conditioned_invertible(m, cond_bound, rng)
-        a = np.linalg.solve(s.T, (s * diag).T).T  # s diag(d) s^{-1}
-    return certify(a, roots, cfg)
+        s = conditioned_invertible(m, cond_bound, rngs)
+        # s diag(d) s^{-1}, solved as s^T x^T = (s diag(d))^T
+        a = np.linalg.solve(s.swapaxes(-1, -2), (s * diag).swapaxes(-1, -2)).swapaxes(-1, -2)
+    return (a, *_certify_stack(a, roots, cfg))
+
+
+def random_element(
+    sig,
+    roots: RootSystem,
+    seed: int,
+    self_adjoint: bool = False,
+    cond_bound: float = 20.0,
+    cfg: ToleranceConfig = ToleranceConfig(),
+) -> AlgebraicElement:
+    """Random certified element with the prescribed rank signature.
+
+    The one-seed case of :func:`random_elements`: deterministic per seed, and
+    bit-identical to element ``j`` of any stack sampled with ``seeds[j] ==
+    seed``.
+    """
+    a, residual, herm = random_elements(sig, roots, [seed], self_adjoint, cond_bound, cfg)
+    return AlgebraicElement(a=a[0], roots=roots, residual=float(residual[0]), self_adjoint=bool(herm[0]))

@@ -17,7 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from .algebraic import AlgebraicElement, RootSystem, certify, random_element, spectral_resolution
+from .algebraic import AlgebraicElement, RootSystem, certify, random_elements, spectral_resolution
 from .errors import BadSignature, CentralElement, DimMismatch, RankAmbiguous, RootMismatch, SearchExhausted
 from .matkernel import (
     MatrixPolynomial,
@@ -172,10 +172,7 @@ def line_direction(el: AlgebraicElement, cfg: ToleranceConfig = ToleranceConfig(
                         continue
                     line = MatrixPolynomial.line(a, b)
                     q = matpoly_compose_p(p_coeffs, line)
-                    scale = 1.0
-                    for r in el.roots.roots:
-                        scale *= norm_a + nb + abs(r)
-                    ok, worst = matpoly_is_zero(q, cfg, scale=scale)
+                    ok, worst = matpoly_is_zero(q, cfg, scale=el.roots.magnitude(norm_a + nb))
                     if ok:
                         return LineWitness(base=el, direction=b, certificate=worst)
     raise SearchExhausted("no candidate direction certified; partition invariants are suspect")
@@ -213,9 +210,10 @@ def _scan_block(ks, seed, sig1, sig2, roots, self_adjoint, cond_bound):
     """Restarts ``ks`` of a distance scan, advanced together in lockstep.
 
     Restart ``k`` samples its pair from the seeds ``(seed, k, 0)`` and
-    ``(seed, k, 1)`` and its perturbations from the stream ``(seed, k, 2)``,
-    then descends ``||x - y||`` greedily by conjugating one endpoint at a
-    time (``x`` on even steps, ``y`` on odd ones).  Conjugation keeps each
+    ``(seed, k, 1)`` (one stacked :func:`random_elements` call per signature
+    for the whole block) and its perturbations from the stream
+    ``(seed, k, 2)``, then descends ``||x - y||`` greedily by conjugating one
+    endpoint at a time (``x`` on even steps, ``y`` on odd ones).  Conjugation keeps each
     endpoint exactly on its component, so there is no projection step; a
     restart halves its step size whenever a move does not improve its
     distance and stops once the step collapses.  The stacked linear algebra
@@ -226,13 +224,16 @@ def _scan_block(ks, seed, sig1, sig2, roots, self_adjoint, cond_bound):
     ``(B, m, m)``, row ``j`` belonging to restart ``ks[j]``.
     """
     m, n = sig1.dim, len(ks)
-    x = np.empty((n, m, m), dtype=complex)
-    y = np.empty((n, m, m), dtype=complex)
+
+    def sample(sig, side):
+        a, _, _ = random_elements(sig, roots, [(seed, k, side) for k in ks], self_adjoint, cond_bound)
+        # the descent runs on C-ordered endpoints; the general sampler returns
+        # each matrix transposed in memory
+        return np.ascontiguousarray(a)
+
+    x, y = sample(sig1, 0), sample(sig2, 1)
     z = np.empty((n, _SCAN_ITERS, m, m), dtype=complex)
-    sample = partial(random_element, roots=roots, self_adjoint=self_adjoint, cond_bound=cond_bound)
     for j, k in enumerate(ks):
-        x[j] = sample(sig1, seed=(seed, k, 0)).a
-        y[j] = sample(sig2, seed=(seed, k, 1)).a
         draws = rng_from(seed, k, 2).standard_normal((_SCAN_ITERS, 2, m, m))
         z[j].real, z[j].imag = draws[:, 0], draws[:, 1]
     z /= _frobenius(z)[..., None, None]
@@ -293,7 +294,9 @@ def distance_scan(
 
     Restarts run in lockstep blocks whose pre-drawn perturbations take about
     ``_SCAN_BLOCK_BYTES``, so memory is bounded by the dimension whatever the
-    budget.  ``workers > 1`` maps the same blocks over that many processes;
+    budget.  A block samples its pairs on stacked arrays, one
+    :func:`random_elements` call per signature, and every sampled element is
+    certified.  ``workers > 1`` maps the same blocks over that many processes;
     every restart comes out bit-identical, so the report does not change.
     """
     if sig1 == sig2:

@@ -72,6 +72,14 @@ class NotAlgebraic(CertificationError):
         super().__init__(f"residual {residual:.3e} exceeds tolerance {tol:.3e}")
 
 
+class MagnitudeOverflow(CertificationError):
+    """The magnitude scale of a residual check is not finite.
+
+    A tolerance scaled by an infinite or NaN magnitude would pass every
+    residual, so the check cannot be made at all.
+    """
+
+
 class ResolutionResidualExceeded(CertificationError):
     """A spectral idempotent failed an invariant check."""
 

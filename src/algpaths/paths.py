@@ -265,11 +265,7 @@ def _endpoint_gate(path, b: AlgebraicElement, cfg: ToleranceConfig) -> float:
 
 
 def _segment_scale(x: np.ndarray, y: np.ndarray, roots: RootSystem) -> float:
-    big = 2.0 * max(operator_norm(x), operator_norm(y))
-    scale = 1.0
-    for r in roots.roots:
-        scale *= big + abs(r)
-    return max(1.0, scale)
+    return max(1.0, roots.magnitude(2.0 * max(operator_norm(x), operator_norm(y))))
 
 
 # -- exponential constructors ----------------------------------------------------
@@ -863,10 +859,7 @@ def min_degree_search(
             x = MatrixPolynomial(coeffs, normalized=False)
             q = matpoly_compose_p(p_coeffs, x)
             big = float(sum(operator_norm(c) for c in coeffs))
-            scale = 1.0
-            for r in roots.roots:
-                scale *= big + abs(r)
-            ok, worst = matpoly_is_zero(q, cfg, scale=max(1.0, scale))
+            ok, worst = matpoly_is_zero(q, cfg, scale=max(1.0, roots.magnitude(big)))
             if worst < best_worst:
                 best_worst = worst
                 best_coeffs = coeffs if ok else None
@@ -912,12 +905,10 @@ def verify_path(
 
 
 def _verify_polynomial(path: PolynomialPath, roots, cfg) -> PathCertificate:
-    q = matpoly_compose_p(roots.poly_coeffs(), path.x)
     big = float(sum(operator_norm(c) for c in path.x.coeffs))
-    scale = 1.0
-    for r in roots.roots:
-        scale *= big + abs(r)
-    ok, worst = matpoly_is_zero(q, cfg, scale=max(1.0, scale))
+    scale = max(1.0, roots.magnitude(big))  # checked before composing, which could overflow
+    q = matpoly_compose_p(roots.poly_coeffs(), path.x)
+    ok, worst = matpoly_is_zero(q, cfg, scale=scale)
     if not ok:
         norms = [operator_norm(c) for c in q.coeffs]
         bad = int(np.argmax(norms))
@@ -949,8 +940,9 @@ def _verify_polygonal(path: PolygonalPath, roots, cfg) -> PathCertificate:
     p_coeffs = roots.poly_coeffs()
     certs = []
     for k, (u, v) in enumerate(zip(path.breakpoints[:-1], path.breakpoints[1:])):
+        scale = _segment_scale(u.a, v.a, roots)  # checked before composing, which could overflow
         q = matpoly_compose_p(p_coeffs, MatrixPolynomial.segment(u.a, v.a))
-        ok, worst = matpoly_is_zero(q, cfg, scale=_segment_scale(u.a, v.a, roots))
+        ok, worst = matpoly_is_zero(q, cfg, scale=scale)
         certs.append(worst)
         if not ok:
             norms = [operator_norm(c) for c in q.coeffs]

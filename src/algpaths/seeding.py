@@ -22,24 +22,40 @@ def rng_from(seed, *branch: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-def haar_unitary(m: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Gaussian matrix."""
-    z = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+def _haar(z: np.ndarray) -> np.ndarray:
+    # QR of each matrix of the stack, with the phases of R's diagonal moved
+    # into Q so the distribution is exactly Haar
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
-def conditioned_invertible(m: int, cond_bound: float, rng: np.random.Generator) -> np.ndarray:
-    """Random invertible matrix with condition number at most ``cond_bound``.
+def haar_unitary(m: int, rngs) -> np.ndarray:
+    """Haar-distributed unitaries, one per generator, stacked ``(N, m, m)``.
+
+    Generator ``j`` draws the real and then the imaginary part of a complex
+    Gaussian matrix, so unitary ``j`` does not depend on the other generators;
+    one stacked QR factors them all.
+    """
+    g = np.stack([rng.standard_normal((2, m, m)) for rng in rngs])
+    return _haar(g[:, 0] + 1j * g[:, 1])
+
+
+def conditioned_invertible(m: int, cond_bound: float, rngs) -> np.ndarray:
+    """Random invertible matrices with condition number at most ``cond_bound``.
 
     Built as U diag(s) V* with Haar factors and log-uniform singular values in
-    ``[1/sqrt(c), sqrt(c)]``, so the bound holds by construction.
+    ``[1/sqrt(c), sqrt(c)]``, so the bound holds by construction.  One matrix
+    per generator, stacked ``(N, m, m)``: generator ``j`` draws U's Gaussians,
+    then V's, then ``s``, and one stacked QR factors all the U's and V's.
     """
     if cond_bound < 1.0:
         raise ValueError("cond_bound must be at least 1")
-    u = haar_unitary(m, rng)
-    v = haar_unitary(m, rng)
     half = 0.5 * np.log(cond_bound)
-    s = np.exp(rng.uniform(-half, half, size=m))
-    return (u * s) @ v
+    g = np.empty((len(rngs), 4, m, m))
+    s = np.empty((len(rngs), 1, m))
+    for j, rng in enumerate(rngs):
+        g[j] = rng.standard_normal((4, m, m))
+        s[j, 0] = np.exp(rng.uniform(-half, half, size=m))
+    uv = _haar(g[:, 0::2] + 1j * g[:, 1::2])  # (N, 2, m, m): U and V
+    return (uv[:, 0] * s) @ uv[:, 1]

@@ -7,15 +7,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sampler_reference as reference
+from algpaths import algebraic
 from algpaths.algebraic import (
+    _certify_stack,
     certify,
+    eval_defining_poly,
     q_reduction,
     random_element,
+    random_elements,
     recombine,
     spectral_resolution,
     validate_roots,
 )
-from algpaths.errors import BadSignature, EmptyRealPart, MultipleRoots, NotAlgebraic
+from algpaths.errors import (
+    BadSignature,
+    CertificationError,
+    EmptyRealPart,
+    MagnitudeOverflow,
+    MultipleRoots,
+    NotAlgebraic,
+)
+from algpaths.matkernel import ToleranceConfig
 from algpaths.matkernel import operator_norm
 from algpaths.seeding import rng_from
 from algpaths.serialize import element_from_json, element_to_json, roots_from_json, roots_to_json
@@ -217,3 +230,114 @@ def test_serialization_roundtrip_element():
 def test_serialization_roundtrip_roots():
     rs = validate_roots([0.5, -1.25, 1j * 0.75])
     assert roots_from_json(roots_to_json(rs)) == rs
+
+
+# -- stacked sampling and the magnitude scale ------------------------------------
+
+SAMPLER_SHAPES = [
+    ((1, 1), (0, 1)),
+    ((1, 2), (0, 1)),
+    ((2, 1, 1), (0, 1, 2)),
+    ((3, 0, 5), (-1, 0.5, 2)),
+]
+
+
+@pytest.mark.parametrize("ranks, roots", SAMPLER_SHAPES, ids=["m2", "m3", "m4", "m8"])
+@pytest.mark.parametrize("self_adjoint", [False, True], ids=["general", "self-adjoint"])
+def test_stacked_sampler_is_bit_identical_to_per_seed_reference(ranks, roots, self_adjoint):
+    roots = validate_roots(list(roots))
+    seeds = [(5, k, 1) for k in range(13)]
+    a, residual, herm = random_elements(ranks, roots, seeds, self_adjoint=self_adjoint)
+    assert a.shape == (13, sum(ranks), sum(ranks))
+    for j, seed in enumerate(seeds):
+        ref = reference.random_element(ranks, roots, seed, self_adjoint=self_adjoint)
+        one = random_element(ranks, roots, seed=seed, self_adjoint=self_adjoint)
+        for el in (one, ref):
+            assert el.a.tobytes() == a[j].tobytes()
+            assert el.residual == residual[j]
+            assert el.self_adjoint == herm[j]
+        assert one.a.strides == ref.a.strides  # same memory layout, not only the same numbers
+    # element j does not depend on the rest of its stack
+    part, _, _ = random_elements(ranks, roots, seeds[7:2:-2], self_adjoint=self_adjoint)
+    for j, k in enumerate(range(7, 2, -2)):
+        assert part[j].tobytes() == a[k].tobytes()
+
+
+@pytest.mark.parametrize("ranks", [(4, 0), (0, 3)])
+def test_stacked_sampler_central_signature(ranks):
+    roots = validate_roots([2.5, -1.0])
+    a, residual, herm = random_elements(ranks, roots, [(1, k) for k in range(5)])
+    ref = reference.random_element(ranks, roots, (1, 0))
+    for j in range(5):
+        assert a[j].tobytes() == ref.a.tobytes()
+        assert residual[j] == ref.residual and herm[j]
+
+
+def test_stacked_sampler_raises_for_the_first_failing_seed():
+    roots = validate_roots([0, 1, 2])
+    ranks = (1, 2, 1)
+    seeds = [(8, k) for k in range(11)]
+    refs = [reference.random_element(ranks, roots, s) for s in seeds]
+    scales = [float(eval_defining_poly(el.a, roots)[1]) for el in refs]
+    ratios = np.array([el.residual / sc for el, sc in zip(refs, scales)])
+    first = int(np.argmax(ratios))
+    assert 0 < first < len(seeds) - 1  # a bad element in the middle of the stack
+    # squeeze the tolerance between the largest ratio and the ones below it
+    tol = 0.5 * (ratios[first] + np.max(np.delete(ratios, first)))
+    with pytest.raises(NotAlgebraic) as err:
+        random_elements(ranks, roots, seeds, cfg=ToleranceConfig(residual_tol=tol))
+    assert err.value.residual == refs[first].residual
+    assert err.value.tol == tol * scales[first]
+
+
+def test_certify_stack_reports_the_first_bad_element():
+    nil = np.array([[0, 1], [0, 0]], dtype=complex)  # p(nil) = nil^2 - nil = -nil
+    stack = np.stack([np.diag([1.0, 0.0]), UPPER, 2 * nil, np.eye(2), nil]).astype(complex)
+    with pytest.raises(NotAlgebraic) as err:
+        _certify_stack(stack, R01, ToleranceConfig())
+    assert err.value.residual == 2.0
+    residual, herm = _certify_stack(stack[[0, 1, 3]], R01, ToleranceConfig())
+    assert list(herm) == [True, False, True]
+    bad = stack.copy()
+    bad[3, 0, 1] = np.nan
+    with pytest.raises(MagnitudeOverflow, match="element 3"):
+        _certify_stack(bad, R01, ToleranceConfig())
+
+
+def test_magnitude_is_the_written_out_product():
+    roots = validate_roots([0.5, -1.25, 1j * 0.75])
+    for norm in (0.0, 0.3, 7.25, 1e50):
+        want = 1.0
+        for r in roots.roots:
+            want *= norm + abs(r)
+        assert roots.magnitude(norm) == want
+    norms = np.array([0.0, 0.3, 7.25, 1e50])
+    assert roots.magnitude(norms).tobytes() == np.array([roots.magnitude(x) for x in norms]).tobytes()
+
+
+@pytest.mark.parametrize("norm", [1e200, math.inf, math.nan, np.array([1.0, 1e160])])
+def test_magnitude_overflow_raises(norm):
+    with pytest.raises(MagnitudeOverflow):
+        validate_roots([0, 1]).magnitude(norm)
+
+
+def test_certify_rejects_an_overflowing_scale():
+    # the scale (1e200)(2e200) overflows; it used to make the tolerance inf and
+    # let a NaN residual through
+    with pytest.raises(CertificationError):
+        certify([[1e200, 1e160], [0, 0]], validate_roots([0, 1e200]))
+
+
+def test_certify_fails_a_nan_residual(monkeypatch):
+    value, scale, norm = eval_defining_poly(np.diag([1.0, 0.0])[None], R01)
+    inf_value = np.zeros_like(value)
+    inf_value[0, 0, 0] = np.inf  # its largest singular value comes out NaN
+    monkeypatch.setattr(algebraic, "eval_defining_poly", lambda a, roots: (inf_value, scale, norm))
+    with pytest.raises(NotAlgebraic) as err:
+        certify(np.diag([1.0, 0.0]), R01)
+    assert math.isnan(err.value.residual)
+
+
+def test_sampler_rejects_roots_too_large_to_certify():
+    with pytest.raises(MagnitudeOverflow):
+        random_elements((1, 1), validate_roots([0, 1e200]), [0, 1])

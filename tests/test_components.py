@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import sampler_reference as reference
 from algpaths import components
 from algpaths.algebraic import certify, random_element, spectral_resolution, validate_roots
 from algpaths.components import (
@@ -276,8 +277,8 @@ def _reference_descend(x, y, rng, self_adjoint, inner_iters=200, delta0=0.25):
 
 
 def _reference_restart(k, seed, sig1, sig2, roots, self_adjoint):
-    x = random_element(sig1, roots, seed=(seed, k, 0), self_adjoint=self_adjoint)
-    y = random_element(sig2, roots, seed=(seed, k, 1), self_adjoint=self_adjoint)
+    x = reference.random_element(sig1.ranks, roots, (seed, k, 0), self_adjoint=self_adjoint)
+    y = reference.random_element(sig2.ranks, roots, (seed, k, 1), self_adjoint=self_adjoint)
     return _reference_descend(x.a, y.a, rng_from(seed, k, 2), self_adjoint)
 
 
@@ -310,14 +311,15 @@ def test_scan_block_is_bit_identical_to_per_restart_descent(ranks1, ranks2, root
         np.testing.assert_array_equal(x[k], xa)
         np.testing.assert_array_equal(y[k], ya)
 
-    # blocks of three restarts, the last one partial: same best restart
-    monkeypatch.setattr(components, "_SCAN_BLOCK_BYTES", 3 * 200 * m * m * 16)
-    assert _scan_block_size(m) == 3
-    rep = distance_scan(sig1, sig2, roots, budget=budget, seed=11, self_adjoint=self_adjoint)
+    # blocks of one, two and three restarts, the last one partial: same best restart
     best = min(range(budget), key=lambda k: (ref[k][0], k))
-    assert rep.best_distance == ref[best][0]
-    np.testing.assert_array_equal(rep.witness[0].a, ref[best][1])
-    np.testing.assert_array_equal(rep.witness[1].a, ref[best][2])
+    for size in (1, 2, 3):
+        monkeypatch.setattr(components, "_SCAN_BLOCK_BYTES", size * 200 * m * m * 16)
+        assert _scan_block_size(m) == size
+        rep = distance_scan(sig1, sig2, roots, budget=budget, seed=11, self_adjoint=self_adjoint)
+        assert rep.best_distance == ref[best][0]
+        np.testing.assert_array_equal(rep.witness[0].a, ref[best][1])
+        np.testing.assert_array_equal(rep.witness[1].a, ref[best][2])
 
 
 def test_scan_restart_ignores_block_boundaries_and_budget():
@@ -329,6 +331,22 @@ def test_scan_restart_ignores_block_boundaries_and_budget():
             assert part[0][j] == whole[0][k]
             np.testing.assert_array_equal(part[1][j], whole[1][k])
             np.testing.assert_array_equal(part[2][j], whole[2][k])
+
+
+@pytest.mark.parametrize("ranks1, ranks2, self_adjoint, sampled",
+                         [((1, 2), (2, 1), False, 2), ((1, 2), (2, 1), True, 2),
+                          ((3, 0), (1, 2), False, 1), ((3, 0), (0, 3), False, 0)],
+                         ids=["general", "self-adjoint", "one-central", "both-central"])
+def test_scan_samples_with_one_stacked_qr_per_signature_and_block(ranks1, ranks2, self_adjoint,
+                                                                  sampled, monkeypatch):
+    monkeypatch.setattr(components, "_SCAN_BLOCK_BYTES", 4 * 200 * 3 * 3 * 16)
+    calls = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda z: calls.append(z.shape) or qr(z))
+    distance_scan(ComponentSignature(ranks1, 3), ComponentSignature(ranks2, 3), R01,
+                  budget=10, seed=2, self_adjoint=self_adjoint)
+    shape = (3, 3) if self_adjoint else (2, 3, 3)  # U, or U and V side by side
+    assert calls == [(b,) + shape for b in (4, 4, 2) for _ in range(sampled)]
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 8, 16])

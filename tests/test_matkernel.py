@@ -135,8 +135,7 @@ def test_operator_norm_submultiplicative_and_unitarily_invariant(seed):
     a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     b = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     assert operator_norm(a @ b) <= operator_norm(a) * operator_norm(b) * (1 + 1e-12)
-    u = haar_unitary(m, rng)
-    v = haar_unitary(m, rng)
+    u, v = haar_unitary(m, [rng, rng])  # two draws from the one stream, in order
     assert abs(operator_norm(u @ a @ v) - operator_norm(a)) <= 1e-10 * operator_norm(a)
 
 

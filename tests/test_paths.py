@@ -8,6 +8,7 @@ from algpaths.algebraic import certify, random_element, validate_roots
 from algpaths import paths
 from algpaths.errors import (
     CertificationFailed,
+    MagnitudeOverflow,
     NotLocallyClose,
     NotSameComponent,
     NotSelfAdjoint,
@@ -505,3 +506,20 @@ def test_verify_exp_path_calls_expm_once_per_generator_and_block(m, k, self_adjo
     blocks = -(-100 // per_block)
     assert len(calls) == (k if self_adjoint else 2 * k) * blocks
     assert all(shape[0] <= per_block for shape in calls)
+
+
+def test_verify_rejects_paths_whose_magnitude_overflows():
+    # ||x(1)|| is about 5e260, so the scale ||x|| (||x|| + 1) overflows; the
+    # tolerance used to become inf and pass a residual of 1.1e245
+    base = certify(E, R01)
+    path = paths.ExpSimilarityPath(base=base, generators=(np.array([[300, 800], [0, -300]], dtype=complex),))
+    with pytest.raises(MagnitudeOverflow):
+        verify_path(path)
+    big = PolynomialPath(x=MatrixPolynomial.line(1e200 * E, E), certificate=0.0)
+    with pytest.raises(MagnitudeOverflow):
+        verify_path(big, R01)
+    # a breakpoint whose own scale 2r^2 is finite, on a segment whose 6r^2 is not
+    roots = validate_roots([0, 7e153])
+    x = certify(7e153 * E, roots)
+    with pytest.raises(MagnitudeOverflow):
+        verify_path(paths.PolygonalPath(breakpoints=(x, x), certificates=(0.0,)), roots)
