@@ -24,7 +24,7 @@ from .errors import (
     NotAlgebraic,
     ResolutionResidualExceeded,
 )
-from .matkernel import ToleranceConfig, as_matrix, identity_like, operator_norm
+from .matkernel import ToleranceConfig, as_matrix, identity_like, operator_norm, poly_from_roots
 from .seeding import conditioned_invertible, haar_unitary, rng_from
 
 __all__ = [
@@ -61,10 +61,7 @@ class RootSystem:
 
     def poly_coeffs(self) -> np.ndarray:
         """Ascending coefficients of the monic defining polynomial."""
-        coeffs = np.array([1.0 + 0.0j])
-        for r in self.roots:
-            coeffs = np.convolve(coeffs, np.array([-r, 1.0 + 0.0j]))
-        return coeffs
+        return poly_from_roots(self.roots)
 
     def magnitude(self, norm):
         """The scale ``prod_i (norm + |l_i|)`` that residuals of ``p`` are judged by.

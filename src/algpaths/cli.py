@@ -16,11 +16,9 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
-from .algebraic import certify, q_reduction, random_element, spectral_resolution, validate_roots
-from .components import ComponentSignature, distance_scan, is_isolated, line_direction, signature
+from .algebraic import certify, random_element, validate_roots
+from .components import ComponentSignature, distance_scan, line_direction, resolve
 from .errors import CertificationError, PreconditionError
 from .matkernel import ToleranceConfig, operator_norm
 from .paths import (
@@ -134,10 +132,10 @@ def _cmd_sample(ns) -> int:
 def _cmd_decompose(ns) -> int:
     cfg = _tolerances(ns)
     el = _load_element(ns.a, cfg, ns.roots)
-    part = spectral_resolution(el, cfg)
+    part, sig = resolve(el, cfg)
     result = ser.partition_to_json(part)
-    result["signature"] = ser.signature_to_json(signature(el, cfg))
-    result["isolated"] = is_isolated(el, cfg)
+    result["signature"] = ser.signature_to_json(sig)
+    result["isolated"] = sig.scalar
     _emit(_report(ns, result), ns)
     return EXIT_OK
 

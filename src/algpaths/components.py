@@ -33,6 +33,8 @@ __all__ = [
     "LineWitness",
     "DistanceScanReport",
     "partition_ranks",
+    "resolve",
+    "resolve_pair",
     "signature",
     "same_component",
     "is_isolated",
@@ -52,6 +54,11 @@ class ComponentSignature:
         object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
         if any(r < 0 for r in self.ranks) or sum(self.ranks) != self.dim:
             raise BadSignature(f"ranks {self.ranks} do not sum to dim {self.dim}")
+
+    @property
+    def scalar(self) -> bool:
+        """Whether one idempotent has full rank, i.e. the element is a scalar."""
+        return any(r == self.dim for r in self.ranks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,21 +119,34 @@ def partition_ranks(part, cfg: ToleranceConfig = ToleranceConfig()) -> list[int]
     return ranks
 
 
+def resolve(el: AlgebraicElement, cfg: ToleranceConfig = ToleranceConfig()):
+    """The spectral resolution of ``el`` and the signature ranked from it."""
+    part = spectral_resolution(el, cfg)
+    return part, ComponentSignature(ranks=tuple(partition_ranks(part, cfg)), dim=el.dim)
+
+
 def signature(el: AlgebraicElement, cfg: ToleranceConfig = ToleranceConfig()) -> ComponentSignature:
     """Rank vector of the spectral idempotents."""
-    part = spectral_resolution(el, cfg)
-    return ComponentSignature(ranks=tuple(partition_ranks(part, cfg)), dim=el.dim)
+    return resolve(el, cfg)[1]
+
+
+def resolve_pair(x: AlgebraicElement, y: AlgebraicElement, cfg: ToleranceConfig = ToleranceConfig()):
+    """Checked pair's partitions and ranks ``(ex, fy, ranks_x, ranks_y)``, x first, each once."""
+    if x.dim != y.dim:
+        raise DimMismatch(f"dims {x.dim} and {y.dim} differ")
+    if x.roots != y.roots:
+        raise RootMismatch("elements were certified over different root systems")
+    ex, sx = resolve(x, cfg)
+    fy, sy = resolve(y, cfg)
+    return ex, fy, sx.ranks, sy.ranks
 
 
 def same_component(
     x: AlgebraicElement, y: AlgebraicElement, cfg: ToleranceConfig = ToleranceConfig()
 ) -> bool:
     """Whether two certified elements share a connected component."""
-    if x.dim != y.dim:
-        raise DimMismatch(f"dims {x.dim} and {y.dim} differ")
-    if x.roots != y.roots:
-        raise RootMismatch("elements were certified over different root systems")
-    return signature(x, cfg) == signature(y, cfg)
+    _, _, rx, ry = resolve_pair(x, y, cfg)
+    return rx == ry
 
 
 def is_isolated(el: AlgebraicElement, cfg: ToleranceConfig = ToleranceConfig()) -> bool:
@@ -135,7 +155,7 @@ def is_isolated(el: AlgebraicElement, cfg: ToleranceConfig = ToleranceConfig()) 
     Happens exactly when one idempotent has full rank, i.e. the element is a
     scalar — the only kind of matrix that commutes with everything.
     """
-    return any(r == el.dim for r in signature(el, cfg).ranks)
+    return signature(el, cfg).scalar
 
 
 def line_direction(el: AlgebraicElement, cfg: ToleranceConfig = ToleranceConfig()) -> LineWitness:
@@ -147,8 +167,8 @@ def line_direction(el: AlgebraicElement, cfg: ToleranceConfig = ToleranceConfig(
     candidate of non-negligible size that also certifies wins, which makes
     witnesses reproducible.
     """
-    part = spectral_resolution(el, cfg)
-    if any(r == el.dim for r in signature(el, cfg).ranks):
+    part, sig = resolve(el, cfg)
+    if sig.scalar:
         raise CentralElement("scalar element: its component is a single point, no line exists")
 
     m = el.dim

@@ -201,12 +201,6 @@ class MatrixPolynomial:
             acc = acc * t + self.coeffs[k]
         return acc
 
-    def deriv(self) -> "MatrixPolynomial":
-        if self.degree == 0:
-            return MatrixPolynomial(np.zeros_like(self.coeffs), normalized=False)
-        ks = np.arange(1, self.degree + 1).reshape(-1, 1, 1)
-        return MatrixPolynomial(self.coeffs[1:] * ks, normalized=False)
-
     @staticmethod
     def constant(a: np.ndarray) -> "MatrixPolynomial":
         return MatrixPolynomial(as_matrix(a)[None, :, :])

@@ -32,7 +32,7 @@ from .algebraic import (
     eval_defining_poly,
     spectral_resolution,
 )
-from .components import partition_ranks, same_component, signature
+from .components import resolve, resolve_pair
 from .errors import (
     AlgpathsError,
     CertificationFailed,
@@ -205,10 +205,11 @@ class MinDegreeResult:
 
 
 def _require_same_component(a: AlgebraicElement, b: AlgebraicElement, cfg: ToleranceConfig):
-    if not same_component(a, b, cfg):
-        raise NotSameComponent(
-            f"signatures {signature(a, cfg).ranks} and {signature(b, cfg).ranks} differ"
-        )
+    """The pair's partitions and shared ranks ``(ea, fb, ranks)``, each resolved once."""
+    ea, fb, ranks, ranks_b = resolve_pair(a, b, cfg)
+    if ranks != ranks_b:
+        raise NotSameComponent(f"signatures {ranks} and {ranks_b} differ")
+    return ea, fb, ranks
 
 
 def _matching_similarity(ea: PartitionOfUnity, fb: PartitionOfUnity) -> np.ndarray:
@@ -219,12 +220,12 @@ def _matching_similarity(ea: PartitionOfUnity, fb: PartitionOfUnity) -> np.ndarr
     return w
 
 
-def _polar(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unitary and positive factors with ``w = u h``."""
+def _polar_generators(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Generators ``(log h, i K)`` of the polar split ``w = u h = e^{iK} e^{log h}``."""
     uu, s, vh = np.linalg.svd(w)
     u = uu @ vh
     h = (vh.conj().T * s) @ vh
-    return u, h
+    return _log_positive(h), 1j * _hermitian_log_of_unitary(u)
 
 
 def _log_positive(h: np.ndarray) -> np.ndarray:
@@ -248,20 +249,36 @@ def _hermitian_log_of_unitary(u: np.ndarray) -> np.ndarray:
     return (q * phases) @ q.conj().T
 
 
+def _column_flips(basis: np.ndarray):
+    """``basis``, then each copy with one column negated, for retries off the branch cut.
+
+    A flip negates the determinant and moves the spectrum of the unitary factor built
+    from the basis.  Being a rank-one change, it cannot clear a -1 eigenvalue of
+    multiplicity two.
+    """
+    yield basis
+    for col in range(basis.shape[1]):
+        flipped = np.array(basis)
+        flipped[:, col] = -flipped[:, col]
+        yield flipped
+
+
 def _range_basis(e: np.ndarray, r: int) -> np.ndarray:
     """Orthonormal basis of the column space of an idempotent of rank ``r``."""
     u, _, _ = np.linalg.svd(e)
     return u[:, :r]
 
 
-def _endpoint_gate(path, b: AlgebraicElement, cfg: ToleranceConfig) -> float:
+def _gated_path(a, b, generators, cfg, self_adjoint_mode=False) -> ExpSimilarityPath:
+    """The conjugation path from ``a`` along ``generators``, checked to end at ``b``."""
+    path = ExpSimilarityPath(base=a, generators=generators, self_adjoint_mode=self_adjoint_mode)
     err = operator_norm(path.value(1.0) - b.a)
     tol = cfg.residual_tol * (1.0 + operator_norm(b.a))
     if err > tol:
         raise CertificationFailed(
             f"endpoint error {err:.3e} exceeds {tol:.3e}", sample_t=1.0, value=err
         )
-    return err
+    return path
 
 
 def _segment_scale(x: np.ndarray, y: np.ndarray, roots: RootSystem) -> float:
@@ -281,9 +298,7 @@ def connect_exp_local(
     within the configured margin of the identity its series logarithm ``c``
     exists and ``x(t) = e^{tc} a e^{-tc}`` walks from ``a`` to ``b``.
     """
-    _require_same_component(a, b, cfg)
-    ea = spectral_resolution(a, cfg)
-    fb = spectral_resolution(b, cfg)
+    ea, fb, _ = _require_same_component(a, b, cfg)
     return _local_from_partitions(a, b, ea, fb, cfg)
 
 
@@ -296,9 +311,7 @@ def _local_from_partitions(a, b, ea, fb, cfg) -> ExpSimilarityPath:
             "use the global constructor"
         )
     c = mat_log_near_identity(w, cfg)
-    path = ExpSimilarityPath(base=a, generators=(c,), self_adjoint_mode=False)
-    _endpoint_gate(path, b, cfg)
-    return path
+    return _gated_path(a, b, (c,), cfg)
 
 
 def connect_exp_global(
@@ -317,24 +330,21 @@ def connect_exp_global(
     well.  A perturb-and-retry loop covers the branch-cut corner cases and
     appends one near-identity generator for the last step home.
     """
-    _require_same_component(a, b, cfg)
-    ea = spectral_resolution(a, cfg)
-    fb = spectral_resolution(b, cfg)
+    ea, fb, ranks = _require_same_component(a, b, cfg)
+    return _global_from_partitions(a, b, ea, fb, ranks, cfg, seed)
 
+
+def _global_from_partitions(a, b, ea, fb, ranks, cfg, seed) -> ExpSimilarityPath:
     w = _matching_similarity(ea, fb)
     if operator_norm(w - identity_like(w)) < cfg.invertibility_margin:
         return _local_from_partitions(a, b, ea, fb, cfg)
 
-    for sim in _similarity_candidates(w, ea, fb, cfg):
+    for sim in _similarity_candidates(w, ea, fb, ranks):
         try:
-            u, h = _polar(sim)
-            c1 = _log_positive(h)
-            c2 = 1j * _hermitian_log_of_unitary(u)
+            c1, c2 = _polar_generators(sim)
         except FactorizationFailed:
             continue
-        path = ExpSimilarityPath(base=a, generators=(c1, c2), self_adjoint_mode=False)
-        _endpoint_gate(path, b, cfg)
-        return path
+        return _gated_path(a, b, (c1, c2), cfg)
 
     # Last resort: walk to a nearby conjugate b' with a generic matcher, then
     # take one near-identity step from b' to b.
@@ -349,31 +359,25 @@ def connect_exp_global(
         if svals[-1] <= 1e-6 * max(1.0, svals[0]):
             continue
         try:
-            u, h = _polar(wp)
-            c1 = _log_positive(h)
-            c2 = 1j * _hermitian_log_of_unitary(u)
+            c1, c2 = _polar_generators(wp)
             wlast = _matching_similarity(fbp, fb)
             c3 = mat_log_near_identity(wlast, cfg)
         except (FactorizationFailed, NotNearIdentity):
             continue
-        path = ExpSimilarityPath(base=a, generators=(c1, c2, c3), self_adjoint_mode=False)
-        _endpoint_gate(path, b, cfg)
-        return path
+        return _gated_path(a, b, (c1, c2, c3), cfg)
     raise FactorizationFailed("all polar factorizations hit the branch cut or a singular matcher")
 
 
-def _similarity_candidates(w, ea, fb, cfg):
+def _similarity_candidates(w, ea, fb, ranks):
     """Similarities conjugating the first partition onto the second.
 
     The partition matcher is tried first; when it is singular, similarities
-    are rebuilt from stacked spectral bases.  Flipping one basis column flips
-    the determinant and moves the unitary factor's spectrum, giving cheap
-    deterministic retries against the branch cut.
+    are rebuilt from stacked spectral bases, then retried with one basis
+    column flipped at a time.
     """
     svals = np.linalg.svd(w, compute_uv=False)
     if svals[-1] > 1e-6 * max(1.0, svals[0]):
         yield w
-    ranks = partition_ranks(ea, cfg)
     se = np.hstack([_range_basis(e, r) for e, r in zip(ea.members, ranks)])
     sf = np.hstack([_range_basis(f, r) for f, r in zip(fb.members, ranks)])
     for stack in (se, sf):
@@ -381,10 +385,7 @@ def _similarity_candidates(w, ea, fb, cfg):
         if s[-1] <= 1e-8 * s[0]:
             return
     se_inv = np.linalg.inv(se)
-    yield sf @ se_inv
-    for col in range(sf.shape[1]):
-        flipped = np.array(sf)
-        flipped[:, col] = -flipped[:, col]
+    for flipped in _column_flips(sf):
         yield flipped @ se_inv
 
 
@@ -406,30 +407,17 @@ def connect_selfadjoint(
             raise NotSelfAdjoint(f"element {name} is not self-adjoint")
     if not a.roots.all_real:
         raise NotSelfAdjoint("self-adjoint connections need an all-real root system")
-    _require_same_component(a, b, cfg)
-
-    ea = spectral_resolution(a, cfg)
-    fb = spectral_resolution(b, cfg)
-    ranks = partition_ranks(ea, cfg)
+    ea, fb, ranks = _require_same_component(a, b, cfg)
     ubasis = np.hstack([_eigbasis(e, r) for e, r in zip(ea.members, ranks)])
     vbasis = np.hstack([_eigbasis(f, r) for f, r in zip(fb.members, ranks)])
 
-    # Basis-phase freedom: flipping one column of v flips the determinant and
-    # moves the spectrum of u, which is usually enough to leave the cut.
-    candidates = [vbasis]
-    for col in range(vbasis.shape[1]):
-        flipped = np.array(vbasis)
-        flipped[:, col] = -flipped[:, col]
-        candidates.append(flipped)
-    for v in candidates:
+    for v in _column_flips(vbasis):  # basis-phase freedom
         u = v @ ubasis.conj().T
         try:
             k = _hermitian_log_of_unitary(u)
         except FactorizationFailed:
             continue
-        path = ExpSimilarityPath(base=a, generators=(k,), self_adjoint_mode=True)
-        _endpoint_gate(path, b, cfg)
-        return path
+        return _gated_path(a, b, (k,), cfg, self_adjoint_mode=True)
 
     # Two-factor split: u = (u v*) v with a small random unitary v.
     u = vbasis @ ubasis.conj().T
@@ -443,9 +431,7 @@ def connect_selfadjoint(
             k2 = _hermitian_log_of_unitary(u @ small.conj().T)
         except FactorizationFailed:
             continue
-        path = ExpSimilarityPath(base=a, generators=(h, k2), self_adjoint_mode=True)
-        _endpoint_gate(path, b, cfg)
-        return path
+        return _gated_path(a, b, (h, k2), cfg, self_adjoint_mode=True)
     raise FactorizationFailed("could not steer the unitary factor off the branch cut")
 
 
@@ -480,35 +466,37 @@ def connect_polygonal(
     inserting a midpoint from the global exponential path, so the segment
     count can exceed ``n`` (it is reported via ``segments``).
     """
-    _require_same_component(a, b, cfg)
+    ea, fb, ranks = _require_same_component(a, b, cfg)
+    return _polygonal_from_partitions(a, b, ea, fb, ranks, cfg, seed)
+
+
+def _polygonal_from_partitions(a, b, ea, fb, ranks, cfg, seed) -> PolygonalPath:
     if operator_norm(a.a - b.a) <= cfg.residual_tol * (1.0 + operator_norm(a.a)):
         return PolygonalPath(breakpoints=(a,), certificates=())
-    breakpoints, certs = _polygonal_chain(a, b, cfg, seed, depth=4)
+    breakpoints, certs = _polygonal_chain(a, b, ea, fb, ranks, cfg, seed, depth=4)
     return PolygonalPath(breakpoints=tuple(breakpoints), certificates=tuple(certs))
 
 
-def _polygonal_chain(a, b, cfg, seed, depth):
+def _polygonal_chain(a, b, ea, fb, ranks, cfg, seed, depth):
     try:
-        return _subspace_replacement_chain(a, b, cfg)
+        return _subspace_replacement_chain(a, b, ea, fb, ranks, cfg)
     except (_ChainFailed, NotAlgebraic):
         if depth <= 0:
             raise SubspaceSplitFailed(
                 "subspace configurations stayed degenerate through midpoint retries"
             )
-    mid_path = connect_exp_global(a, b, cfg, seed=seed)
+    mid_path = _global_from_partitions(a, b, ea, fb, ranks, cfg, seed)
     z = certify(mid_path.value(0.5), a.roots, cfg)
-    left_bp, left_c = _polygonal_chain(a, z, cfg, seed + 1, depth - 1)
-    right_bp, right_c = _polygonal_chain(z, b, cfg, seed + 2, depth - 1)
+    ez, zsig = resolve(z, cfg)
+    left_bp, left_c = _polygonal_chain(a, z, ea, ez, ranks, cfg, seed + 1, depth - 1)
+    right_bp, right_c = _polygonal_chain(z, b, ez, fb, zsig.ranks, cfg, seed + 2, depth - 1)
     return left_bp + right_bp[1:], left_c + right_c
 
 
-def _subspace_replacement_chain(a, b, cfg):
+def _subspace_replacement_chain(a, b, ea, fb, ranks, cfg):
     roots = a.roots
     n = roots.n
     m = a.dim
-    ea = spectral_resolution(a, cfg)
-    fb = spectral_resolution(b, cfg)
-    ranks = partition_ranks(ea, cfg)
     ebases = [_range_basis(e, r) for e, r in zip(ea.members, ranks)]
     fbases = [_range_basis(f, r) for f, r in zip(fb.members, ranks)]
     diag = np.repeat(np.array(roots.roots, dtype=complex), ranks)
@@ -802,7 +790,7 @@ def min_degree_search(
     Returns the first certified path plus the best residual per degree, or
     just the residual curve when every degree fails.
     """
-    _require_same_component(a, b, cfg)
+    ea, fb, ranks = _require_same_component(a, b, cfg)
     if self_adjoint:
         for el, name in ((a, "a"), (b, "b")):
             if not el.self_adjoint:
@@ -814,7 +802,7 @@ def min_degree_search(
 
     # the polygonal path only seeds one restart; the search runs without it
     try:
-        poly_seed = connect_polygonal(a, b, cfg, seed=seed)
+        poly_seed = _polygonal_from_partitions(a, b, ea, fb, ranks, cfg, seed)
     except AlgpathsError:
         poly_seed = None
 

@@ -230,12 +230,12 @@ def run_suite(seed=0, samples=50, budget=400, cfg=ToleranceConfig(), stream=None
             rng = rng_from(seed, 8, 100 + k)
             sig = _sig_for(rng, roots.roots, m)
             el = random_element(sig, roots, seed=(seed, 8, 200 + k), cfg=cfg)
-            if is_isolated(el, cfg):
+            el_sig = signature(el, cfg)
+            if el_sig.scalar:
                 return False, f"non-scalar sample {k} flagged isolated", {}
-            ranks = signature(el, cfg).ranks
             for i, li in enumerate(roots.roots):
                 floor = min(
-                    abs(lj - li) for j, lj in enumerate(roots.roots) if j != i and ranks[j] > 0
+                    abs(lj - li) for j, lj in enumerate(roots.roots) if j != i and el_sig.ranks[j] > 0
                 )
                 gap = operator_norm(el.a - li * np.eye(m)) - floor
                 worst_gap = min(worst_gap, gap)

@@ -214,6 +214,45 @@ def test_polygonal_antipodal_needs_midpoints():
     verify_path(path)
 
 
+def _antipodal_projections(k):
+    """``diag(1_k, 0_k)`` and ``diag(0_k, 1_k)`` over the roots {0, 1}."""
+    one, zero = np.ones(k), np.zeros(k)
+    a = certify(np.diag(np.concatenate([one, zero])).astype(complex), R01)
+    b = certify(np.diag(np.concatenate([zero, one])).astype(complex), R01)
+    return a, b
+
+
+# The matching similarity of an antipodal pair of rank-k projections swaps the
+# two subspaces, so its unitary factor has the eigenvalue -1, k times over.
+# Flipping one basis column is a rank-one change and moves at most one of those
+# eigenvalues off the branch cut: for k = 1 the flips succeed, from k = 2 on the
+# constructors must take their last fallbacks.
+@pytest.mark.parametrize("k, n_global, n_selfadjoint", [(1, 2, 1), (2, 3, 2), (3, 3, 2)])
+def test_antipodal_projections_reach_the_fallbacks(k, n_global, n_selfadjoint, monkeypatch):
+    a, b = _antipodal_projections(k)
+    path = connect_exp_global(a, b)
+    assert len(path.generators) == n_global  # 3: the last resort through a conjugate b'
+    assert verify_path(path, expected_endpoint=b.a).endpoint_error <= 1e-12
+    path = connect_selfadjoint(a, b)
+    assert len(path.generators) == n_selfadjoint  # 2: the two-factor split
+    assert verify_path(path, expected_endpoint=b.a).endpoint_error <= 1e-12
+
+    # the polygonal path inserts a midpoint from the global exponential path
+    midpoint_generators = []
+    global_path = paths._global_from_partitions
+
+    def spy(*args):
+        path = global_path(*args)
+        midpoint_generators.append(len(path.generators))
+        return path
+
+    monkeypatch.setattr(paths, "_global_from_partitions", spy)
+    path = connect_polygonal(a, b)
+    assert midpoint_generators[0] == n_global
+    assert path.breakpoints[-1] is b
+    verify_path(path)
+
+
 def test_polygonal_two_segments_for_close_idempotent_pairs():
     for s in range(12):
         rng = rng_from(s, 18)
@@ -291,7 +330,7 @@ def test_mindeg_search_runs_without_polygonal_seed(monkeypatch):
         raise SubspaceSplitFailed("no split")
 
     fits = []
-    monkeypatch.setattr(paths, "connect_polygonal", split_fails)
+    monkeypatch.setattr(paths, "_polygonal_from_partitions", split_fails)
     monkeypatch.setattr(paths, "_polygonal_fit_coeffs", lambda *args: fits.append(args))
     a = random_element((1, 1), R01, seed=(0, 21), self_adjoint=True)
     b = random_element((1, 1), R01, seed=(0, 22), self_adjoint=True)
@@ -304,7 +343,7 @@ def test_mindeg_does_not_swallow_foreign_errors(monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("bug in the polygonal constructor")
 
-    monkeypatch.setattr(paths, "connect_polygonal", broken)
+    monkeypatch.setattr(paths, "_polygonal_from_partitions", broken)
     a = random_element((1, 1), R01, seed=(0, 21), self_adjoint=True)
     b = random_element((1, 1), R01, seed=(0, 22), self_adjoint=True)
     with pytest.raises(RuntimeError, match="bug in the polygonal"):
