@@ -178,6 +178,16 @@ def eval_defining_poly(a: np.ndarray, roots: RootSystem) -> tuple[np.ndarray, np
     return value, np.maximum(1.0, scale), norm_a
 
 
+def _hermiticity_tolerance(norm_a, roots: RootSystem, cfg: ToleranceConfig):
+    """Largest defect ``||a - a*||`` for which ``a`` counts as self-adjoint.
+
+    Judged on the element's own scale, ``||a||`` plus the smallest root gap
+    capped at one: an element whose roots lie 1e-9 apart is not called
+    self-adjoint on a defect of 1e-10, which its resolution would magnify.
+    """
+    return cfg.residual_tol * (norm_a + min(1.0, roots.min_gap))
+
+
 def _certify_stack(a: np.ndarray, roots: RootSystem, cfg: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
     """Certify every matrix of a stack ``(N, m, m)``.
 
@@ -202,7 +212,7 @@ def _certify_stack(a: np.ndarray, roots: RootSystem, cfg: ToleranceConfig) -> tu
     if bad.any():
         j = int(np.argmax(bad))
         raise NotAlgebraic(float(residual[j]), float(tol[j]))
-    return residual, herm <= cfg.residual_tol * (1.0 + norm_a)
+    return residual, herm <= _hermiticity_tolerance(norm_a, roots, cfg)
 
 
 def certify(a, roots: RootSystem, cfg: ToleranceConfig = ToleranceConfig()) -> AlgebraicElement:

@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 a certificate failed, 3 a precondition was violated,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -51,9 +52,15 @@ def _parse_roots(text: str) -> list[complex]:
     return [complex(part.strip().replace(" ", "")) for part in text.split(",")]
 
 
+_THREADS_FROM_ENV = "$ALGPATHS_THREADS"
+
+
 def _positive_int(text: str) -> int:
-    # argparse also runs this on a string default, so a bad ALGPATHS_THREADS
-    # becomes a usage error of the one subcommand that reads it
+    # argparse also runs this on a string default, on every parse, so the
+    # parser can be built once while a bad ALGPATHS_THREADS stays a usage
+    # error of the one subcommand that reads it
+    if text == _THREADS_FROM_ENV:
+        text = os.environ.get("ALGPATHS_THREADS", "1")
     try:
         value = int(text)
     except ValueError:
@@ -322,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=1000)
     p.add_argument("--self-adjoint", action="store_true")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--threads", type=_positive_int, default=os.environ.get("ALGPATHS_THREADS", "1"),
+    p.add_argument("--threads", type=_positive_int, default=_THREADS_FROM_ENV,
                    help="worker processes for the restart blocks (default: $ALGPATHS_THREADS or 1); "
                         "the scan result does not depend on it")
     _add_common(p)
@@ -366,9 +373,15 @@ def _apply_config_file(parser, ns, argv):
     return parser.parse_args(argv[:i] + extra + argv[i:])
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # building the parser costs about fifty times what parsing does
+    return build_parser()
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = _parser()
     ns = parser.parse_args(argv)
     ns = _apply_config_file(parser, ns, argv)
     try:

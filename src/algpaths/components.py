@@ -201,15 +201,18 @@ def line_direction(el: AlgebraicElement, cfg: ToleranceConfig = ToleranceConfig(
 # -- distance scans ------------------------------------------------------------
 
 
-# Perturbations pre-drawn for one block of restarts are capped at this many
-# bytes, so scan memory depends on the dimension, never on the budget: 36
-# restarts per block at m = 3, 20 at m = 4, a single one from m = 13 on.
+# A block's restarts draw their perturbations _SCAN_CHUNK steps at a time into
+# one buffer capped at this many bytes, so scan memory depends on the
+# dimension, never on the budget: 291 restarts per block at m = 3, 163 at
+# m = 4, 10 at m = 16, a single one from m = 37 on (whose chunk alone outgrows
+# the cap from m = 52 on).
 _SCAN_BLOCK_BYTES = 1 << 20
 _SCAN_ITERS = 200
+_SCAN_CHUNK = 25
 
 
 def _scan_block_size(m: int) -> int:
-    return max(1, _SCAN_BLOCK_BYTES // (_SCAN_ITERS * m * m * 16))
+    return max(1, _SCAN_BLOCK_BYTES // (_SCAN_CHUNK * m * m * 16))
 
 
 def _frobenius(z: np.ndarray) -> np.ndarray:
@@ -236,9 +239,12 @@ def _scan_block(ks, seed, sig1, sig2, roots, self_adjoint, cond_bound):
     endpoint at a time (``x`` on even steps, ``y`` on odd ones).  Conjugation keeps each
     endpoint exactly on its component, so there is no projection step; a
     restart halves its step size whenever a move does not improve its
-    distance and stops once the step collapses.  The stacked linear algebra
-    works matrix by matrix, so restart ``k`` comes out bit-identical however
-    the restarts are grouped into blocks.
+    distance and stops once the step collapses.  Perturbations are drawn
+    ``_SCAN_CHUNK`` steps at a time, by the restarts still live, into one
+    ``(B, _SCAN_CHUNK, m, m)`` buffer; the generator's stream does not depend
+    on how its draws are chunked.  The stacked linear algebra works matrix by
+    matrix, so restart ``k`` comes out bit-identical however the restarts are
+    grouped into blocks.
 
     Returns the distances ``(B,)`` and the endpoints ``x`` and ``y``
     ``(B, m, m)``, row ``j`` belonging to restart ``ks[j]``.
@@ -252,11 +258,8 @@ def _scan_block(ks, seed, sig1, sig2, roots, self_adjoint, cond_bound):
         return np.ascontiguousarray(a)
 
     x, y = sample(sig1, 0), sample(sig2, 1)
-    z = np.empty((n, _SCAN_ITERS, m, m), dtype=complex)
-    for j, k in enumerate(ks):
-        draws = rng_from(seed, k, 2).standard_normal((_SCAN_ITERS, 2, m, m))
-        z[j].real, z[j].imag = draws[:, 0], draws[:, 1]
-    z /= _frobenius(z)[..., None, None]
+    rngs = [rng_from(seed, k, 2) for k in ks]
+    z = np.empty((n, _SCAN_CHUNK, m, m), dtype=complex)
 
     eye = np.eye(m, dtype=complex)
     dist = np.linalg.svd(x - y, compute_uv=False)[:, 0]
@@ -265,8 +268,17 @@ def _scan_block(ks, seed, sig1, sig2, roots, self_adjoint, cond_bound):
         live = np.flatnonzero(delta >= 1e-12)
         if live.size == 0:
             break
+        c = it % _SCAN_CHUNK
+        if c == 0:
+            # a frozen restart never moves again, so only live ones draw; rows
+            # of frozen ones keep stale (finite) values that are never read
+            w = min(_SCAN_CHUNK, _SCAN_ITERS - it)
+            for j in live:
+                draws = rngs[j].standard_normal((w, 2, m, m))
+                z[j, :w].real, z[j, :w].imag = draws[:, 0], draws[:, 1]
+            z[:, :w] /= _frobenius(z[:, :w])[..., None, None]
         step = delta[live, None, None]
-        zs = z[live, it]
+        zs = z[live, c]
         if self_adjoint:
             h = 0.5 * (zs + zs.conj().swapaxes(-1, -2))
             # Cayley transform: exactly unitary for Hermitian h
@@ -312,11 +324,12 @@ def distance_scan(
     Restart ``k`` draws from the sub-stream ``(seed, k)``, so reports are
     reproducible and enlarging the budget only extends the restart list.
 
-    Restarts run in lockstep blocks whose pre-drawn perturbations take about
-    ``_SCAN_BLOCK_BYTES``, so memory is bounded by the dimension whatever the
-    budget.  A block samples its pairs on stacked arrays, one
-    :func:`random_elements` call per signature, and every sampled element is
-    certified.  ``workers > 1`` maps the same blocks over that many processes;
+    Restarts run in lockstep blocks whose perturbation buffer, refilled every
+    ``_SCAN_CHUNK`` steps, takes at most ``_SCAN_BLOCK_BYTES``, so memory is
+    bounded by the dimension whatever the budget.  A block samples its pairs
+    on stacked arrays, one :func:`random_elements` call per signature, and
+    every sampled element is certified.  ``workers > 1`` splits the restarts
+    into at least that many blocks and maps them over that many processes;
     every restart comes out bit-identical, so the report does not change.
     """
     if sig1 == sig2:
@@ -331,7 +344,8 @@ def distance_scan(
     if workers < 1:
         raise BadSignature("workers must be positive")
 
-    size = _scan_block_size(sig1.dim)
+    # with a pool, at least one block per worker
+    size = min(_scan_block_size(sig1.dim), -(-budget // workers))
     blocks = [range(s, min(s + size, budget)) for s in range(0, budget, size)]
     task = partial(_scan_block, seed=seed, sig1=sig1, sig2=sig2, roots=roots,
                    self_adjoint=self_adjoint, cond_bound=cond_bound)

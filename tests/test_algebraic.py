@@ -20,6 +20,7 @@ from algpaths.algebraic import (
     spectral_resolution,
     validate_roots,
 )
+from algpaths.components import signature
 from algpaths.errors import (
     BadSignature,
     CertificationError,
@@ -218,6 +219,19 @@ def test_self_adjoint_samples_are_norm_bounded_by_largest_present_root():
         assert norm <= max(abs(r) for r in roots.roots) + 1e-9
         present = [abs(r) for r, k in zip(roots.roots, ranks) if k > 0]
         assert abs(norm - max(present)) <= 1e-9
+
+
+@pytest.mark.parametrize("gap", [1e-9, 1e-10])
+def test_tiny_root_gap_does_not_make_an_element_self_adjoint(gap):
+    # ||a - a*|| = 1.6e-10 * (gap / 1e-9) next to ||a|| = 1.0e-9 * (gap / 1e-9):
+    # an absolute floor of residual_tol once flagged it, and the Hermiticity
+    # check of its resolution then failed at 1.6e-01
+    el = random_element((1, 1), validate_roots([0, gap]), seed=5)
+    assert not el.self_adjoint
+    assert signature(el).ranks == (1, 1)
+    # a Hermitian sample at the same gap keeps its flag and resolves
+    sa = random_element((1, 1), validate_roots([0, gap]), seed=5, self_adjoint=True)
+    assert sa.self_adjoint and spectral_resolution(sa).self_adjoint
 
 
 def test_serialization_roundtrip_element():

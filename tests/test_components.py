@@ -276,10 +276,22 @@ def _reference_descend(x, y, rng, self_adjoint, inner_iters=200, delta0=0.25):
     return dist, x, y
 
 
-def _reference_restart(k, seed, sig1, sig2, roots, self_adjoint):
+def _reference_restart(k, seed, sig1, sig2, roots, self_adjoint, inner_iters=200, rng=None):
     x = reference.random_element(sig1.ranks, roots, (seed, k, 0), self_adjoint=self_adjoint)
     y = reference.random_element(sig2.ranks, roots, (seed, k, 1), self_adjoint=self_adjoint)
-    return _reference_descend(x.a, y.a, rng_from(seed, k, 2), self_adjoint)
+    rng = rng_from(seed, k, 2) if rng is None else rng
+    return _reference_descend(x.a, y.a, rng, self_adjoint, inner_iters)
+
+
+class _CountedDraws:
+    """A generator whose ``standard_normal`` calls append their shapes to ``log``."""
+
+    def __init__(self, rng, log):
+        self.rng, self.log = rng, log
+
+    def standard_normal(self, shape):
+        self.log.append(shape)
+        return self.rng.standard_normal(shape)
 
 
 SCAN_SHAPES = [
@@ -314,12 +326,99 @@ def test_scan_block_is_bit_identical_to_per_restart_descent(ranks1, ranks2, root
     # blocks of one, two and three restarts, the last one partial: same best restart
     best = min(range(budget), key=lambda k: (ref[k][0], k))
     for size in (1, 2, 3):
-        monkeypatch.setattr(components, "_SCAN_BLOCK_BYTES", size * 200 * m * m * 16)
+        monkeypatch.setattr(components, "_SCAN_BLOCK_BYTES", size * components._SCAN_CHUNK * m * m * 16)
         assert _scan_block_size(m) == size
         rep = distance_scan(sig1, sig2, roots, budget=budget, seed=11, self_adjoint=self_adjoint)
         assert rep.best_distance == ref[best][0]
         np.testing.assert_array_equal(rep.witness[0].a, ref[best][1])
         np.testing.assert_array_equal(rep.witness[1].a, ref[best][2])
+
+
+@pytest.mark.parametrize("ranks1, ranks2, roots, self_adjoint, iters",
+                         [SCAN_SHAPES[3] + (200,), SCAN_SHAPES[1] + (60,), SCAN_SHAPES[0] + (200,)],
+                         ids=["m2-central", "m3-general", "m3-self-adjoint"])
+def test_scan_chunks_that_do_not_divide_the_steps_are_bit_identical(ranks1, ranks2, roots, self_adjoint,
+                                                                     iters, monkeypatch):
+    # chunks of 7 divide neither 200 nor 60: the central and self-adjoint
+    # restarts fail every step and freeze after step 38, in the middle of a
+    # chunk; the general ones are still live in the partial last chunk of 60
+    monkeypatch.setattr(components, "_SCAN_CHUNK", 7)
+    monkeypatch.setattr(components, "_SCAN_ITERS", iters)
+    m = sum(ranks1)
+    sig1, sig2 = ComponentSignature(ranks1, m), ComponentSignature(ranks2, m)
+    roots = validate_roots(list(roots))
+    ref = [_reference_restart(k, 11, sig1, sig2, roots, self_adjoint, iters) for k in range(5)]
+    for ks in (range(5), [3, 1]):
+        dist, x, y = _block(ks, sig1, sig2, roots, self_adjoint)
+        for j, k in enumerate(ks):
+            assert dist[j] == ref[k][0]
+            np.testing.assert_array_equal(x[j], ref[k][1])
+            np.testing.assert_array_equal(y[j], ref[k][2])
+
+
+@pytest.mark.parametrize("iters", [200, 60])
+def test_scan_draws_perturbations_only_while_a_restart_is_live(iters, monkeypatch):
+    chunk, m, n = 7, 3, 8
+    monkeypatch.setattr(components, "_SCAN_CHUNK", chunk)
+    monkeypatch.setattr(components, "_SCAN_ITERS", iters)
+    sig1, sig2 = ComponentSignature((1, 2), m), ComponentSignature((2, 1), m)
+    # the steps each restart runs: the reference descent draws twice per step
+    steps = []
+    for k in range(n):
+        log = []
+        _reference_restart(k, 11, sig1, sig2, R01, False, iters, _CountedDraws(rng_from(11, k, 2), log))
+        steps.append(len(log) // 2)
+    assert len(set(steps)) > 1  # the restarts freeze at different steps (58 to 81)
+    draws = []
+    monkeypatch.setattr(components, "rng_from", lambda *key: _CountedDraws(rng_from(*key), draws))
+    _block(range(n), sig1, sig2, R01, False)
+    # one chunk per restart still live where the chunk starts, the last one partial
+    assert draws == [(min(chunk, iters - t), 2, m, m)
+                     for t in range(0, iters, chunk) for k in range(n) if steps[k] > t]
+
+
+@pytest.mark.parametrize("ranks1, ranks2, roots, blocks",
+                         [((1, 2), (2, 1), (0, 1), 1), ((1, 1, 2), (0, 2, 2), (0, 1, 2), 2)],
+                         ids=["m3", "m4"])
+def test_budget_200_scan_runs_few_blocks(ranks1, ranks2, roots, blocks, monkeypatch):
+    calls = []
+    block = components._scan_block
+    monkeypatch.setattr(components, "_scan_block", lambda ks, **kw: calls.append(len(ks)) or block(ks, **kw))
+    m = sum(ranks1)
+    distance_scan(ComponentSignature(ranks1, m), ComponentSignature(ranks2, m),
+                  validate_roots(list(roots)), budget=200, seed=0)
+    assert len(calls) == blocks and sum(calls) == 200
+    # the chunk buffer of a full block stays within the byte cap
+    assert max(calls) * components._SCAN_CHUNK * m * m * 16 <= components._SCAN_BLOCK_BYTES
+
+
+@pytest.mark.parametrize("workers, sizes", [(2, [100, 100]), (3, [67, 67, 66]), (8, [25] * 8)])
+def test_scan_pool_gets_a_block_per_worker(workers, sizes, monkeypatch):
+    import concurrent.futures
+
+    class SerialPool:  # records the blocks a process pool would be handed
+        def __init__(self, max_workers):
+            assert max_workers == workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, blocks):
+            blocks = list(blocks)
+            mapped.extend(len(ks) for ks in blocks)
+            return map(fn, blocks)
+
+    mapped = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    sig1, sig2 = ComponentSignature((1, 1), 2), ComponentSignature((0, 2), 2)
+    pooled = distance_scan(sig1, sig2, R01, budget=200, seed=4, workers=workers)
+    assert mapped == sizes
+    serial = distance_scan(sig1, sig2, R01, budget=200, seed=4)
+    assert pooled.best_distance == serial.best_distance
+    np.testing.assert_array_equal(pooled.witness[0].a, serial.witness[0].a)
 
 
 def test_scan_restart_ignores_block_boundaries_and_budget():
@@ -339,7 +438,7 @@ def test_scan_restart_ignores_block_boundaries_and_budget():
                          ids=["general", "self-adjoint", "one-central", "both-central"])
 def test_scan_samples_with_one_stacked_qr_per_signature_and_block(ranks1, ranks2, self_adjoint,
                                                                   sampled, monkeypatch):
-    monkeypatch.setattr(components, "_SCAN_BLOCK_BYTES", 4 * 200 * 3 * 3 * 16)
+    monkeypatch.setattr(components, "_SCAN_BLOCK_BYTES", 4 * components._SCAN_CHUNK * 3 * 3 * 16)
     calls = []
     qr = np.linalg.qr
     monkeypatch.setattr(np.linalg, "qr", lambda z: calls.append(z.shape) or qr(z))
