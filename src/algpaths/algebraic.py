@@ -192,9 +192,9 @@ def _certify_stack(a: np.ndarray, roots: RootSystem, cfg: ToleranceConfig) -> tu
     """Certify every matrix of a stack ``(N, m, m)``.
 
     Each element is judged against its own scaled tolerance; the first one
-    in stack order that fails raises :class:`NotAlgebraic` with its residual
-    and tolerance.  A stack with non-finite entries, or whose magnitude
-    overflows, raises :class:`MagnitudeOverflow` first.  One stacked SVD
+    in stack order that fails raises :class:`NotAlgebraic` with its residual,
+    tolerance and stack index.  A stack with non-finite entries, or whose
+    magnitude overflows, raises :class:`MagnitudeOverflow` first.  One stacked SVD
     takes the residuals ``||p(a_j)||`` and the Hermiticity defects
     ``||a_j - a_j*||`` together.  Returns the residuals and the
     self-adjointness flags, both ``(N,)``.
@@ -211,7 +211,7 @@ def _certify_stack(a: np.ndarray, roots: RootSystem, cfg: ToleranceConfig) -> tu
     bad = ~(residual <= tol)  # a NaN residual fails
     if bad.any():
         j = int(np.argmax(bad))
-        raise NotAlgebraic(float(residual[j]), float(tol[j]))
+        raise NotAlgebraic(float(residual[j]), float(tol[j]), index=j)
     return residual, herm <= _hermiticity_tolerance(norm_a, roots, cfg)
 
 

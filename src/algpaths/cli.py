@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -68,6 +69,24 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value}")
     return value
+
+
+def _float_flag(text: str, ok, expected: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not ok(value):  # NaN fails every check
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    return _float_flag(text, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
+
+
+def _margin(text: str) -> float:
+    return _float_flag(text, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
 
 
 def _parse_sig(text: str) -> tuple[int, ...]:
@@ -266,9 +285,9 @@ def _cmd_suite(ns) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--tol", type=float, default=None, help="residual tolerance override")
-    p.add_argument("--rank-tol", type=float, default=None, help="relative rank threshold override")
-    p.add_argument("--margin", type=float, default=None, help="invertibility margin override")
+    p.add_argument("--tol", type=_tolerance, default=None, help="residual tolerance override")
+    p.add_argument("--rank-tol", type=_tolerance, default=None, help="relative rank threshold override")
+    p.add_argument("--margin", type=_margin, default=None, help="invertibility margin override, in (0, 1)")
     p.add_argument("--out", default=None, help="report file (stdout when omitted)")
     p.add_argument("--config", default=None, help="JSON file with defaults for any flag")
 

@@ -64,11 +64,15 @@ class CentralElement(PreconditionError):
 # -- certification failures --------------------------------------------------
 
 class NotAlgebraic(CertificationError):
-    """The residual of the defining polynomial exceeds tolerance."""
+    """The residual of the defining polynomial exceeds tolerance.
 
-    def __init__(self, residual, tol):
+    ``index`` is the position of the failing element in a certified stack.
+    """
+
+    def __init__(self, residual, tol, index=None):
         self.residual = residual
         self.tol = tol
+        self.index = index
         super().__init__(f"residual {residual:.3e} exceeds tolerance {tol:.3e}")
 
 

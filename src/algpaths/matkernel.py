@@ -14,13 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotNearIdentity
+from .errors import MagnitudeOverflow, NotNearIdentity
 
 __all__ = [
     "ToleranceConfig",
     "as_matrix",
     "identity_like",
     "operator_norm",
+    "operator_norms",
     "rank",
     "mat_exp",
     "mat_log_near_identity",
@@ -78,6 +79,16 @@ def operator_norm(a: np.ndarray) -> float:
     if a.size == 0:
         return 0.0
     return float(np.linalg.svd(a, compute_uv=False)[0])
+
+
+def operator_norms(stack: np.ndarray) -> np.ndarray:
+    """Operator norm of every matrix of a stack ``(..., m, m)``, one stacked SVD.
+
+    Non-finite entries raise :class:`MagnitudeOverflow`, not a bare ``LinAlgError``.
+    """
+    if not np.isfinite(stack).all():
+        raise MagnitudeOverflow("matrices with non-finite entries have no operator norm")
+    return np.linalg.svd(stack, compute_uv=False)[..., 0]
 
 
 def rank(a: np.ndarray, cfg: ToleranceConfig = ToleranceConfig()) -> int:
@@ -265,9 +276,8 @@ def matpoly_is_zero(
     operator norm — the certificate value.  The verdict compares against
     ``residual_tol * (1 + scale)``; pass the magnitude of whatever produced
     ``q`` (endpoint norms, root sizes) as ``scale`` so huge inputs are judged
-    relative to their own arithmetic.
+    relative to their own arithmetic.  Non-finite coefficients raise
+    :class:`MagnitudeOverflow`.
     """
-    worst = 0.0
-    for c in q.coeffs:
-        worst = max(worst, operator_norm(c))
+    worst = float(operator_norms(q.coeffs).max())
     return worst <= cfg.residual_tol * (1.0 + scale), worst

@@ -20,6 +20,7 @@ least-squares on the exact coefficients of the composed polynomial, and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 
 import numpy as np
 import scipy.linalg
@@ -28,6 +29,7 @@ from .algebraic import (
     AlgebraicElement,
     PartitionOfUnity,
     RootSystem,
+    _certify_stack,
     certify,
     eval_defining_poly,
     spectral_resolution,
@@ -51,8 +53,9 @@ from .matkernel import (
     mat_exp,
     mat_log_near_identity,
     matpoly_compose_p,
-    matpoly_is_zero,
+    matpoly_mul,
     operator_norm,
+    operator_norms,
 )
 from .seeding import rng_from
 
@@ -281,8 +284,32 @@ def _gated_path(a, b, generators, cfg, self_adjoint_mode=False) -> ExpSimilarity
     return path
 
 
-def _segment_scale(x: np.ndarray, y: np.ndarray, roots: RootSystem) -> float:
-    return max(1.0, roots.magnitude(2.0 * max(operator_norm(x), operator_norm(y))))
+def _vanishing_certificates(coeffs, bounds, roots: RootSystem, cfg: ToleranceConfig):
+    """Certify that ``p(x_j(t))`` vanishes identically for a batch of polynomials.
+
+    ``coeffs`` stacks each ``x_j`` as ``(N, d + 1, m, m)``; ``bounds[j]`` bounds
+    ``||x_j(t)||`` (``sum_k ||c_k||`` for a polynomial).  Its magnitude, taken
+    before composing, which could overflow, scales the tolerance
+    ``residual_tol * (1 + scale)``.  One stacked SVD takes every coefficient
+    norm.  Returns the verdicts, the worst norms and the index of each worst
+    coefficient, all ``(N,)``.
+    """
+    scales = np.maximum(1.0, roots.magnitude(bounds))
+    p_coeffs = roots.poly_coeffs()
+    q = np.stack([matpoly_compose_p(p_coeffs, MatrixPolynomial(c, normalized=False)).coeffs for c in coeffs])
+    norms = operator_norms(q)
+    worst = norms.max(axis=1)
+    return worst <= cfg.residual_tol * (1.0 + scales), worst, norms.argmax(axis=1)
+
+
+def _segment_certificates(points: np.ndarray, roots: RootSystem, cfg: ToleranceConfig):
+    """:func:`_vanishing_certificates` of the segments through a stack of points.
+
+    A segment is bounded by twice the larger norm of its endpoints.
+    """
+    norms = operator_norms(points)
+    segments = np.stack([points[:-1], points[1:] - points[:-1]], axis=1)
+    return _vanishing_certificates(segments, 2.0 * np.maximum(norms[:-1], norms[1:]), roots, cfg)
 
 
 # -- exponential constructors ----------------------------------------------------
@@ -511,15 +538,10 @@ def _subspace_replacement_chain(a, b, ea, fb, ranks, cfg):
         breakpoints.append(certify(xk, roots, cfg))
     breakpoints.append(b)
 
-    p_coeffs = roots.poly_coeffs()
-    certs = []
-    for u, v in zip(breakpoints[:-1], breakpoints[1:]):
-        q = matpoly_compose_p(p_coeffs, MatrixPolynomial.segment(u.a, v.a))
-        ok, worst = matpoly_is_zero(q, cfg, scale=_segment_scale(u.a, v.a, roots))
-        if not ok:
-            raise _ChainFailed
-        certs.append(worst)
-    return breakpoints, certs
+    ok, worst, _ = _segment_certificates(np.stack([bp.a for bp in breakpoints]), roots, cfg)
+    if not ok.all():
+        raise _ChainFailed
+    return breakpoints, worst.tolist()
 
 
 # -- minimum-degree polynomial path search ---------------------------------------
@@ -546,45 +568,36 @@ def _hermitian_basis(m: int) -> np.ndarray:
     return np.stack([mat.reshape(-1) for mat in mats], axis=1)
 
 
-def _compose_and_jacobian_blocks(p_coeffs: np.ndarray, coeffs: np.ndarray):
-    """Coefficients of ``p(x)`` plus the degree-indexed differential blocks.
+def _jacobian_blocks(p_coeffs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Degree-indexed differential blocks of the composition ``p(x)``.
 
     ``blocks[g]`` is the matrix of ``vec(dx) -> vec`` contribution of a
     direction at parameter degree zero to the output coefficient of degree
     ``g``: the differential of the composition is
-    ``dq = sum_k p_k sum_{i+j=k-1} x^i dx x^j`` and ``vec(A E B) =
-    (B^T kron A) vec(E)``.
+    ``dq = sum_k p_k sum_{i+j=k-1} x^i dx x^j`` and, row-major,
+    ``vec(A E B) = (A kron B^T) vec(E)``.  Each pair of power tables gives
+    all its Kronecker products ``x^i_u kron (x^j_v)^T`` in one outer product.
     """
-    d = coeffs.shape[0] - 1
-    m = coeffs.shape[1]
+    x = MatrixPolynomial(coeffs, normalized=False)
+    m = x.dim
     n = len(p_coeffs) - 1
-
     powers = [np.eye(m, dtype=complex)[None, :, :]]
-    for _ in range(n):
-        prev = powers[-1]
-        out = np.zeros((prev.shape[0] + d, m, m), dtype=complex)
-        for i in range(prev.shape[0]):
-            out[i : i + d + 1] += np.einsum("ab,jbc->jac", prev[i], coeffs)
-        powers.append(out)
+    for _ in range(n - 1):
+        powers.append(matpoly_mul(MatrixPolynomial(powers[-1], normalized=False), x).coeffs)
 
-    total = n * d + 1
-    q = np.zeros((total, m, m), dtype=complex)
-    for k, pk in enumerate(p_coeffs):
-        q[: powers[k].shape[0]] += pk * powers[k]
-
-    blocks = np.zeros(((n - 1) * d + 1, m * m, m * m), dtype=complex)
+    blocks = np.zeros(((n - 1) * x.degree + 1, m * m, m * m), dtype=complex)
     for k in range(1, n + 1):
         pk = p_coeffs[k]
         if pk == 0:
             continue
         for i in range(k):
-            j = k - 1 - i
-            pi, pj = powers[i], powers[j]
-            for u in range(pi.shape[0]):
-                for v in range(pj.shape[0]):
-                    # row-major vec: vec(A E B) = (A kron B^T) vec(E)
-                    blocks[u + v] += pk * np.kron(pi[u], pj[v].T)
-    return q, blocks
+            pi, pj = powers[i], powers[k - 1 - i]
+            # outer[u, v, a, c, b, d] = pi[u, a, b] * pj[v, d, c], the products np.kron takes
+            outer = pi[:, None, :, None, :, None] * pj.swapaxes(1, 2)[None, :, None, :, None, :]
+            outer = outer.reshape(len(pi), len(pj), m * m, m * m)
+            for u in range(len(pi)):
+                blocks[u : u + len(pj)] += pk * outer[u]
+    return blocks
 
 
 def _assemble_real_jacobian(blocks, d, total, m, hermitian, hbasis):
@@ -628,17 +641,14 @@ class _DegreeProblem:
 
     def __init__(self, a, b, roots, d, hermitian, min_motion):
         self.a = a
-        self.b = b
         self.delta = b - a
         self.p_coeffs = roots.poly_coeffs()
         self.d = d
         self.m = a.shape[0]
-        self.n = len(self.p_coeffs) - 1
-        self.total = self.n * d + 1
+        self.total = (len(self.p_coeffs) - 1) * d + 1
         self.hermitian = hermitian
         self.min_motion = min_motion
         self.hbasis = _hermitian_basis(self.m) if hermitian else None
-        self.nfree = (d - 1) * (self.m**2 if hermitian else 2 * self.m**2)
 
     def coeffs_from_params(self, theta):
         d, m = self.d, self.m
@@ -669,27 +679,21 @@ class _DegreeProblem:
                 out.append(np.concatenate([c.reshape(-1).real, c.reshape(-1).imag]))
         return np.concatenate(out) if out else np.zeros(0)
 
-    def _motion(self, coeffs):
-        ks = np.arange(1, self.d + 1)
-        return float(np.sqrt(sum((k * np.linalg.norm(coeffs[k])) ** 2 for k in ks)))
-
     def residual(self, theta):
         coeffs = self.coeffs_from_params(theta)
-        q, blocks = _compose_and_jacobian_blocks(self.p_coeffs, coeffs)
-        flat = q.reshape(-1)
+        x = MatrixPolynomial(coeffs, normalized=False)
+        flat = matpoly_compose_p(self.p_coeffs, x).coeffs.reshape(-1)
         r = np.concatenate([flat.real, flat.imag])
         if self.min_motion > 0.0:
-            gap = max(0.0, self.min_motion - self._motion(coeffs))
-            r = np.append(r, gap)
-        return r, coeffs, blocks
+            r = np.append(r, max(0.0, self.min_motion - _motion(coeffs)))
+        return r, coeffs
 
-    def jacobian(self, coeffs, blocks):
-        jac = _assemble_real_jacobian(
-            blocks, self.d, self.total, self.m, self.hermitian, self.hbasis
-        )
+    def jacobian(self, coeffs):
+        blocks = _jacobian_blocks(self.p_coeffs, coeffs)
+        jac = _assemble_real_jacobian(blocks, self.d, self.total, self.m, self.hermitian, self.hbasis)
         if self.min_motion > 0.0:
             row = np.zeros((1, jac.shape[1]))
-            v = self._motion(coeffs)
+            v = _motion(coeffs)
             if v > 0.0 and v < self.min_motion:
                 d = self.d
                 per = self.m**2 if self.hermitian else 2 * self.m**2
@@ -699,40 +703,41 @@ class _DegreeProblem:
                     if self.hermitian:
                         gvec = (self.hbasis.conj().T @ grad_mat.reshape(-1)).real
                     else:
-                        gvec = np.concatenate(
-                            [grad_mat.reshape(-1).real, grad_mat.reshape(-1).imag]
-                        )
+                        gvec = np.concatenate([grad_mat.reshape(-1).real, grad_mat.reshape(-1).imag])
                     row[0, (l - 1) * per : l * per] = -gvec
             jac = np.vstack([jac, row])
         return jac
 
 
+def _motion(coeffs) -> float:
+    """``sqrt(sum_k (k ||c_k||_F)^2)``, the size of ``x'`` that ``min_motion`` bounds below."""
+    return float(np.sqrt(sum((k * np.linalg.norm(coeffs[k])) ** 2 for k in range(1, len(coeffs)))))
+
+
 def _levenberg_marquardt(problem, theta0, max_iters=150):
     theta = np.array(theta0, dtype=float)
-    r, coeffs, blocks = problem.residual(theta)
+    r, coeffs = problem.residual(theta)
     cost = float(r @ r)
     mu = 1e-4
     for _ in range(max_iters):
         if np.max(np.abs(r)) < 1e-15:
             break
-        jac = problem.jacobian(coeffs, blocks)
-        improved = False
+        jac = problem.jacobian(coeffs)  # only at accepted iterates
         for _ in range(25):
             aug = np.vstack([jac, np.sqrt(mu) * np.eye(jac.shape[1])])
             rhs = np.concatenate([-r, np.zeros(jac.shape[1])])
             step, *_ = np.linalg.lstsq(aug, rhs, rcond=None)
             trial = theta + step
-            r_t, coeffs_t, blocks_t = problem.residual(trial)
+            r_t, coeffs_t = problem.residual(trial)
             cost_t = float(r_t @ r_t)
             if cost_t < cost:
-                theta, r, coeffs, blocks, cost = trial, r_t, coeffs_t, blocks_t, cost_t
+                theta, r, coeffs, cost = trial, r_t, coeffs_t, cost_t
                 mu = max(mu * 0.35, 1e-14)
-                improved = True
                 break
             mu *= 8.0
             if mu > 1e14:
-                break
-        if not improved:
+                return theta, coeffs
+        else:  # no trial lowered the cost
             break
     return theta, coeffs
 
@@ -743,8 +748,6 @@ def _ramp_coeffs(a, b, d):
     delta = b - a
     coeffs = np.zeros((d + 1, m, m), dtype=complex)
     coeffs[0] = a
-    from math import comb
-
     for k in range(1, d + 1):
         coeffs[k] = -((-1.0) ** k) * comb(d, k) * delta
     return coeffs
@@ -797,7 +800,6 @@ def min_degree_search(
                 raise NotSelfAdjoint(f"element {name} is not self-adjoint")
 
     roots = a.roots
-    p_coeffs = roots.poly_coeffs()
     residual_by_degree: dict[int, float] = {}
 
     # the polygonal path only seeds one restart; the search runs without it
@@ -821,9 +823,7 @@ def min_degree_search(
                 rng = rng_from(seed, d, r)
                 noisy = np.array(base)
                 for l in range(1, d):
-                    z = rng.standard_normal((a.dim, a.dim)) + 1j * rng.standard_normal(
-                        (a.dim, a.dim)
-                    )
+                    z = rng.standard_normal((a.dim, a.dim)) + 1j * rng.standard_normal((a.dim, a.dim))
                     noisy[l] = noisy[l] + sigma * z
                 noisy[d] = (b.a - a.a) - noisy[1:d].sum(axis=0)
                 inits.append(noisy)
@@ -831,31 +831,22 @@ def min_degree_search(
                 theta0 = problem.params_from_coeffs(init)
                 _, coeffs = _levenberg_marquardt(problem, theta0)
                 if self_adjoint:
-                    for l in range(d + 1):
-                        coeffs[l] = 0.5 * (coeffs[l] + coeffs[l].conj().T)
+                    coeffs = 0.5 * (coeffs + coeffs.conj().swapaxes(-1, -2))
                 candidates.append(coeffs)
 
-        best_worst = np.inf
-        best_coeffs = None
-        for coeffs in candidates:
-            if self_adjoint and min_motion > 0.0:
-                motion = np.sqrt(
-                    sum((k * np.linalg.norm(coeffs[k])) ** 2 for k in range(1, d + 1))
-                )
-                if motion < min_motion:
-                    continue
-            x = MatrixPolynomial(coeffs, normalized=False)
-            q = matpoly_compose_p(p_coeffs, x)
-            big = float(sum(operator_norm(c) for c in coeffs))
-            ok, worst = matpoly_is_zero(q, cfg, scale=max(1.0, roots.magnitude(big)))
-            if worst < best_worst:
-                best_worst = worst
-                best_coeffs = coeffs if ok else None
-        residual_by_degree[d] = float(best_worst)
-        if best_coeffs is not None:
+        if self_adjoint and min_motion > 0.0:
+            candidates = [c for c in candidates if _motion(c) >= min_motion]
+        if not candidates:
+            residual_by_degree[d] = float(np.inf)
+            continue
+        stack = np.stack(candidates)
+        ok, worst, _ = _vanishing_certificates(stack, operator_norms(stack).sum(axis=-1), roots, cfg)
+        best = int(np.argmin(worst))  # the first smallest certificate
+        residual_by_degree[d] = float(worst[best])
+        if ok[best]:
             path = PolynomialPath(
-                x=MatrixPolynomial(best_coeffs, normalized=False),
-                certificate=float(best_worst),
+                x=MatrixPolynomial(candidates[best], normalized=False),
+                certificate=float(worst[best]),
                 self_adjoint=self_adjoint,
             )
             return MinDegreeResult(path=path, residual_by_degree=residual_by_degree)
@@ -893,64 +884,58 @@ def verify_path(
 
 
 def _verify_polynomial(path: PolynomialPath, roots, cfg) -> PathCertificate:
-    big = float(sum(operator_norm(c) for c in path.x.coeffs))
-    scale = max(1.0, roots.magnitude(big))  # checked before composing, which could overflow
-    q = matpoly_compose_p(roots.poly_coeffs(), path.x)
-    ok, worst = matpoly_is_zero(q, cfg, scale=scale)
-    if not ok:
-        norms = [operator_norm(c) for c in q.coeffs]
-        bad = int(np.argmax(norms))
+    coeffs = path.x.coeffs
+    big = operator_norms(coeffs).sum()
+    ok, worst, bad = _vanishing_certificates(coeffs[None], big, roots, cfg)
+    worst = float(worst[0])
+    if not ok[0]:
         raise CertificationFailed(
-            f"coefficient {bad} of the composed polynomial has norm {worst:.3e}",
-            coefficient=bad,
+            f"coefficient {bad[0]} of the composed polynomial has norm {worst:.3e}",
+            coefficient=int(bad[0]),
             value=worst,
         )
     herm = None
     if path.self_adjoint:
-        herm = max(operator_norm(c - c.conj().T) for c in path.x.coeffs)
+        herm = float(operator_norms(coeffs - coeffs.conj().swapaxes(-1, -2)).max())
         if herm > cfg.residual_tol * (1.0 + big):
             raise CertificationFailed(f"coefficients are not Hermitian: {herm:.3e}", value=herm)
-    for label, point in (("start", path.start), ("end", path.end)):
-        try:
-            certify(point, roots, cfg)
-        except NotAlgebraic as exc:
-            raise CertificationFailed(
-                f"{label} point is not in the solution set: {exc}",
-                sample_t=0.0 if label == "start" else 1.0,
-                value=exc.residual,
-            ) from exc
-    return PathCertificate(
-        kind="polynomial", worst_membership=worst, worst_hermiticity=herm
-    )
+    try:
+        _certify_stack(np.stack([path.start, path.end]), roots, cfg)
+    except NotAlgebraic as exc:
+        raise CertificationFailed(
+            f"{('start', 'end')[exc.index]} point is not in the solution set: {exc}",
+            sample_t=float(exc.index),
+            value=exc.residual,
+        ) from exc
+    return PathCertificate(kind="polynomial", worst_membership=worst, worst_hermiticity=herm)
 
 
 def _verify_polygonal(path: PolygonalPath, roots, cfg) -> PathCertificate:
-    p_coeffs = roots.poly_coeffs()
-    certs = []
-    for k, (u, v) in enumerate(zip(path.breakpoints[:-1], path.breakpoints[1:])):
-        scale = _segment_scale(u.a, v.a, roots)  # checked before composing, which could overflow
-        q = matpoly_compose_p(p_coeffs, MatrixPolynomial.segment(u.a, v.a))
-        ok, worst = matpoly_is_zero(q, cfg, scale=scale)
-        certs.append(worst)
-        if not ok:
-            norms = [operator_norm(c) for c in q.coeffs]
+    points = np.stack([bp.a for bp in path.breakpoints])
+    certs = ()
+    if path.segments:
+        ok, worst, bad = _segment_certificates(points, roots, cfg)
+        if not ok.all():
+            k = int(np.argmin(ok))  # the first failing segment
             raise CertificationFailed(
-                f"segment {k} fails: coefficient norm {worst:.3e}",
+                f"segment {k} fails: coefficient norm {worst[k]:.3e}",
                 segment=k,
-                coefficient=int(np.argmax(norms)),
-                value=worst,
+                coefficient=int(bad[k]),
+                value=float(worst[k]),
             )
-    for k, bp in enumerate(path.breakpoints):
-        try:
-            certify(bp.a, roots, cfg)
-        except NotAlgebraic as exc:
-            raise CertificationFailed(
-                f"breakpoint {k} is not in the solution set: {exc}", segment=k, value=exc.residual
-            ) from exc
+        certs = tuple(worst.tolist())
+    try:
+        _certify_stack(points, roots, cfg)
+    except NotAlgebraic as exc:
+        raise CertificationFailed(
+            f"breakpoint {exc.index} is not in the solution set: {exc}",
+            segment=exc.index,
+            value=exc.residual,
+        ) from exc
     return PathCertificate(
         kind="polygonal",
-        worst_membership=max(certs) if certs else 0.0,
-        segment_certificates=tuple(certs),
+        worst_membership=max(certs, default=0.0),
+        segment_certificates=certs,
     )
 
 

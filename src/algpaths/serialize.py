@@ -4,7 +4,9 @@ Matrices travel as row-major ``[re, im]`` pairs with an explicit ``dim``
 field; root systems as lists of ``[re, im]`` pairs.  Round-trips reproduce
 every entry to full double precision (json keeps the shortest exact repr).
 Deserialized elements and paths are re-certified by their consumers, so a
-tampered file fails loudly rather than silently.
+tampered file fails loudly rather than silently; a matrix with the wrong
+number of entries or a non-finite one, or an unknown path kind, raises
+:class:`PreconditionError` here.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import numpy as np
 
 from .algebraic import AlgebraicElement, PartitionOfUnity, RootSystem, certify, validate_roots
 from .components import ComponentSignature, DistanceScanReport, LineWitness
+from .errors import PreconditionError
 from .matkernel import MatrixPolynomial, ToleranceConfig, as_matrix
 from .paths import ExpSimilarityPath, PolygonalPath, PolynomialPath
 
@@ -55,7 +58,9 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     m = int(obj["dim"])
     flat = np.array([complex(re, im) for re, im in obj["entries"]])
     if flat.size != m * m:
-        raise ValueError(f"expected {m * m} entries, got {flat.size}")
+        raise PreconditionError(f"a {m}x{m} matrix needs {m * m} entries, got {flat.size}")
+    if not np.isfinite(flat).all():
+        raise PreconditionError("matrix entries must be finite")
     return flat.reshape(m, m)
 
 
@@ -163,7 +168,7 @@ def path_from_json(obj: dict, cfg: ToleranceConfig = ToleranceConfig()):
             certificate=float(obj["certificate"]),
             self_adjoint=bool(obj["self_adjoint"]),
         )
-    raise ValueError(f"unknown path kind {kind!r}")
+    raise PreconditionError(f"unknown path kind {kind!r}")
 
 
 SCAN_CSV_HEADER = "sig1,sig2,roots,m,seed,budget,best_distance,bound"

@@ -174,6 +174,48 @@ def test_exit_code_usage():
     assert err.value.code == EXIT_USAGE
 
 
+# Bad file contents are preconditions (exit 3) and bad tolerance flags usage
+# errors (exit 64); each used to end in a traceback and exit 1.
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_matrix_file_is_a_precondition(tmp_path, proj_pair, capsys, bad):
+    _, b = proj_pair
+    a = _write(tmp_path / "bad.json", _matrix([[bad, 0], [0, 0]]))  # json writes NaN / Infinity
+    code = main(["connect", "--a", a, "--b", b, "--roots", "0,1", "--method", "polygonal"])
+    assert code == EXIT_PRECONDITION
+    assert "finite" in capsys.readouterr().err
+
+
+def test_wrong_entry_count_is_a_precondition(tmp_path, capsys):
+    a = _write(tmp_path / "short.json", {"dim": 2, "entries": [[1.0, 0.0]] * 3})
+    assert main(["decompose", "--a", a, "--roots", "0,1"]) == EXIT_PRECONDITION
+    assert "needs 4 entries, got 3" in capsys.readouterr().err
+
+
+def test_non_finite_polynomial_path_is_a_precondition(tmp_path, capsys):
+    coeffs = [_matrix([[1, 0], [0, 0]]), _matrix([[float("nan"), 0], [0, 0]])]
+    path = _write(tmp_path / "p.json", {"kind": "polynomial", "coeffs": coeffs,
+                                        "certificate": 0.0, "self_adjoint": False})
+    assert main(["verify", "--path", path, "--roots", "0,1"]) == EXIT_PRECONDITION
+    assert "finite" in capsys.readouterr().err
+
+
+def test_unknown_path_kind_is_a_precondition(tmp_path, capsys):
+    path = _write(tmp_path / "p.json", {"kind": "spiral"})
+    assert main(["verify", "--path", path]) == EXIT_PRECONDITION
+    assert "unknown path kind 'spiral'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, bad", [("--tol", "-1"), ("--tol", "nan"), ("--rank-tol", "inf"),
+                                       ("--margin", "1.5"), ("--margin", "0")])
+def test_tolerance_flags_are_checked_by_the_parser(capsys, flag, bad):
+    with pytest.raises(SystemExit) as err:
+        main(["sample", "--roots", "0,1", "--sig", "1,1", "--seed", "0", flag, bad])
+    assert err.value.code == EXIT_USAGE
+    assert f"argument {flag}" in capsys.readouterr().err
+
+
 def test_suite_quick_run_deterministic_and_sensitive_to_tolerance(tmp_path, capsys):
     outs = []
     for name in ("s1.json", "s2.json"):

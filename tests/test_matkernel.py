@@ -8,7 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algpaths.errors import NotNearIdentity
+from algpaths.errors import MagnitudeOverflow, NotNearIdentity
 from algpaths.matkernel import (
     MatrixPolynomial,
     ToleranceConfig,
@@ -193,6 +193,16 @@ def test_compose_straight_segment_between_orthogonal_idempotents():
 def test_matpoly_is_zero_reports_certificate():
     zero = MatrixPolynomial(np.zeros((3, 2, 2)), normalized=False)
     assert matpoly_is_zero(zero) == (True, 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0, np.nan)])
+def test_matpoly_is_zero_rejects_non_finite_coefficients(bad):
+    # max(0.0, nan) kept 0.0, so an infinite coefficient certified as zero; a
+    # NaN one raised a bare LinAlgError from the SVD
+    coeffs = np.zeros((2, 2, 2), dtype=complex)
+    coeffs[1, 0, 0] = bad
+    with pytest.raises(MagnitudeOverflow):
+        matpoly_is_zero(MatrixPolynomial(coeffs, normalized=False))
 
 
 @settings(deadline=None, max_examples=40)

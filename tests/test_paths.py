@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from algpaths.algebraic import certify, random_element, validate_roots
-from algpaths import paths
+from algpaths.algebraic import AlgebraicElement, certify, random_element, validate_roots
+from algpaths import algebraic, paths
 from algpaths.errors import (
     CertificationFailed,
     MagnitudeOverflow,
@@ -14,7 +14,7 @@ from algpaths.errors import (
     NotSelfAdjoint,
     SubspaceSplitFailed,
 )
-from algpaths.matkernel import MatrixPolynomial, ToleranceConfig, operator_norm
+from algpaths.matkernel import MatrixPolynomial, ToleranceConfig, operator_norm, poly_from_roots
 from algpaths.paths import (
     PolynomialPath,
     connect_exp_global,
@@ -350,6 +350,85 @@ def test_mindeg_does_not_swallow_foreign_errors(monkeypatch):
         min_degree_search(a, b, d_max=2, budget=3, seed=0)
 
 
+# -- degree search Jacobian ----------------------------------------------------------
+
+
+def _kron_blocks(p_coeffs, coeffs):
+    """The Jacobian blocks as the degree search once built them: a power table
+    from its own convolution, then one ``np.kron`` per pair of power coefficients."""
+    d = coeffs.shape[0] - 1
+    m = coeffs.shape[1]
+    n = len(p_coeffs) - 1
+    powers = [np.eye(m, dtype=complex)[None, :, :]]
+    for _ in range(n):
+        prev = powers[-1]
+        out = np.zeros((prev.shape[0] + d, m, m), dtype=complex)
+        for i in range(prev.shape[0]):
+            out[i : i + d + 1] += np.einsum("ab,jbc->jac", prev[i], coeffs)
+        powers.append(out)
+    blocks = np.zeros(((n - 1) * d + 1, m * m, m * m), dtype=complex)
+    for k in range(1, n + 1):
+        pk = p_coeffs[k]
+        if pk == 0:
+            continue
+        for i in range(k):
+            pi, pj = powers[i], powers[k - 1 - i]
+            for u in range(pi.shape[0]):
+                for v in range(pj.shape[0]):
+                    # row-major vec: vec(A E B) = (A kron B^T) vec(E)
+                    blocks[u + v] += pk * np.kron(pi[u], pj[v].T)
+    return blocks
+
+
+# {1, -1} and {1, 1j, -1, -1j} have vanishing middle coefficients (p_1 = 0)
+@pytest.mark.parametrize("roots", [(0.5,), (0, 1), (1, -1), (0, 1, 2), (1, 1j, -1), (1, 1j, -1, -1j)])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_jacobian_blocks_match_the_kron_loop_byte_for_byte(roots, d, m):
+    rng = rng_from(len(roots), d, m)
+    coeffs = rng.standard_normal((d + 1, m, m)) + 1j * rng.standard_normal((d + 1, m, m))
+    p_coeffs = poly_from_roots(roots)
+    got = paths._jacobian_blocks(p_coeffs, coeffs)
+    want = _kron_blocks(p_coeffs, coeffs)
+    assert got.shape == want.shape == ((len(roots) - 1) * d + 1, m * m, m * m)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_jacobian_blocks_are_built_once_per_accepted_iterate(monkeypatch):
+    events = []
+    blocks, residual = paths._jacobian_blocks, paths._DegreeProblem.residual
+
+    def spy_blocks(p_coeffs, coeffs):
+        events.append(("blocks", coeffs))
+        return blocks(p_coeffs, coeffs)
+
+    def spy_residual(problem, theta):
+        r, coeffs = residual(problem, theta)
+        events.append(("residual", float(r @ r), coeffs))
+        return r, coeffs
+
+    monkeypatch.setattr(paths, "_jacobian_blocks", spy_blocks)
+    monkeypatch.setattr(paths._DegreeProblem, "residual", spy_residual)
+    a, b = certify(E, R01), certify(F_SWAP, R01)
+    problem = paths._DegreeProblem(a.a, b.a, R01, 3, True, 0.1)
+    paths._levenberg_marquardt(problem, problem.params_from_coeffs(paths._ramp_coeffs(a.a, b.a, 3)))
+
+    # replay the search: the start and every trial that lowers the cost are accepted
+    accepted, built, trials, cost = [], [], 0, np.inf
+    for event in events:
+        if event[0] == "blocks":
+            assert event[1] is accepted[-1]  # at the newest accepted iterate
+            built.append(event[1])
+        else:
+            trials += 1
+            if event[1] < cost:
+                cost = event[1]
+                accepted.append(event[2])
+    assert trials > len(accepted) > 1  # some trials were rejected, some accepted
+    assert len(set(map(id, built))) == len(built)  # at most once per iterate
+    assert len(built) >= len(accepted) - 1  # every accepted iterate but possibly the last
+
+
 # -- verification ------------------------------------------------------------------
 
 
@@ -378,6 +457,58 @@ def test_verify_polygonal_flags_bad_breakpoint():
     )
     with pytest.raises(CertificationFailed):
         verify_path(tampered)
+
+
+def test_verify_polygonal_names_a_tampered_middle_breakpoint():
+    # shifted by 3e-9: outside the breakpoint's own tolerance (2.4e-9), inside
+    # the looser one of its segments, so only the breakpoint check catches it
+    path = connect_polygonal(certify(E, R01), certify(F_SHEAR, R01))
+    assert path.segments == 2
+    mid = path.breakpoints[1]
+    shifted = AlgebraicElement(a=mid.a + 3e-9 * np.eye(2), roots=R01, residual=0.0, self_adjoint=False)
+    tampered = paths.PolygonalPath(
+        breakpoints=(path.breakpoints[0], shifted, path.breakpoints[2]), certificates=path.certificates
+    )
+    with pytest.raises(CertificationFailed, match="breakpoint 1 is not in the solution set") as err:
+        verify_path(tampered)
+    assert err.value.segment == 1
+
+
+def test_verify_polygonal_takes_one_stacked_svd_and_one_certificate_per_path(monkeypatch):
+    a, b = certify(E, R01), certify(F_SHEAR, R01)
+    roots3 = validate_roots([0, 1, 2])
+    cases = [
+        paths.PolygonalPath(breakpoints=(a, a), certificates=(0.0,)),
+        connect_polygonal(a, b),
+        connect_polygonal(random_element((1, 2, 1), roots3, seed=41), random_element((1, 2, 1), roots3, seed=42)),
+        connect_polygonal(a, certify(F_SWAP, R01)),  # midpoints inserted
+    ]
+    assert [path.segments for path in cases][:3] == [1, 2, 3] and cases[3].segments > 3
+    svd, certify_stack = np.linalg.svd, algebraic._certify_stack
+    for path in cases:
+        shapes, stacks = [], []
+        monkeypatch.setattr(np.linalg, "svd", lambda x, **kw: shapes.append(x.shape) or svd(x, **kw))
+        monkeypatch.setattr(paths, "_certify_stack", lambda x, *args: stacks.append(x) or certify_stack(x, *args))
+        verify_path(path)
+        monkeypatch.undo()
+        k, m = path.segments, path.breakpoints[0].dim
+        n = path.breakpoints[0].roots.n
+        # the breakpoint norms, every composed coefficient, and the two of the
+        # breakpoint certificate (their norms, then residuals with Hermiticity defects)
+        assert shapes == [(k + 1, m, m), (k, n + 1, m, m), (k + 1, m, m), (2 * (k + 1), m, m)]
+        assert len(stacks) == 1
+        np.testing.assert_array_equal(stacks[0], np.stack([bp.a for bp in path.breakpoints]))
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_polynomial_certificates_reject_non_finite_coefficients(bad):
+    coeffs = np.stack([E, F_SWAP - E])
+    coeffs[1, 0, 1] = bad
+    path = PolynomialPath(x=MatrixPolynomial(coeffs, normalized=False), certificate=0.0)
+    with pytest.raises(MagnitudeOverflow):
+        verify_path(path, R01)
+    with pytest.raises(MagnitudeOverflow):
+        paths._vanishing_certificates(coeffs[None], np.ones(1), R01, ToleranceConfig())
 
 
 def test_verify_roundtrips_serialized_paths():
