@@ -11,6 +11,7 @@ and samples random certified elements for experiments.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -22,6 +23,7 @@ from .errors import (
     MagnitudeOverflow,
     MultipleRoots,
     NotAlgebraic,
+    PreconditionError,
     ResolutionResidualExceeded,
 )
 from .matkernel import ToleranceConfig, as_matrix, identity_like, operator_norm, poly_from_roots
@@ -90,15 +92,18 @@ class RootSystem:
 
 
 def validate_roots(roots) -> RootSystem:
-    """Build a :class:`RootSystem`, rejecting repeated roots.
+    """Build a :class:`RootSystem`, rejecting repeated and non-finite roots.
 
     Distinctness is essential: with a multiple root the solution set contains
     nilpotent-like elements with no spectral resolution at all, so such input
-    is refused outright rather than handled approximately.
+    is refused outright rather than handled approximately.  A NaN root would
+    pass every distinctness test and leave ``min_gap`` infinite.
     """
     rs = tuple(complex(r) for r in roots)
     if len(rs) == 0:
         raise ValueError("need at least one root")
+    if not all(cmath.isfinite(r) for r in rs):
+        raise PreconditionError(f"roots must be finite, got {rs}")
     scale = 1.0 + max(abs(r) for r in rs)
     min_gap = math.inf
     for i in range(len(rs)):

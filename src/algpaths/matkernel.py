@@ -53,8 +53,8 @@ class ToleranceConfig:
     invertibility_margin: float = 0.99
 
     def __post_init__(self):
-        if self.residual_tol < 0 or self.rank_rel_tol < 0:
-            raise ValueError("tolerances must be non-negative")
+        if not (0 <= self.residual_tol < np.inf and 0 <= self.rank_rel_tol < np.inf):
+            raise ValueError("tolerances must be finite and non-negative")
         if not 0.0 < self.invertibility_margin < 1.0:
             raise ValueError("invertibility_margin must lie in (0, 1)")
 

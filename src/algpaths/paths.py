@@ -20,6 +20,7 @@ least-squares on the exact coefficients of the composed polynomial, and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb
 
 import numpy as np
@@ -30,6 +31,7 @@ from .algebraic import (
     PartitionOfUnity,
     RootSystem,
     _certify_stack,
+    _hermiticity_tolerance,
     certify,
     eval_defining_poly,
     spectral_resolution,
@@ -104,8 +106,8 @@ class ExpSimilarityPath:
     def values(self, ts: np.ndarray) -> np.ndarray:
         """``x(t)`` on a grid of parameter values, stacked as ``(N, m, m)``.
 
-        Each generator costs one ``expm`` on the stacked arguments (two in
-        general mode, for ``g`` and ``g^{-1}``); ``t = 0`` gives the base
+        Each generator costs one stacked exponential (two in general mode, for
+        ``g`` and ``g^{-1}``), see :meth:`_exp_stack`; ``t = 0`` gives the base
         exactly.
         """
         ts = np.asarray(ts, dtype=float)
@@ -114,18 +116,52 @@ class ExpSimilarityPath:
             ginv = g.conj().swapaxes(-1, -2)
         else:
             ginv = identity_like(self.base.a)
-            for c in self.generators:
-                ginv = ginv @ scipy.linalg.expm(-(ts[:, None, None] * c))
+            for k in range(len(self.generators)):
+                ginv = ginv @ self._exp_stack(k, -ts)
         x = g @ self.base.a @ ginv
         x[ts == 0] = self.base.a
         return x
 
     def _transport(self, ts: np.ndarray) -> np.ndarray:
         g = identity_like(self.base.a)
-        for c in self.generators:
-            arg = ts[:, None, None] * (1j * c if self.self_adjoint_mode else c)
-            g = scipy.linalg.expm(arg) @ g
+        for k in range(len(self.generators)):
+            g = self._exp_stack(k, ts) @ g
         return g
+
+    @cached_property
+    def _exponents(self) -> tuple:
+        """``(c, q, lam)`` per generator, from one complex Schur form ``c = Q T Q*``.
+
+        ``c`` is the generator (``i c_k`` in self-adjoint mode).  When ``c`` is
+        normal to working precision, ``||triu(T, 1)||_F <= 8 m u ||c||_F`` with
+        ``u`` the machine epsilon, ``q`` is its unitary eigenbasis and ``lam``
+        its eigenvalues; otherwise both are None.
+        """
+        m = self.base.dim
+        out = []
+        for gen in self.generators:
+            c = 1j * gen if self.self_adjoint_mode else gen
+            tri, q = scipy.linalg.schur(c, output="complex")
+            if np.linalg.norm(np.triu(tri, 1)) <= 8 * m * np.finfo(float).eps * np.linalg.norm(c):
+                out.append((c, q, np.diagonal(tri)))
+            else:
+                out.append((c, None, None))
+        return tuple(out)
+
+    def _exp_stack(self, k: int, ts: np.ndarray) -> np.ndarray:
+        """``e^{t c}`` for the exponent ``c`` of generator ``k`` at each ``t`` of ``ts``.
+
+        A normal ``c = Q diag(lam) Q*`` takes ``Q diag(e^{t lam}) Q*``, which is
+        backward stable because ``Q`` is unitary (Moler & Van Loan 2003, "Nineteen
+        dubious ways ..."); any other ``c`` one stacked ``scipy.linalg.expm``.
+        ``t = 0`` gives the identity exactly.
+        """
+        c, q, lam = self._exponents[k]
+        if q is None:
+            return scipy.linalg.expm(ts[:, None, None] * c)
+        e = (q * np.exp(ts[:, None] * lam)[:, None, :]) @ q.conj().T
+        e[ts == 0] = identity_like(c)
+        return e
 
 
 @dataclass(frozen=True, eq=False)
@@ -961,7 +997,7 @@ def _verify_exponential(path: ExpSimilarityPath, roots, cfg, expected_endpoint, 
         bad = bad_mem
         if path.self_adjoint_mode:
             herm = np.linalg.svd(x - x.conj().swapaxes(-1, -2), compute_uv=False)[:, 0]
-            bad = bad_mem | ~(herm <= cfg.residual_tol * (1.0 + norm_x))
+            bad = bad_mem | ~(herm <= _hermiticity_tolerance(norm_x, roots, cfg))
         if bad.any():
             i = int(np.argmax(bad))  # the first failing sample in t order
             t = float(ts[i])

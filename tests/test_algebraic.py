@@ -28,6 +28,7 @@ from algpaths.errors import (
     MagnitudeOverflow,
     MultipleRoots,
     NotAlgebraic,
+    PreconditionError,
 )
 from algpaths.matkernel import ToleranceConfig
 from algpaths.matkernel import operator_norm
@@ -47,6 +48,13 @@ def test_validate_roots_unit_pair():
 def test_validate_roots_rejects_repeated_root():
     with pytest.raises(MultipleRoots):
         validate_roots([0, 0])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(1.0, float("nan"))])
+def test_validate_roots_rejects_non_finite_roots(bad):
+    # a NaN root used to pass every distinctness test and give min_gap = inf
+    with pytest.raises(PreconditionError, match="roots must be finite"):
+        validate_roots([bad, 1])
 
 
 def test_validate_roots_complex_triple():

@@ -201,6 +201,12 @@ def test_non_finite_polynomial_path_is_a_precondition(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+def test_non_finite_root_is_a_precondition(capsys):
+    # used to fail later as a certification error (exit 2)
+    assert main(["sample", "--roots", "nan,1", "--sig", "1,1", "--seed", "0"]) == EXIT_PRECONDITION
+    assert "roots must be finite" in capsys.readouterr().err
+
+
 def test_unknown_path_kind_is_a_precondition(tmp_path, capsys):
     path = _write(tmp_path / "p.json", {"kind": "spiral"})
     assert main(["verify", "--path", path]) == EXIT_PRECONDITION

@@ -242,5 +242,11 @@ def test_matrix_polynomial_validates_leading_coefficient():
 def test_tolerance_config_validation():
     with pytest.raises(ValueError):
         ToleranceConfig(residual_tol=-1.0)
+    # residual_tol = inf certified a matrix with residual 43; nan failed every certificate
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite"):
+            ToleranceConfig(residual_tol=bad)
+        with pytest.raises(ValueError, match="finite"):
+            ToleranceConfig(rank_rel_tol=bad)
     with pytest.raises(ValueError):
         ToleranceConfig(invertibility_margin=1.0)

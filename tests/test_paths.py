@@ -666,16 +666,108 @@ def test_exp_grid_reports_the_first_failing_sample():
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("self_adjoint", [False, True], ids=["general", "self-adjoint"])
 def test_verify_exp_path_calls_expm_once_per_generator_and_block(m, k, self_adjoint, monkeypatch):
+    # the random generators of general mode are non-normal: one stacked expm per
+    # generator, direction and block; the Hermitian ones of self-adjoint mode are
+    # normal and take the diagonal route, no expm at all.  Either way the path
+    # takes one Schur form per generator, however many times it is evaluated.
     path, roots = _exp_path(m, k, self_adjoint, seed=53)
+    expm_calls, schur_calls = [], []
+    expm, schur = scipy.linalg.expm, scipy.linalg.schur
+    monkeypatch.setattr(scipy.linalg, "expm", lambda x: expm_calls.append(x.shape) or expm(x))
+    monkeypatch.setattr(scipy.linalg, "schur", lambda *a, **kw: schur_calls.append(1) or schur(*a, **kw))
     end = path.value(1.0)
-    calls = []
-    expm = scipy.linalg.expm
-    monkeypatch.setattr(scipy.linalg, "expm", lambda x: calls.append(x.shape) or expm(x))
+    expm_calls.clear()
+    verify_path(path, roots, expected_endpoint=end, samples=100)
     verify_path(path, roots, expected_endpoint=end, samples=100)
     per_block = max(1, paths._GRID_BLOCK_BYTES // (16 * m * m))
     blocks = -(-100 // per_block)
-    assert len(calls) == (k if self_adjoint else 2 * k) * blocks
-    assert all(shape[0] <= per_block for shape in calls)
+    assert len(expm_calls) == (0 if self_adjoint else 2 * 2 * k * blocks)
+    assert all(shape[0] <= per_block for shape in expm_calls)
+    assert len(schur_calls) == k
+
+
+def _is_diagonal_route(path):
+    return [q is not None for _, q, _ in path._exponents]
+
+
+@pytest.mark.parametrize("m", [2, 4, 8, 16])
+def test_polar_and_selfadjoint_generators_take_the_diagonal_route(m):
+    # log h and iK of the polar split and the Hermitian K of self-adjoint mode
+    # are normal; the near-identity logarithm of exp-local is not
+    roots = validate_roots([0, 1, 2])
+    ranks = (m - m // 2 - m // 4, m // 2, m // 4)
+    for s in range(2):
+        a = random_element(ranks, roots, seed=(s, m, 61))
+        b = random_element(ranks, roots, seed=(s, m, 62))
+        path = connect_exp_global(a, b)
+        assert len(path.generators) == 2 and _is_diagonal_route(path) == [True, True]
+        verify_path(path, expected_endpoint=b.a)
+
+        a = random_element(ranks, roots, seed=(s, m, 63), self_adjoint=True)
+        b = random_element(ranks, roots, seed=(s, m, 64), self_adjoint=True)
+        path = connect_selfadjoint(a, b)
+        assert _is_diagonal_route(path) == [True] * len(path.generators)
+        verify_path(path, expected_endpoint=b.a)
+
+        a, b = _conjugate_pair(roots, ranks, (s, m, 65))
+        path = connect_exp_local(a, b)
+        assert _is_diagonal_route(path) == [False]
+        verify_path(path, expected_endpoint=b.a)
+
+
+@pytest.mark.parametrize("side", [0.8, 1.25], ids=["below", "above"])
+def test_exponential_routes_agree_with_expm_at_the_normality_cutoff(side):
+    # c = Q (diag(lam) + eps N) Q* has departure from normality eps ||N||_F in
+    # every Schur form; put it a little below or above 8 m u ||c||_F
+    m = 8
+    rng = rng_from(67, m)
+    q, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    lam = rng.uniform(-0.5, 0.5, m)
+    n = np.triu(rng.standard_normal((m, m)), 1)
+    cutoff = 8 * m * np.finfo(float).eps * np.linalg.norm(lam)
+    c = q @ (np.diag(lam) + side * cutoff * n / np.linalg.norm(n)) @ q.conj().T
+    base = certify(np.diag([1.0] * (m // 2) + [0.0] * (m // 2)), R01)
+    path = paths.ExpSimilarityPath(base=base, generators=(c,))
+    t_schur = scipy.linalg.schur(c, output="complex")[0]
+    off = np.linalg.norm(np.triu(t_schur, 1)) / (np.finfo(float).eps * np.linalg.norm(c))
+    assert (off < 8 * m) == (side < 1)
+    assert _is_diagonal_route(path) == [side < 1]
+    ts = np.linspace(0.0, 1.0, 11)
+    for sign in (1.0, -1.0):
+        got = path._exp_stack(0, sign * ts)
+        for t, e in zip(sign * ts, got):
+            ref = scipy.linalg.expm(t * c)
+            assert operator_norm(e - ref) <= 1e-13 * operator_norm(ref)
+    np.testing.assert_array_equal(path.transporter(0.0), np.eye(m))
+
+
+TINY_GAP = validate_roots([0, 1e-9])
+
+
+def test_selfadjoint_path_over_a_tiny_root_gap_certifies():
+    for m, ranks in ((2, (1, 1)), (3, (1, 2))):
+        a = random_element(ranks, TINY_GAP, seed=(m, 71), self_adjoint=True)
+        b = random_element(ranks, TINY_GAP, seed=(m, 72), self_adjoint=True)
+        path = connect_selfadjoint(a, b)
+        cert = verify_path(path, expected_endpoint=b.a)
+        assert cert.worst_hermiticity < 1e-15
+
+
+def test_selfadjoint_samples_are_judged_on_the_element_scale():
+    # x = 1e-9 (e + 1e-4 n) is a root-scaled idempotent with ||x - x*|| = 1e-13:
+    # above residual_tol (||x|| + min(1, min_gap)) = 2e-18, which the sampler and
+    # certify use, below the residual_tol (1 + ||x||) = 1e-9 samples used to get
+    x = np.array([[1e-9, 1e-13], [0.0, 0.0]], dtype=complex)
+    cfg = ToleranceConfig()
+    defect = operator_norm(x - x.conj().T)
+    assert algebraic._hermiticity_tolerance(operator_norm(x), TINY_GAP, cfg) < defect
+    assert defect < cfg.residual_tol * (1.0 + operator_norm(x))
+    assert not certify(x, TINY_GAP).self_adjoint
+    base = AlgebraicElement(a=x, roots=TINY_GAP, residual=0.0, self_adjoint=True)
+    k = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
+    path = paths.ExpSimilarityPath(base=base, generators=(k,), self_adjoint_mode=True)
+    with pytest.raises(CertificationFailed, match="leaves the self-adjoint set at t = 0.0000"):
+        verify_path(path)
 
 
 def test_verify_rejects_paths_whose_magnitude_overflows():
