@@ -172,8 +172,12 @@ def eval_defining_poly(a: np.ndarray, roots: RootSystem) -> tuple[np.ndarray, np
     bounds the intermediate products, so residuals are meaningful relative to
     it even for very large arguments.  ``a`` is one matrix or a stack
     ``(N, m, m)``; the magnitude and norm then carry the leading sample axis.
+    Non-finite entries raise :class:`MagnitudeOverflow`, as an overflowing magnitude does.
     """
     a = np.asarray(a, dtype=complex)
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    if not finite.all():
+        raise MagnitudeOverflow(f"element {int(np.argmin(finite))} has non-finite entries")
     eye = np.eye(a.shape[-1], dtype=complex)
     norm_a = np.linalg.svd(a, compute_uv=False)[..., 0]
     scale = roots.magnitude(norm_a)
@@ -199,15 +203,12 @@ def _certify_stack(a: np.ndarray, roots: RootSystem, cfg: ToleranceConfig) -> tu
     Each element is judged against its own scaled tolerance; the first one
     in stack order that fails raises :class:`NotAlgebraic` with its residual,
     tolerance and stack index.  A stack with non-finite entries, or whose
-    magnitude overflows, raises :class:`MagnitudeOverflow` first.  One stacked SVD
-    takes the residuals ``||p(a_j)||`` and the Hermiticity defects
-    ``||a_j - a_j*||`` together.  Returns the residuals and the
-    self-adjointness flags, both ``(N,)``.
+    magnitude overflows, raises :class:`MagnitudeOverflow` first (from
+    :func:`eval_defining_poly`).  One stacked SVD takes the residuals
+    ``||p(a_j)||`` and the Hermiticity defects ``||a_j - a_j*||`` together.
+    Returns the residuals and the self-adjointness flags, both ``(N,)``.
     """
     n = a.shape[0]
-    finite = np.isfinite(a).all(axis=(-2, -1))
-    if not finite.all():
-        raise MagnitudeOverflow(f"element {int(np.argmin(finite))} has non-finite entries")
     value, scale, norm_a = eval_defining_poly(a, roots)
     defects = np.concatenate((value, a - a.conj().swapaxes(-1, -2)))
     sv = np.linalg.svd(defects, compute_uv=False)[:, 0]

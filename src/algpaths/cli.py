@@ -53,6 +53,14 @@ def _parse_roots(text: str) -> list[complex]:
     return [complex(part.strip().replace(" ", "")) for part in text.split(",")]
 
 
+def _roots_flag(text: str) -> str:
+    try:  # malformed roots are a usage error; the text is kept, as the report echoes it
+        _parse_roots(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated complex numbers, got {text!r}") from None
+    return text
+
+
 _THREADS_FROM_ENV = "$ALGPATHS_THREADS"
 
 
@@ -299,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="draw a random certified element")
-    p.add_argument("--roots", required=True, help="comma-separated roots, e.g. '0,1' or '1+1j,-1'")
+    p.add_argument("--roots", type=_roots_flag, required=True, help="comma-separated roots, e.g. '0,1' or '1+1j,-1'")
     p.add_argument("--sig", required=True, help="rank per root, e.g. '1,2'")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--self-adjoint", action="store_true")
@@ -309,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="spectral idempotents of an element")
     p.add_argument("--a", required=True, help="element or matrix JSON file")
-    p.add_argument("--roots", default=None, help="roots (required for bare matrix files)")
+    p.add_argument("--roots", type=_roots_flag, default=None, help="roots (required for bare matrix files)")
     _add_common(p)
     p.set_defaults(func=_cmd_decompose)
 
@@ -318,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True)
     p.add_argument("--method", required=True,
                    choices=["exp-local", "exp-global", "polygonal", "poly", "selfadjoint"])
-    p.add_argument("--roots", default=None)
+    p.add_argument("--roots", type=_roots_flag, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dmax", type=int, default=3, help="max degree for --method poly")
     p.add_argument("--budget", type=int, default=32, help="restarts for --method poly")
@@ -329,18 +337,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="re-certify a serialized path")
     p.add_argument("--path", required=True, help="path JSON file (or a connect report)")
-    p.add_argument("--roots", default=None, help="required for polynomial paths")
+    p.add_argument("--roots", type=_roots_flag, default=None, help="required for polynomial paths")
     _add_common(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("line", help="complex-line direction through a non-central element")
     p.add_argument("--a", required=True)
-    p.add_argument("--roots", default=None)
+    p.add_argument("--roots", type=_roots_flag, default=None)
     _add_common(p)
     p.set_defaults(func=_cmd_line)
 
     p = sub.add_parser("distance", help="randomized distance scan between two components")
-    p.add_argument("--roots", required=True)
+    p.add_argument("--roots", type=_roots_flag, required=True)
     p.add_argument("--sig", required=True)
     p.add_argument("--sig2", required=True)
     p.add_argument("--dim", type=int, default=None)
@@ -357,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mindeg", help="minimum-degree polynomial path search")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--roots", default=None)
+    p.add_argument("--roots", type=_roots_flag, default=None)
     p.add_argument("--dmax", type=int, default=3)
     p.add_argument("--budget", type=int, default=32)
     p.add_argument("--seed", type=int, required=True)

@@ -5,8 +5,8 @@ on the construction heuristics:
 
 * ``connect_exp_local`` — a single exponential conjugation ``e^{tc} a e^{-tc}``
   for pairs whose partition-matching similarity is close to the identity;
-* ``connect_exp_global`` — at most two exponential factors (a positive and a
-  unitary one from a polar split), covering whole components;
+* ``connect_exp_global`` — exponential factors from a polar split of the
+  connecting similarity, covering whole components;
 * ``connect_selfadjoint`` — unitary conjugation ``e^{ict} a e^{-ict}`` with a
   Hermitian generator, staying inside the self-adjoint solution set;
 * ``connect_polygonal`` — straight segments through intermediates that swap
@@ -34,7 +34,6 @@ from .algebraic import (
     _hermiticity_tolerance,
     certify,
     eval_defining_poly,
-    spectral_resolution,
 )
 from .components import resolve, resolve_pair
 from .errors import (
@@ -259,12 +258,10 @@ def _matching_similarity(ea: PartitionOfUnity, fb: PartitionOfUnity) -> np.ndarr
     return w
 
 
-def _polar_generators(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Generators ``(log h, i K)`` of the polar split ``w = u h = e^{iK} e^{log h}``."""
+def _polar_factors(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(log h, u)`` of the polar split ``w = u h``, ``u`` unitary and ``h`` positive."""
     uu, s, vh = np.linalg.svd(w)
-    u = uu @ vh
-    h = (vh.conj().T * s) @ vh
-    return _log_positive(h), 1j * _hermitian_log_of_unitary(u)
+    return _log_positive((vh.conj().T * s) @ vh), uu @ vh
 
 
 def _log_positive(h: np.ndarray) -> np.ndarray:
@@ -279,13 +276,32 @@ def _hermitian_log_of_unitary(u: np.ndarray) -> np.ndarray:
     """Hermitian ``K`` with ``u = e^{iK}``, phases in (-pi, pi).
 
     Fails when a phase sits at the branch cut; callers retry with a modified
-    factorization in that case.
+    factorization in that case, the last tier being :func:`_split_off_the_cut`.
     """
     t, q = scipy.linalg.schur(u, output="complex")
     phases = np.angle(np.diagonal(t))
     if np.min(np.pi - np.abs(phases)) < _PHASE_CUT_TOL:
         raise FactorizationFailed("unitary factor has a phase at the branch cut")
     return (q * phases) @ q.conj().T
+
+
+def _split_off_the_cut(u: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Hermitian ``(h, k)`` with ``u = e^{ik} e^{ih}``, for a unitary ``u`` whose phase sits at the cut.
+
+    ``h`` is a small seeded random Hermitian (``||h|| <= 0.2``) that moves the
+    spectrum of ``u e^{-ih}`` off the branch cut, so ``k`` is its logarithm.
+    """
+    m = u.shape[0]
+    for attempt in range(8):
+        rng = rng_from(seed, 31, attempt)
+        z = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        h = 0.5 * (z + z.conj().T)
+        h *= 0.2 / max(1.0, operator_norm(h))
+        try:
+            return h, _hermitian_log_of_unitary(u @ mat_exp(1j * h).conj().T)
+        except FactorizationFailed:
+            continue
+    raise FactorizationFailed("could not steer the unitary factor off the branch cut")
 
 
 def _column_flips(basis: np.ndarray):
@@ -362,18 +378,14 @@ def connect_exp_local(
     exists and ``x(t) = e^{tc} a e^{-tc}`` walks from ``a`` to ``b``.
     """
     ea, fb, _ = _require_same_component(a, b, cfg)
-    return _local_from_partitions(a, b, ea, fb, cfg)
+    return _local_from_partitions(a, b, _matching_similarity(ea, fb), cfg)
 
 
-def _local_from_partitions(a, b, ea, fb, cfg) -> ExpSimilarityPath:
-    w = _matching_similarity(ea, fb)
-    dist = operator_norm(w - identity_like(w))
-    if dist >= cfg.invertibility_margin:
-        raise NotLocallyClose(
-            f"||w - 1|| = {dist:.6f} >= margin {cfg.invertibility_margin}; "
-            "use the global constructor"
-        )
-    c = mat_log_near_identity(w, cfg)
+def _local_from_partitions(a, b, w, cfg) -> ExpSimilarityPath:
+    try:
+        c = mat_log_near_identity(w, cfg)
+    except NotNearIdentity as exc:
+        raise NotLocallyClose(f"{exc}; use the global constructor") from None
     return _gated_path(a, b, (c,), cfg)
 
 
@@ -383,15 +395,17 @@ def connect_exp_global(
     cfg: ToleranceConfig = ToleranceConfig(),
     seed: int = 0,
 ) -> ExpSimilarityPath:
-    """Conjugation path with at most two exponential factors, any distance.
+    """Conjugation path with at most three exponential factors, any distance.
 
     Factors the connecting similarity through a polar split ``w = u h``: the
     positive part contributes a Hermitian generator ``log h``, the unitary
     part a skew one ``i K``.  When the partition matcher is singular (it can
     be, e.g. for antipodal idempotent pairs) the similarity is rebuilt from
     stacked spectral bases, which conjugates partition onto partition just as
-    well.  A perturb-and-retry loop covers the branch-cut corner cases and
-    appends one near-identity generator for the last step home.
+    well.  When every similarity's unitary factor has a phase at the branch
+    cut, the first one is split as ``u = e^{ik} e^{ih}`` with a small seeded
+    ``h``, as :func:`connect_selfadjoint` does, giving the generators
+    ``(log h, i h, i k)``.
     """
     ea, fb, ranks = _require_same_component(a, b, cfg)
     return _global_from_partitions(a, b, ea, fb, ranks, cfg, seed)
@@ -400,35 +414,21 @@ def connect_exp_global(
 def _global_from_partitions(a, b, ea, fb, ranks, cfg, seed) -> ExpSimilarityPath:
     w = _matching_similarity(ea, fb)
     if operator_norm(w - identity_like(w)) < cfg.invertibility_margin:
-        return _local_from_partitions(a, b, ea, fb, cfg)
+        return _local_from_partitions(a, b, w, cfg)
 
+    factored = []  # the polar factors of each invertible candidate
     for sim in _similarity_candidates(w, ea, fb, ranks):
         try:
-            c1, c2 = _polar_generators(sim)
-        except FactorizationFailed:
+            log_h, u = _polar_factors(sim)
+            factored.append((log_h, u))
+            return _gated_path(a, b, (log_h, 1j * _hermitian_log_of_unitary(u)), cfg)
+        except FactorizationFailed:  # a singular positive factor, or a phase at the cut
             continue
-        return _gated_path(a, b, (c1, c2), cfg)
-
-    # Last resort: walk to a nearby conjugate b' with a generic matcher, then
-    # take one near-identity step from b' to b.
-    for attempt in range(8):
-        rng = rng_from(seed, 9000, attempt)
-        z = rng.standard_normal((a.dim, a.dim)) + 1j * rng.standard_normal((a.dim, a.dim))
-        g = identity_like(a.a) + (0.05 / np.linalg.norm(z)) * z
-        bp = certify(np.linalg.solve(g.T, (g @ b.a).T).T, b.roots, cfg)
-        fbp = spectral_resolution(bp, cfg)
-        wp = _matching_similarity(ea, fbp)
-        svals = np.linalg.svd(wp, compute_uv=False)
-        if svals[-1] <= 1e-6 * max(1.0, svals[0]):
-            continue
-        try:
-            c1, c2 = _polar_generators(wp)
-            wlast = _matching_similarity(fbp, fb)
-            c3 = mat_log_near_identity(wlast, cfg)
-        except (FactorizationFailed, NotNearIdentity):
-            continue
-        return _gated_path(a, b, (c1, c2, c3), cfg)
-    raise FactorizationFailed("all polar factorizations hit the branch cut or a singular matcher")
+    if not factored:
+        raise FactorizationFailed("no invertible similarity: singular matcher, rank-deficient spectral bases")
+    log_h, u = factored[0]
+    h, k = _split_off_the_cut(u, seed)
+    return _gated_path(a, b, (log_h, 1j * h, 1j * k), cfg)
 
 
 def _similarity_candidates(w, ea, fb, ranks):
@@ -481,21 +481,7 @@ def connect_selfadjoint(
         except FactorizationFailed:
             continue
         return _gated_path(a, b, (k,), cfg, self_adjoint_mode=True)
-
-    # Two-factor split: u = (u v*) v with a small random unitary v.
-    u = vbasis @ ubasis.conj().T
-    for attempt in range(8):
-        rng = rng_from(seed, 31, attempt)
-        z = rng.standard_normal((a.dim, a.dim)) + 1j * rng.standard_normal((a.dim, a.dim))
-        h = 0.5 * (z + z.conj().T)
-        h *= 0.2 / max(1.0, operator_norm(h))
-        small = mat_exp(1j * h)
-        try:
-            k2 = _hermitian_log_of_unitary(u @ small.conj().T)
-        except FactorizationFailed:
-            continue
-        return _gated_path(a, b, (h, k2), cfg, self_adjoint_mode=True)
-    raise FactorizationFailed("could not steer the unitary factor off the branch cut")
+    return _gated_path(a, b, _split_off_the_cut(vbasis @ ubasis.conj().T, seed), cfg, self_adjoint_mode=True)
 
 
 def _eigbasis(e: np.ndarray, r: int) -> np.ndarray:
@@ -990,7 +976,8 @@ def _verify_exponential(path: ExpSimilarityPath, roots, cfg, expected_endpoint, 
     step = max(1, _GRID_BLOCK_BYTES // (16 * path.base.dim**2))  # complex128 samples
     for lo in range(0, samples, step):
         ts = grid[lo : lo + step]
-        x = path.values(ts)
+        with np.errstate(over="ignore", invalid="ignore"):  # eval_defining_poly rejects what overflowed
+            x = path.values(ts)
         value, scale, norm_x = eval_defining_poly(x, roots)
         res = np.linalg.svd(value, compute_uv=False)[:, 0]
         bad_mem = ~(res <= cfg.residual_tol * scale)

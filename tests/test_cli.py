@@ -5,7 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from algpaths.algebraic import certify, validate_roots
 from algpaths.cli import EXIT_CERTIFICATION, EXIT_PRECONDITION, EXIT_USAGE, main
+from algpaths.paths import ExpSimilarityPath
+from algpaths.serialize import path_to_json
 
 
 def _write(path, obj):
@@ -211,6 +214,36 @@ def test_unknown_path_kind_is_a_precondition(tmp_path, capsys):
     path = _write(tmp_path / "p.json", {"kind": "spiral"})
     assert main(["verify", "--path", path]) == EXIT_PRECONDITION
     assert "unknown path kind 'spiral'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["0,x", "", "1,,2"])
+def test_malformed_roots_are_a_usage_error(tmp_path, proj_pair, capsys, bad):
+    a, b = proj_pair
+    cfgfile = _write(tmp_path / "cfg.json", {"roots": bad})
+    for argv in (
+        ["sample", "--roots", bad, "--sig", "1,1", "--seed", "0"],
+        ["distance", "--roots", bad, "--sig", "1,1", "--sig2", "0,2", "--seed", "0"],
+        ["connect", "--a", a, "--b", b, "--roots", bad, "--method", "polygonal"],
+        ["connect", "--a", a, "--b", b, "--method", "polygonal", "--config", cfgfile],
+    ):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == EXIT_USAGE
+        assert "argument --roots" in capsys.readouterr().err
+
+
+def test_roots_are_echoed_as_given(capsys):
+    assert main(["sample", "--roots", "0, 1+0j", "--sig", "1,1", "--seed", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["roots"] == "0, 1+0j"
+
+
+def test_verify_of_an_overflowing_exponential_path_is_a_certification_failure(tmp_path, capsys):
+    # e^{800} overflows in the samples; this used to end in "SVD did not converge"
+    base = certify(np.diag([1.0, 0.0]), validate_roots([0, 1]))
+    path = ExpSimilarityPath(base=base, generators=(np.array([[0, 800], [800, 0]], dtype=complex),))
+    file = _write(tmp_path / "p.json", path_to_json(path))
+    assert main(["verify", "--path", file]) == EXIT_CERTIFICATION
+    assert "non-finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, bad", [("--tol", "-1"), ("--tol", "nan"), ("--rank-tol", "inf"),

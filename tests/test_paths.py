@@ -8,6 +8,7 @@ from algpaths.algebraic import AlgebraicElement, certify, random_element, valida
 from algpaths import algebraic, paths
 from algpaths.errors import (
     CertificationFailed,
+    FactorizationFailed,
     MagnitudeOverflow,
     NotLocallyClose,
     NotSameComponent,
@@ -231,7 +232,7 @@ def _antipodal_projections(k):
 def test_antipodal_projections_reach_the_fallbacks(k, n_global, n_selfadjoint, monkeypatch):
     a, b = _antipodal_projections(k)
     path = connect_exp_global(a, b)
-    assert len(path.generators) == n_global  # 3: the last resort through a conjugate b'
+    assert len(path.generators) == n_global  # 3: the unitary factor split off the branch cut
     assert verify_path(path, expected_endpoint=b.a).endpoint_error <= 1e-12
     path = connect_selfadjoint(a, b)
     assert len(path.generators) == n_selfadjoint  # 2: the two-factor split
@@ -251,6 +252,42 @@ def test_antipodal_projections_reach_the_fallbacks(k, n_global, n_selfadjoint, m
     assert midpoint_generators[0] == n_global
     assert path.breakpoints[-1] is b
     verify_path(path)
+
+
+def _oblique_swap(eps, k):
+    """``1_k kron S diag(1, 0) S^-1`` and ``1_k kron S diag(0, 1) S^-1`` over the roots {0, 1}.
+
+    ``S = [e_1 | v]`` with the unit vector ``v`` at angle ``eps`` to ``e_1``, so
+    the pair swaps two oblique subspaces and its norm grows like ``1 / eps``.
+    """
+    v = np.array([1.0, eps]) / np.hypot(1.0, eps)
+    s = np.column_stack([[1.0, 0.0], v]).astype(complex)
+    swap = [np.kron(np.eye(k), s @ np.diag(d) @ np.linalg.inv(s)) for d in ([1.0, 0.0], [0.0, 1.0])]
+    return certify(swap[0], R01), certify(swap[1], R01)
+
+
+# Every similarity candidate of these pairs has a unitary factor at the branch
+# cut, so exp-global splits that factor as the self-adjoint constructor does.
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("eps", [1e-2, 1e-4])
+def test_oblique_swap_pairs_split_the_unitary_off_the_cut(eps, k):
+    a, b = _oblique_swap(eps, k)
+    path = connect_exp_global(a, b)
+    assert len(path.generators) == 3
+    verify_path(path, expected_endpoint=b.a)
+    poly = connect_polygonal(a, b)
+    assert poly.breakpoints[-1] is b
+    verify_path(poly)
+
+
+# At eps = 1e-9 the matcher is singular and each stacked basis is
+# rank-deficient, so there is no similarity to factor at all.
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_oblique_swap_pairs_without_an_invertible_similarity(k):
+    a, b = _oblique_swap(1e-9, k)
+    for connect in (connect_exp_global, connect_polygonal):
+        with pytest.raises(FactorizationFailed, match="no invertible similarity"):
+            connect(a, b)
 
 
 def test_polygonal_two_segments_for_close_idempotent_pairs():
@@ -771,12 +808,15 @@ def test_selfadjoint_samples_are_judged_on_the_element_scale():
 
 
 def test_verify_rejects_paths_whose_magnitude_overflows():
-    # ||x(1)|| is about 5e260, so the scale ||x|| (||x|| + 1) overflows; the
-    # tolerance used to become inf and pass a residual of 1.1e245
+    # [[300, 800], [0, -300]]: ||x(1)|| is about 5e260, so the scale ||x|| (||x|| + 1)
+    # overflows; the tolerance used to become inf and pass a residual of 1.1e245.
+    # The other two overflow e^{800} itself, one on the diagonal route (normal) and
+    # one through expm; their non-finite samples used to end in a LinAlgError.
     base = certify(E, R01)
-    path = paths.ExpSimilarityPath(base=base, generators=(np.array([[300, 800], [0, -300]], dtype=complex),))
-    with pytest.raises(MagnitudeOverflow):
-        verify_path(path)
+    for generator in ([[300, 800], [0, -300]], [[0, 800], [800, 0]], [[800, 800], [0, -800]]):
+        path = paths.ExpSimilarityPath(base=base, generators=(np.array(generator, dtype=complex),))
+        with pytest.raises(MagnitudeOverflow):
+            verify_path(path)
     big = PolynomialPath(x=MatrixPolynomial.line(1e200 * E, E), certificate=0.0)
     with pytest.raises(MagnitudeOverflow):
         verify_path(big, R01)
