@@ -53,12 +53,23 @@ def _parse_roots(text: str) -> list[complex]:
     return [complex(part.strip().replace(" ", "")) for part in text.split(",")]
 
 
-def _roots_flag(text: str) -> str:
-    try:  # malformed roots are a usage error; the text is kept, as the report echoes it
-        _parse_roots(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated complex numbers, got {text!r}") from None
-    return text
+def _parse_sig(text: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in text.split(","))
+
+
+def _checked_text(parse, expected: str):
+    def check(text: str) -> str:
+        try:  # malformed text is a usage error; the text is kept, as the report echoes it
+            parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from None
+        return text
+
+    return check
+
+
+_roots_flag = _checked_text(_parse_roots, "comma-separated complex numbers")
+_sig_flag = _checked_text(_parse_sig, "comma-separated integers")
 
 
 _THREADS_FROM_ENV = "$ALGPATHS_THREADS"
@@ -97,13 +108,19 @@ def _margin(text: str) -> float:
     return _float_flag(text, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
 
 
-def _parse_sig(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(","))
+def _cond(text: str) -> float:
+    return _float_flag(text, lambda v: 1.0 <= v < math.inf, "a finite number >= 1")
 
 
 def _load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
+        raise PreconditionError(f"cannot read {path}: {exc}") from None
+    if not isinstance(obj, dict):
+        raise PreconditionError(f"{path} does not hold a JSON object")
+    return obj
 
 
 def _load_element(path: str, cfg: ToleranceConfig, roots_flag=None):
@@ -308,10 +325,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="draw a random certified element")
     p.add_argument("--roots", type=_roots_flag, required=True, help="comma-separated roots, e.g. '0,1' or '1+1j,-1'")
-    p.add_argument("--sig", required=True, help="rank per root, e.g. '1,2'")
+    p.add_argument("--sig", type=_sig_flag, required=True, help="rank per root, e.g. '1,2'")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--self-adjoint", action="store_true")
-    p.add_argument("--cond", type=float, default=20.0, help="similarity condition bound")
+    p.add_argument("--cond", type=_cond, default=20.0, help="similarity condition bound, >= 1")
     _add_common(p)
     p.set_defaults(func=_cmd_sample)
 
@@ -349,8 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("distance", help="randomized distance scan between two components")
     p.add_argument("--roots", type=_roots_flag, required=True)
-    p.add_argument("--sig", required=True)
-    p.add_argument("--sig2", required=True)
+    p.add_argument("--sig", type=_sig_flag, required=True)
+    p.add_argument("--sig2", type=_sig_flag, required=True)
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--budget", type=int, default=1000)
@@ -410,8 +427,8 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _parser()
     ns = parser.parse_args(argv)
-    ns = _apply_config_file(parser, ns, argv)
     try:
+        ns = _apply_config_file(parser, ns, argv)
         return ns.func(ns)
     except PreconditionError as exc:
         print(f"algpaths: precondition: {exc}", file=sys.stderr)

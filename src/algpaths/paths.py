@@ -250,6 +250,12 @@ def _require_same_component(a: AlgebraicElement, b: AlgebraicElement, cfg: Toler
     return ea, fb, ranks
 
 
+def _require_self_adjoint(a: AlgebraicElement, b: AlgebraicElement):
+    for el, name in ((a, "a"), (b, "b")):
+        if not el.self_adjoint:
+            raise NotSelfAdjoint(f"element {name} is not self-adjoint")
+
+
 def _matching_similarity(ea: PartitionOfUnity, fb: PartitionOfUnity) -> np.ndarray:
     """The partition matcher ``w = sum_i f_i e_i``; satisfies ``w a = b w``."""
     w = np.zeros_like(ea.members[0])
@@ -465,9 +471,7 @@ def connect_selfadjoint(
     which is self-adjoint and in the solution set for every ``t``.  If ``u``
     has a phase at the branch cut the unitary is split into two factors.
     """
-    for el, name in ((a, "a"), (b, "b")):
-        if not el.self_adjoint:
-            raise NotSelfAdjoint(f"element {name} is not self-adjoint")
+    _require_self_adjoint(a, b)
     if not a.roots.all_real:
         raise NotSelfAdjoint("self-adjoint connections need an all-real root system")
     ea, fb, ranks = _require_same_component(a, b, cfg)
@@ -570,24 +574,19 @@ def _subspace_replacement_chain(a, b, ea, fb, ranks, cfg):
 
 
 def _hermitian_basis(m: int) -> np.ndarray:
-    """Orthonormal Hermitian basis, as columns of an (m^2, m^2) matrix."""
-    mats = []
-    for r in range(m):
-        e = np.zeros((m, m), dtype=complex)
-        e[r, r] = 1.0
-        mats.append(e)
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for r in range(m):
-        for s in range(r + 1, m):
-            e = np.zeros((m, m), dtype=complex)
-            e[r, s] = inv_sqrt2
-            e[s, r] = inv_sqrt2
-            mats.append(e)
-            e = np.zeros((m, m), dtype=complex)
-            e[r, s] = 1j * inv_sqrt2
-            e[s, r] = -1j * inv_sqrt2
-            mats.append(e)
-    return np.stack([mat.reshape(-1) for mat in mats], axis=1)
+    """Orthonormal Hermitian basis, as columns of an (m^2, m^2) matrix.
+
+    The diagonal units come first, then for each ``r < s`` in row-major order
+    the symmetric and the antisymmetric pair of entries ``(r, s)``, ``(s, r)``.
+    """
+    r, s = np.triu_indices(m, 1)
+    sym = m + 2 * np.arange(len(r))
+    basis = np.zeros((m, m, m * m), dtype=complex)
+    basis[np.arange(m), np.arange(m), np.arange(m)] = 1.0
+    basis[r, s, sym] = basis[s, r, sym] = 1.0 / np.sqrt(2.0)
+    basis[r, s, sym + 1] = 1j / np.sqrt(2.0)
+    basis[s, r, sym + 1] = -1j / np.sqrt(2.0)
+    return basis.reshape(m * m, m * m)
 
 
 def _jacobian_blocks(p_coeffs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -622,84 +621,34 @@ def _jacobian_blocks(p_coeffs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return blocks
 
 
-def _assemble_real_jacobian(blocks, d, total, m, hermitian, hbasis):
-    """Real Jacobian of the stacked residual w.r.t. the free coefficients.
-
-    Interior coefficient ``l`` moves the composition through degrees ``g-l``
-    directly and through ``g-d`` via the endpoint constraint
-    ``c_d = b - a - sum interior``.
-    """
-    mm = m * m
-    gmax = blocks.shape[0] - 1
-    cols_per = mm if hermitian else 2 * mm
-    jac = np.zeros((2 * total * mm, (d - 1) * cols_per))
-    for l in range(1, d):
-        cblock = np.zeros((total * mm, mm), dtype=complex)
-        for g in range(total):
-            acc = None
-            if 0 <= g - l <= gmax:
-                acc = blocks[g - l].copy()
-            if 0 <= g - d <= gmax:
-                acc = -blocks[g - d] if acc is None else acc - blocks[g - d]
-            if acc is not None:
-                cblock[g * mm : (g + 1) * mm] = acc
-        if hermitian:
-            cplx = cblock @ hbasis
-            cols = np.concatenate([cplx.real, cplx.imag], axis=0)
-        else:
-            cols = np.concatenate(
-                [
-                    np.concatenate([cblock.real, -cblock.imag], axis=1),
-                    np.concatenate([cblock.imag, cblock.real], axis=1),
-                ],
-                axis=0,
-            )
-        jac[:, (l - 1) * cols_per : l * cols_per] = cols
-    return jac
-
-
 class _DegreeProblem:
-    """Least-squares formulation of 'find x(t) of degree d with p(x) = 0'."""
+    """Least-squares formulation of 'find x(t) of degree d with p(x) = 0'.
+
+    The free interior coefficients ``c_1 .. c_{d-1}`` are ``theta`` through one
+    complex ``(m^2, P)`` basis: the orthonormal Hermitian basis (``P = m^2``)
+    keeps every coefficient Hermitian, ``[I | iI]`` (``P = 2 m^2``) spans all
+    complex matrices.  The endpoint constraint pins ``c_d = b - a - sum c_l``.
+    """
 
     def __init__(self, a, b, roots, d, hermitian, min_motion):
         self.a = a
         self.delta = b - a
         self.p_coeffs = roots.poly_coeffs()
         self.d = d
-        self.m = a.shape[0]
-        self.total = (len(self.p_coeffs) - 1) * d + 1
-        self.hermitian = hermitian
         self.min_motion = min_motion
-        self.hbasis = _hermitian_basis(self.m) if hermitian else None
+        m = a.shape[0]
+        self.basis = _hermitian_basis(m) if hermitian else np.hstack([np.eye(m * m), 1j * np.eye(m * m)])
 
     def coeffs_from_params(self, theta):
-        d, m = self.d, self.m
-        coeffs = np.zeros((d + 1, m, m), dtype=complex)
-        coeffs[0] = self.a
-        acc = np.zeros((m, m), dtype=complex)
-        per = m * m if self.hermitian else 2 * m * m
-        for l in range(1, d):
-            chunk = theta[(l - 1) * per : l * per]
-            if self.hermitian:
-                c = (self.hbasis @ chunk).reshape(m, m)
-            else:
-                c = (chunk[: m * m] + 1j * chunk[m * m :]).reshape(m, m)
-            coeffs[l] = c
-            acc += c
-        coeffs[d] = self.delta - acc
-        return coeffs
+        interior = (theta.reshape(self.d - 1, -1) @ self.basis.T).reshape(-1, *self.a.shape)
+        return np.concatenate([self.a[None], interior, (self.delta - interior.sum(axis=0))[None]])
 
     def params_from_coeffs(self, coeffs):
-        m = self.m
-        out = []
-        for l in range(1, self.d):
-            c = coeffs[l]
-            if self.hermitian:
-                c = 0.5 * (c + c.conj().T)
-                out.append((self.hbasis.conj().T @ c.reshape(-1)).real)
-            else:
-                out.append(np.concatenate([c.reshape(-1).real, c.reshape(-1).imag]))
-        return np.concatenate(out) if out else np.zeros(0)
+        return self.project(coeffs[1 : self.d])
+
+    def project(self, mats):
+        """Real coordinates of a stack of ``d - 1`` matrices in the parameter basis."""
+        return (mats.reshape(len(mats), -1) @ self.basis.conj()).real.reshape(-1)
 
     def residual(self, theta):
         coeffs = self.coeffs_from_params(theta)
@@ -711,22 +660,27 @@ class _DegreeProblem:
         return r, coeffs
 
     def jacobian(self, coeffs):
+        """Real Jacobian of the stacked residual w.r.t. ``theta``.
+
+        Interior coefficient ``l`` moves the output of degree ``g`` through
+        ``blocks[g - l]`` directly and through ``-blocks[g - d]`` via the
+        endpoint constraint.
+        """
         blocks = _jacobian_blocks(self.p_coeffs, coeffs)
-        jac = _assemble_real_jacobian(blocks, self.d, self.total, self.m, self.hermitian, self.hbasis)
+        d, span, mm = self.d, len(blocks), self.a.size
+        cjac = np.zeros((d + span, mm, d - 1, mm), dtype=complex)  # d + span output degrees
+        for l in range(1, d):
+            cjac[l : l + span, :, l - 1] += blocks
+            cjac[d:, :, l - 1] -= blocks
+        cols = (cjac @ self.basis).reshape((d + span) * mm, -1)
+        jac = np.concatenate([cols.real, cols.imag])
         if self.min_motion > 0.0:
             row = np.zeros((1, jac.shape[1]))
             v = _motion(coeffs)
-            if v > 0.0 and v < self.min_motion:
-                d = self.d
-                per = self.m**2 if self.hermitian else 2 * self.m**2
-                for l in range(1, d):
-                    # d v / d c_l with the chain through c_d = delta - sum c_l
-                    grad_mat = (l * l * coeffs[l] - d * d * coeffs[d]) / v
-                    if self.hermitian:
-                        gvec = (self.hbasis.conj().T @ grad_mat.reshape(-1)).real
-                    else:
-                        gvec = np.concatenate([grad_mat.reshape(-1).real, grad_mat.reshape(-1).imag])
-                    row[0, (l - 1) * per : l * per] = -gvec
+            if 0.0 < v < self.min_motion:
+                # d v / d c_l with the chain through c_d = delta - sum c_l
+                ls = np.arange(1, d)[:, None, None]
+                row[0] = -self.project((ls * ls * coeffs[1:d] - d * d * coeffs[d]) / v)
             jac = np.vstack([jac, row])
         return jac
 
@@ -744,12 +698,12 @@ def _levenberg_marquardt(problem, theta0, max_iters=150):
     for _ in range(max_iters):
         if np.max(np.abs(r)) < 1e-15:
             break
-        jac = problem.jacobian(coeffs)  # only at accepted iterates
+        # one SVD per accepted iterate gives every trial's exact minimizer of
+        # |J step + r|^2 + mu |step|^2: step = -V diag(s / (s^2 + mu)) U^T r
+        u, s, vt = np.linalg.svd(problem.jacobian(coeffs), full_matrices=False)
+        ur = u.T @ r
         for _ in range(25):
-            aug = np.vstack([jac, np.sqrt(mu) * np.eye(jac.shape[1])])
-            rhs = np.concatenate([-r, np.zeros(jac.shape[1])])
-            step, *_ = np.linalg.lstsq(aug, rhs, rcond=None)
-            trial = theta + step
+            trial = theta - vt.T @ (s / (s * s + mu) * ur)
             r_t, coeffs_t = problem.residual(trial)
             cost_t = float(r_t @ r_t)
             if cost_t < cost:
@@ -783,12 +737,8 @@ def _polygonal_fit_coeffs(poly_path, a, b, d):
     targets = np.stack([poly_path.value(t) - a - (t**d) * delta for t in ts])
     basis = np.stack([[t**l - t**d for l in range(1, d)] for t in ts])  # (S, d-1)
     sol, *_ = np.linalg.lstsq(basis, targets.reshape(len(ts), -1), rcond=None)
-    coeffs = np.zeros((d + 1, m, m), dtype=complex)
-    coeffs[0] = a
-    for l in range(1, d):
-        coeffs[l] = sol[l - 1].reshape(m, m)
-    coeffs[d] = delta - coeffs[1:d].sum(axis=0)
-    return coeffs
+    interior = sol.reshape(d - 1, m, m)
+    return np.concatenate([a[None], interior, (delta - interior.sum(axis=0))[None]])
 
 
 def min_degree_search(
@@ -817,9 +767,7 @@ def min_degree_search(
     """
     ea, fb, ranks = _require_same_component(a, b, cfg)
     if self_adjoint:
-        for el, name in ((a, "a"), (b, "b")):
-            if not el.self_adjoint:
-                raise NotSelfAdjoint(f"element {name} is not self-adjoint")
+        _require_self_adjoint(a, b)
 
     roots = a.roots
     residual_by_degree: dict[int, float] = {}
@@ -836,21 +784,16 @@ def min_degree_search(
             candidates.append(np.stack([a.a, b.a - a.a]))
         else:
             problem = _DegreeProblem(a.a, b.a, roots, d, self_adjoint, min_motion)
-            inits = [_ramp_coeffs(a.a, b.a, d)]
+            starts = [_ramp_coeffs(a.a, b.a, d)]
             if poly_seed is not None:
-                inits.append(_polygonal_fit_coeffs(poly_seed, a.a, b.a, d))
-            base = inits[-1]
+                starts.append(_polygonal_fit_coeffs(poly_seed, a.a, b.a, d))
+            thetas = [problem.params_from_coeffs(c) for c in starts]
             sigma = 0.25 * (1.0 + operator_norm(b.a - a.a))
-            for r in range(max(0, budget - len(inits))):
-                rng = rng_from(seed, d, r)
-                noisy = np.array(base)
-                for l in range(1, d):
-                    z = rng.standard_normal((a.dim, a.dim)) + 1j * rng.standard_normal((a.dim, a.dim))
-                    noisy[l] = noisy[l] + sigma * z
-                noisy[d] = (b.a - a.a) - noisy[1:d].sum(axis=0)
-                inits.append(noisy)
-            for init in inits[:budget]:
-                theta0 = problem.params_from_coeffs(init)
+            for r in range(max(0, budget - len(starts))):
+                # the last start's interior coefficients plus sigma times a complex Gaussian
+                z = rng_from(seed, d, r).standard_normal((d - 1, 2, a.dim, a.dim))
+                thetas.append(thetas[len(starts) - 1] + sigma * problem.project(z[:, 0] + 1j * z[:, 1]))
+            for theta0 in thetas[:budget]:
                 _, coeffs = _levenberg_marquardt(problem, theta0)
                 if self_adjoint:
                     coeffs = 0.5 * (coeffs + coeffs.conj().swapaxes(-1, -2))

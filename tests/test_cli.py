@@ -232,6 +232,37 @@ def test_malformed_roots_are_a_usage_error(tmp_path, proj_pair, capsys, bad):
         assert "argument --roots" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["1,x", "", "1,,2", "1.5,1"])
+def test_malformed_signatures_are_a_usage_error(tmp_path, capsys, bad):
+    cfgfile = _write(tmp_path / "cfg.json", {"sig2": bad})
+    scan = ["distance", "--roots", "0,1", "--seed", "0"]
+    for flag, argv in (
+        ("--sig", ["sample", "--roots", "0,1", "--sig", bad, "--seed", "0"]),
+        ("--sig", scan + ["--sig", bad, "--sig2", "0,2"]),
+        ("--sig2", scan + ["--sig", "1,1", "--sig2", bad]),
+        ("--sig2", scan + ["--sig", "1,1", "--sig2", "0,2", "--config", cfgfile]),
+    ):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == EXIT_USAGE
+        assert f"argument {flag}" in capsys.readouterr().err
+
+
+def test_unreadable_input_files_are_a_precondition(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    listing = _write(tmp_path / "list.json", [1, 2])
+    for argv, why in (
+        (["decompose", "--a", missing], "cannot read"),
+        (["verify", "--path", str(bad)], "cannot read"),
+        (["sample", "--roots", "0,1", "--sig", "1,1", "--seed", "0", "--config", missing], "cannot read"),
+        (["verify", "--path", listing], "does not hold a JSON object"),
+    ):
+        assert main(argv) == EXIT_PRECONDITION
+        assert why in capsys.readouterr().err
+
+
 def test_roots_are_echoed_as_given(capsys):
     assert main(["sample", "--roots", "0, 1+0j", "--sig", "1,1", "--seed", "0"]) == 0
     assert json.loads(capsys.readouterr().out)["config"]["roots"] == "0, 1+0j"
@@ -247,7 +278,8 @@ def test_verify_of_an_overflowing_exponential_path_is_a_certification_failure(tm
 
 
 @pytest.mark.parametrize("flag, bad", [("--tol", "-1"), ("--tol", "nan"), ("--rank-tol", "inf"),
-                                       ("--margin", "1.5"), ("--margin", "0")])
+                                       ("--margin", "1.5"), ("--margin", "0"),
+                                       ("--cond", "0.5"), ("--cond", "nan"), ("--cond", "inf")])
 def test_tolerance_flags_are_checked_by_the_parser(capsys, flag, bad):
     with pytest.raises(SystemExit) as err:
         main(["sample", "--roots", "0,1", "--sig", "1,1", "--seed", "0", flag, bad])

@@ -431,6 +431,33 @@ def test_jacobian_blocks_match_the_kron_loop_byte_for_byte(roots, d, m):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("hermitian", [True, False])
+@pytest.mark.parametrize("roots", [(0, 1), (0, 1, 2), (1, 1j, -1)])
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("m", [2, 3])
+def test_degree_problem_jacobian_matches_central_differences(hermitian, roots, d, m):
+    rng = rng_from(len(roots), d, m, int(hermitian))
+    a, b = rng.standard_normal((2, m, m)) + 1j * rng.standard_normal((2, m, m))
+    if hermitian:
+        a, b = a + a.conj().T, b + b.conj().T
+    size = (d - 1) * (m * m if hermitian else 2 * m * m)
+    theta = rng.standard_normal(size)
+    roots = validate_roots(roots)
+    coeffs = paths._DegreeProblem(a, b, roots, d, hermitian, 0.0).coeffs_from_params(theta)
+    # a min_motion above the motion keeps the penalty row live
+    problem = paths._DegreeProblem(a, b, roots, d, hermitian, 2.0 * paths._motion(coeffs))
+    r, coeffs = problem.residual(theta)
+    jac = problem.jacobian(coeffs)
+    assert jac.shape == (len(r), size) and r[-1] > 0.0
+    h = 1e-6
+    fd = np.stack(
+        [(problem.residual(theta + h * e)[0] - problem.residual(theta - h * e)[0]) / (2 * h) for e in np.eye(size)],
+        axis=1,
+    )
+    assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(jac))
+    np.testing.assert_allclose(problem.params_from_coeffs(coeffs), theta, rtol=0, atol=1e-12)
+
+
 def test_jacobian_blocks_are_built_once_per_accepted_iterate(monkeypatch):
     events = []
     blocks, residual = paths._jacobian_blocks, paths._DegreeProblem.residual
