@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .errors import (
     PreconditionError,
     ResolutionResidualExceeded,
 )
-from .matkernel import ToleranceConfig, as_matrix, identity_like, operator_norm, poly_from_roots
+from .matkernel import ToleranceConfig, as_matrix, identity_like, operator_norms, poly_from_roots
 from .seeding import conditioned_invertible, haar_unitary, rng_from
 
 __all__ = [
@@ -238,7 +239,7 @@ def certify(a, roots: RootSystem, cfg: ToleranceConfig = ToleranceConfig()) -> A
 def _resolution_tolerance(norm_a: float, roots: RootSystem, cfg: ToleranceConfig) -> float:
     # Interpolation denominators govern the attainable accuracy: each factor
     # contributes up to (||a|| + max|l|) / min_gap.
-    if roots.n == 1 or not math.isfinite(roots.min_gap):
+    if roots.n == 1:
         cond = 1.0
     else:
         grow = (norm_a + max(abs(r) for r in roots.roots)) / roots.min_gap
@@ -252,55 +253,54 @@ def spectral_resolution(el: AlgebraicElement, cfg: ToleranceConfig = ToleranceCo
     Each member is the defining polynomial of the other roots, normalized to
     take value one at its own root, evaluated at the element; factors are
     multiplied in order of increasing root distance to limit cancellation.
-    All partition invariants are verified before the result is returned.
+    All partition invariants are verified before the result is returned: one
+    stacked SVD takes ``||a||`` and every defect (idempotency and commutation
+    of each member, pairwise annihilation, sum to one, reconstruction, then
+    Hermiticity in self-adjoint mode), and the first defect in that order
+    above the scaled tolerance raises :class:`ResolutionResidualExceeded`.
     """
     a = el.a
     eye = identity_like(a)
-    norm_a = operator_norm(a)
-    n = el.roots.n
+    roots = el.roots.roots
 
     members = []
-    for i, li in enumerate(el.roots.roots):
-        others = sorted((r for j, r in enumerate(el.roots.roots) if j != i), key=lambda r: abs(li - r))
+    for i, li in enumerate(roots):
+        others = sorted((r for j, r in enumerate(roots) if j != i), key=lambda r: abs(li - r))
         e = eye
         for r in others:
             e = e @ (a - r * eye) / (li - r)
         members.append(e)
 
-    tol = _resolution_tolerance(norm_a, el.roots, cfg)
-    tol_comm = tol  # commutation and reconstruction share the scaled budget
-    worst = 0.0
-
-    def bump(value: float, label: str, limit: float):
-        nonlocal worst
-        worst = max(worst, value)
-        if value > limit:
-            raise ResolutionResidualExceeded(
-                f"{label} residual {value:.3e} exceeds {limit:.3e} "
-                f"(min_gap {el.roots.min_gap:.3e})"
-            )
-
+    labels, defects = [], [a]
     total = np.zeros_like(a)
     recon = np.zeros_like(a)
     for i, e in enumerate(members):
-        bump(operator_norm(e @ e - e), f"idempotency[{i}]", tol)
-        bump(operator_norm(e @ a - a @ e), f"commutation[{i}]", tol_comm)
+        labels += [f"idempotency[{i}]", f"commutation[{i}]"]
+        defects += [e @ e - e, e @ a - a @ e]
         total = total + e
-        recon = recon + el.roots.roots[i] * e
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                bump(operator_norm(members[i] @ members[j]), f"annihilation[{i},{j}]", tol)
-    bump(operator_norm(total - eye), "sum-to-one", tol)
-    bump(operator_norm(recon - a), "reconstruction", tol_comm)
+        recon = recon + roots[i] * e
+    for i, j in permutations(range(len(members)), 2):
+        labels.append(f"annihilation[{i},{j}]")
+        defects.append(members[i] @ members[j])
+    labels += ["sum-to-one", "reconstruction"]
+    defects += [total - eye, recon - a]
+    if el.self_adjoint:
+        labels += [f"hermiticity[{i}]" for i in range(len(members))]
+        defects += [e - e.conj().T for e in members]
 
-    self_adjoint = el.self_adjoint
-    if self_adjoint:
-        for i, e in enumerate(members):
-            bump(operator_norm(e - e.conj().T), f"hermiticity[{i}]", tol)
-
+    norms = operator_norms(np.stack(defects))
+    residuals = norms[1:]
+    tol = _resolution_tolerance(float(norms[0]), el.roots, cfg)
+    bad = residuals > tol
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ResolutionResidualExceeded(
+            f"{labels[k]} residual {residuals[k]:.3e} exceeds {tol:.3e} "
+            f"(min_gap {el.roots.min_gap:.3e})"
+        )
     return PartitionOfUnity(
-        members=tuple(members), roots=el.roots, self_adjoint=self_adjoint, worst_residual=worst
+        members=tuple(members), roots=el.roots, self_adjoint=el.self_adjoint,
+        worst_residual=float(residuals.max()),
     )
 
 

@@ -75,19 +75,32 @@ _sig_flag = _checked_text(_parse_sig, "comma-separated integers")
 _THREADS_FROM_ENV = "$ALGPATHS_THREADS"
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(low: int):
+    """Flag type: an integer ``>= low``, anything else a usage error."""
+
+    def check(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {value}")
+        return value
+
+    return check
+
+
+_non_negative = _int_at_least(0)
+_positive = _int_at_least(1)
+
+
+def _threads(text: str) -> int:
     # argparse also runs this on a string default, on every parse, so the
     # parser can be built once while a bad ALGPATHS_THREADS stays a usage
     # error of the one subcommand that reads it
     if text == _THREADS_FROM_ENV:
         text = os.environ.get("ALGPATHS_THREADS", "1")
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value}")
-    return value
+    return _positive(text)
 
 
 def _float_flag(text: str, ok, expected: str) -> float:
@@ -257,9 +270,8 @@ def _cmd_distance(ns) -> int:
     cfg = _tolerances(ns)
     roots = validate_roots(_parse_roots(ns.roots))
     ranks1, ranks2 = _parse_sig(ns.sig), _parse_sig(ns.sig2)
-    dim = ns.dim if ns.dim is not None else sum(ranks1)
-    sig1 = ComponentSignature(ranks=ranks1, dim=dim)
-    sig2 = ComponentSignature(ranks=ranks2, dim=dim)
+    sig1 = ComponentSignature(ranks=ranks1, dim=sum(ranks1))
+    sig2 = ComponentSignature(ranks=ranks2, dim=sum(ranks1))
     report = distance_scan(sig1, sig2, roots, budget=ns.budget, seed=ns.seed,
                            self_adjoint=ns.self_adjoint, cfg=cfg, workers=ns.threads)
     if ns.format == "csv":
@@ -326,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="draw a random certified element")
     p.add_argument("--roots", type=_roots_flag, required=True, help="comma-separated roots, e.g. '0,1' or '1+1j,-1'")
     p.add_argument("--sig", type=_sig_flag, required=True, help="rank per root, e.g. '1,2'")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_non_negative, required=True)
     p.add_argument("--self-adjoint", action="store_true")
     p.add_argument("--cond", type=_cond, default=20.0, help="similarity condition bound, >= 1")
     _add_common(p)
@@ -344,11 +356,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True,
                    choices=["exp-local", "exp-global", "polygonal", "poly", "selfadjoint"])
     p.add_argument("--roots", type=_roots_flag, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dmax", type=int, default=3, help="max degree for --method poly")
-    p.add_argument("--budget", type=int, default=32, help="restarts for --method poly")
+    p.add_argument("--seed", type=_non_negative, default=0)
+    p.add_argument("--dmax", type=_positive, default=3, help="max degree for --method poly, >= 1")
+    p.add_argument("--budget", type=_positive, default=32, help="restarts for --method poly, >= 1")
     p.add_argument("--self-adjoint", action="store_true", help="Hermitian coefficients for --method poly")
-    p.add_argument("--min-motion", type=float, default=0.0)
+    p.add_argument("--min-motion", type=_tolerance, default=0.0)
     _add_common(p)
     p.set_defaults(func=_cmd_connect)
 
@@ -368,12 +380,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--roots", type=_roots_flag, required=True)
     p.add_argument("--sig", type=_sig_flag, required=True)
     p.add_argument("--sig2", type=_sig_flag, required=True)
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--budget", type=int, default=1000)
+    p.add_argument("--seed", type=_non_negative, required=True)
+    p.add_argument("--budget", type=_positive, default=1000, help="scan restarts, >= 1")
     p.add_argument("--self-adjoint", action="store_true")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--threads", type=_positive_int, default=_THREADS_FROM_ENV,
+    p.add_argument("--threads", type=_threads, default=_THREADS_FROM_ENV,
                    help="worker processes for the restart blocks (default: $ALGPATHS_THREADS or 1); "
                         "the scan result does not depend on it")
     _add_common(p)
@@ -383,18 +394,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--roots", type=_roots_flag, default=None)
-    p.add_argument("--dmax", type=int, default=3)
-    p.add_argument("--budget", type=int, default=32)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--dmax", type=_positive, default=3, help="max degree, >= 1")
+    p.add_argument("--budget", type=_positive, default=32, help="restarts per degree, >= 1")
+    p.add_argument("--seed", type=_non_negative, required=True)
     p.add_argument("--self-adjoint", action="store_true")
-    p.add_argument("--min-motion", type=float, default=0.0)
+    p.add_argument("--min-motion", type=_tolerance, default=0.0)
     _add_common(p)
     p.set_defaults(func=_cmd_mindeg)
 
     p = sub.add_parser("suite", help="seeded battery over all experiment families")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=50, help="sample count per family")
-    p.add_argument("--budget", type=int, default=400, help="restarts for the scan items")
+    p.add_argument("--seed", type=_non_negative, default=0)
+    p.add_argument("--samples", type=_non_negative, default=50, help="sample count per family, >= 0")
+    p.add_argument("--budget", type=_positive, default=400, help="restarts for the scan items, >= 1")
     _add_common(p)
     p.set_defaults(func=_cmd_suite)
 

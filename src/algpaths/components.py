@@ -93,7 +93,7 @@ class DistanceScanReport:
 
 
 def partition_ranks(part, cfg: ToleranceConfig = ToleranceConfig()) -> list[int]:
-    """Ranks of partition members, with a conditioning guard.
+    """Ranks of partition members from one stacked SVD, with a conditioning guard.
 
     A nonzero idempotent has norm >= 1, so partition members live on the
     scale of 1; flooring the threshold scale there keeps numerically-zero
@@ -103,17 +103,16 @@ def partition_ranks(part, cfg: ToleranceConfig = ToleranceConfig()) -> list[int]
     must sum to the dimension.
     """
     m = part.dim
-    ranks = []
-    for i, e in enumerate(part.members):
-        s = np.linalg.svd(e, compute_uv=False)
-        thr = cfg.rank_rel_tol * max(s[0], 1.0) * m
-        window = (s > thr / 10.0) & (s < thr * 10.0)
-        if np.any(window):
-            raise RankAmbiguous(
-                f"singular value {s[window][0]:.3e} of idempotent {i} is within a factor 10 "
-                f"of the rank threshold {thr:.3e}"
-            )
-        ranks.append(int(np.count_nonzero(s > thr)))
+    s = np.linalg.svd(np.stack(part.members), compute_uv=False)  # (n, m), one row per member
+    thr = (cfg.rank_rel_tol * np.maximum(s[:, 0], 1.0) * m)[:, None]
+    window = (s > thr / 10.0) & (s < thr * 10.0)
+    if window.any():
+        i = int(np.argmax(window.any(axis=1)))
+        raise RankAmbiguous(
+            f"singular value {s[i][window[i]][0]:.3e} of idempotent {i} is within a factor 10 "
+            f"of the rank threshold {thr[i, 0]:.3e}"
+        )
+    ranks = np.count_nonzero(s > thr, axis=1).tolist()
     if sum(ranks) != m:
         raise RankAmbiguous(f"idempotent ranks {ranks} do not sum to the dimension {m}")
     return ranks

@@ -242,27 +242,21 @@ def matpoly_mul(x: MatrixPolynomial, y: MatrixPolynomial) -> MatrixPolynomial:
 def matpoly_compose_p(p_coeffs, x: MatrixPolynomial) -> MatrixPolynomial:
     """Exact coefficients of ``p(x(t))`` for a scalar-coefficient ``p``.
 
-    Horner in the ring of matrix-coefficient polynomials: the result has
-    degree at most ``deg(p) * deg(x)`` and is exact up to floating-point
-    rounding in the convolutions.
+    Horner in the ring of matrix-coefficient polynomials: each step multiplies
+    by ``x``, so the result has exactly ``deg(p) * deg(x) + 1`` coefficients
+    (leading ones may vanish) and is exact up to floating-point rounding in
+    the convolutions.
     """
     coeffs = [complex(c) for c in p_coeffs]
     m = x.dim
     eye = np.eye(m, dtype=complex)
     if not coeffs:
         return MatrixPolynomial(np.zeros((1, m, m), dtype=complex), normalized=False)
-    acc = MatrixPolynomial((coeffs[-1] * eye)[None, :, :], normalized=False)
+    acc = (coeffs[-1] * eye)[None, :, :]
     for c in reversed(coeffs[:-1]):
-        acc = matpoly_mul(acc, x)
-        new = np.array(acc.coeffs)
-        new[0] += c * eye
-        acc = MatrixPolynomial(new, normalized=False)
-    # pad to the stated upper bound so callers see a fixed shape
-    want = (len(coeffs) - 1) * x.degree + 1
-    if acc.coeffs.shape[0] < want:
-        pad = np.zeros((want - acc.coeffs.shape[0], m, m), dtype=complex)
-        acc = MatrixPolynomial(np.concatenate([acc.coeffs, pad]), normalized=False)
-    return acc
+        acc = matpoly_mul(MatrixPolynomial(acc, normalized=False), x).coeffs  # a fresh array
+        acc[0] += c * eye
+    return MatrixPolynomial(acc, normalized=False)
 
 
 def matpoly_is_zero(

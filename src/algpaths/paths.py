@@ -295,19 +295,15 @@ def _split_off_the_cut(u: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray
     """Hermitian ``(h, k)`` with ``u = e^{ik} e^{ih}``, for a unitary ``u`` whose phase sits at the cut.
 
     ``h`` is a small seeded random Hermitian (``||h|| <= 0.2``) that moves the
-    spectrum of ``u e^{-ih}`` off the branch cut, so ``k`` is its logarithm.
+    spectrum of ``u e^{-ih}`` off the branch cut, so ``k`` is its logarithm;
+    a phase still at the cut raises :class:`FactorizationFailed`.
     """
     m = u.shape[0]
-    for attempt in range(8):
-        rng = rng_from(seed, 31, attempt)
-        z = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-        h = 0.5 * (z + z.conj().T)
-        h *= 0.2 / max(1.0, operator_norm(h))
-        try:
-            return h, _hermitian_log_of_unitary(u @ mat_exp(1j * h).conj().T)
-        except FactorizationFailed:
-            continue
-    raise FactorizationFailed("could not steer the unitary factor off the branch cut")
+    rng = rng_from(seed, 31, 0)
+    z = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    h = 0.5 * (z + z.conj().T)
+    h *= 0.2 / max(1.0, operator_norm(h))
+    return h, _hermitian_log_of_unitary(u @ mat_exp(1j * h).conj().T)
 
 
 def _column_flips(basis: np.ndarray):
@@ -333,13 +329,17 @@ def _range_basis(e: np.ndarray, r: int) -> np.ndarray:
 def _gated_path(a, b, generators, cfg, self_adjoint_mode=False) -> ExpSimilarityPath:
     """The conjugation path from ``a`` along ``generators``, checked to end at ``b``."""
     path = ExpSimilarityPath(base=a, generators=generators, self_adjoint_mode=self_adjoint_mode)
-    err = operator_norm(path.value(1.0) - b.a)
-    tol = cfg.residual_tol * (1.0 + operator_norm(b.a))
-    if err > tol:
-        raise CertificationFailed(
-            f"endpoint error {err:.3e} exceeds {tol:.3e}", sample_t=1.0, value=err
-        )
+    _endpoint_error(path.value(1.0), b.a, cfg)
     return path
+
+
+def _endpoint_error(end: np.ndarray, target: np.ndarray, cfg: ToleranceConfig) -> float:
+    """``||end - target||``; above ``residual_tol (1 + ||target||)`` it raises :class:`CertificationFailed`."""
+    err = operator_norm(end - target)
+    tol = cfg.residual_tol * (1.0 + operator_norm(target))
+    if err > tol:
+        raise CertificationFailed(f"endpoint error {err:.3e} exceeds {tol:.3e}", sample_t=1.0, value=err)
+    return err
 
 
 def _vanishing_certificates(coeffs, bounds, roots: RootSystem, cfg: ToleranceConfig):
@@ -948,14 +948,7 @@ def _verify_exponential(path: ExpSimilarityPath, roots, cfg, expected_endpoint, 
     endpoint_error = None
     if expected_endpoint is not None:
         end = x[-1] if samples > 1 else path.value(1.0)  # the grid ends at t = 1
-        endpoint_error = operator_norm(end - expected_endpoint)
-        tol = cfg.residual_tol * (1.0 + operator_norm(expected_endpoint))
-        if endpoint_error > tol:
-            raise CertificationFailed(
-                f"endpoint error {endpoint_error:.3e} exceeds {tol:.3e}",
-                sample_t=1.0,
-                value=endpoint_error,
-            )
+        endpoint_error = _endpoint_error(end, expected_endpoint, cfg)
     return PathCertificate(
         kind="exponential",
         worst_membership=worst_mem,

@@ -48,7 +48,7 @@ def _sig_for(rng, roots, m):
             return tuple(int(r) for r in ranks)
 
 
-def _perturbed_partner(el, delta, rng, cfg, self_adjoint=False):
+def _perturbed_partner(el, delta, rng, cfg):
     """A nearby element on the same component, via a small conjugation.
 
     ``delta`` is relative: the conjugator distance from the identity is
@@ -58,15 +58,8 @@ def _perturbed_partner(el, delta, rng, cfg, self_adjoint=False):
     m = el.dim
     z = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     z *= delta / (np.linalg.norm(z) * (1.0 + operator_norm(el.a)))
-    if self_adjoint:
-        h = 0.5 * (z + z.conj().T)
-        eye = np.eye(m, dtype=complex)
-        g = np.linalg.solve(eye - 0.5j * h, eye + 0.5j * h)
-        moved = g @ el.a @ g.conj().T
-        moved = 0.5 * (moved + moved.conj().T)
-    else:
-        g = np.eye(m, dtype=complex) + z
-        moved = np.linalg.solve(g.T, (g @ el.a).T).T
+    g = np.eye(m, dtype=complex) + z
+    moved = np.linalg.solve(g.T, (g @ el.a).T).T
     return certify(moved, el.roots, cfg)
 
 
@@ -250,10 +243,7 @@ def run_suite(seed=0, samples=50, budget=400, cfg=ToleranceConfig(), stream=None
             rng = rng_from(seed, 9, k)
             roots = validate_roots([_ROOTS_IDEMPOTENT, _ROOTS_THREE, _ROOTS_COMPLEX][k % 3])
             m = int(rng.integers(2, 7))
-            sig = _sig_for(rng, roots.roots, m)
-            if sum(1 for r in sig if r > 0) < 2:
-                continue
-            el = random_element(sig, roots, seed=(seed, 9, k, 3), cfg=cfg)
+            el = random_element(_sig_for(rng, roots.roots, m), roots, seed=(seed, 9, k, 3), cfg=cfg)
             witness = line_direction(el, cfg)
             worst = max(worst, witness.certificate)
             certify(el.a + 1e6 * witness.direction, roots, cfg)  # far point still a member

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import sampler_reference as reference
 from algpaths import algebraic
 from algpaths.algebraic import (
+    AlgebraicElement,
     _certify_stack,
     certify,
     eval_defining_poly,
@@ -29,6 +30,7 @@ from algpaths.errors import (
     MultipleRoots,
     NotAlgebraic,
     PreconditionError,
+    ResolutionResidualExceeded,
 )
 from algpaths.matkernel import ToleranceConfig
 from algpaths.matkernel import operator_norm
@@ -123,6 +125,24 @@ def test_resolution_central_element():
     part = spectral_resolution(el)
     np.testing.assert_allclose(part.members[0], np.eye(3), atol=1e-15)
     np.testing.assert_allclose(part.members[1], np.zeros((3, 3)), atol=1e-15)
+
+
+def test_resolution_refuses_an_element_that_is_not_algebraic():
+    # e0 = 1 - a = diag(0.5, 0), so ||e0^2 - e0|| = 0.25; tol 1e-9 (1 + ||a||) (2 / min_gap)
+    el = AlgebraicElement(a=np.diag([0.5, 1.0]).astype(complex), roots=R01, residual=0.25, self_adjoint=False)
+    with pytest.raises(ResolutionResidualExceeded,
+                       match=r"^idempotency\[0\] residual 2\.500e-01 exceeds 4\.000e-09 \(min_gap 1\.000e\+00\)$"):
+        spectral_resolution(el)
+
+
+def test_resolution_over_a_single_root():
+    roots = validate_roots([3.0])
+    el = certify(3.0 * np.eye(2), roots)
+    part = spectral_resolution(el)
+    assert el.self_adjoint and part.self_adjoint
+    assert len(part.members) == 1 and np.array_equal(part.members[0], np.eye(2))
+    assert part.worst_residual == 0.0
+    assert signature(el).ranks == (2,)
 
 
 def test_recombine_diagonal():

@@ -61,12 +61,36 @@ def test_connect_then_verify(tmp_path, proj_pair):
     assert main(["verify", "--path", str(out), "--roots", "0,1"]) == 0
 
 
+@pytest.mark.parametrize("method, self_adjoint", [("exp-global", False), ("selfadjoint", True)])
+def test_connect_exponential_methods_then_verify(tmp_path, capsys, method, self_adjoint):
+    files = []
+    for seed in (1, 2):
+        out = tmp_path / f"e{seed}.json"
+        argv = ["sample", "--roots", "0,1,2", "--sig", "1,2,1", "--seed", str(seed), "--out", str(out)]
+        assert main(argv + ["--self-adjoint"] * self_adjoint) == 0
+        files.append(str(out))
+    report = tmp_path / "path.json"
+    assert main(["connect", "--a", files[0], "--b", files[1], "--method", method, "--seed", "3",
+                 "--out", str(report)]) == 0
+    result = json.loads(report.read_text())["result"]
+    assert result["path"]["kind"] == "exp" and result["path"]["self_adjoint_mode"] is self_adjoint
+    assert result["certificate"]["endpoint_error"] <= 1e-9
+    assert main(["verify", "--path", str(report)]) == 0
+    verified = json.loads(capsys.readouterr().out)["result"]
+    assert verified["kind"] == "exponential" and (verified["worst_hermiticity"] is not None) is self_adjoint
+
+
 def test_mindeg_reports_degree(tmp_path, proj_pair, capsys):
     a, b = proj_pair
     assert main(["mindeg", "--a", a, "--b", b, "--roots", "0,1", "--seed", "0",
                  "--dmax", "3", "--budget", "4"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["result"]["degree"] == 1
+    out = tmp_path / "poly.json"
+    assert main(["connect", "--a", a, "--b", b, "--roots", "0,1", "--method", "poly",
+                 "--dmax", "3", "--budget", "4", "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["result"]["path"]["coeffs"]) == 2
+    assert main(["verify", "--path", str(out), "--roots", "0,1"]) == 0
 
 
 def test_distance_json_and_csv(tmp_path):
@@ -163,12 +187,14 @@ def test_exit_code_precondition(tmp_path):
     assert code == EXIT_PRECONDITION
 
 
-def test_exit_code_certification(tmp_path):
+def test_exit_code_certification(tmp_path, capsys):
     a = _write(tmp_path / "a.json", _matrix([[1, 0], [0, 0]]))
     b = _write(tmp_path / "b.json", _matrix([[0, 0], [0, 1]]))
-    code = main(["mindeg", "--a", a, "--b", b, "--roots", "0,1", "--seed", "0",
-                 "--dmax", "2", "--budget", "2", "--self-adjoint", "--min-motion", "0.1"])
-    assert code == EXIT_CERTIFICATION
+    search = ["--a", a, "--b", b, "--roots", "0,1", "--seed", "0",
+              "--dmax", "2", "--budget", "2", "--self-adjoint", "--min-motion", "0.1"]
+    for command in (["mindeg"], ["connect", "--method", "poly"]):
+        assert main(command + search) == EXIT_CERTIFICATION
+        assert json.loads(capsys.readouterr().out)["result"]["success"] is False
 
 
 def test_exit_code_usage():
@@ -285,6 +311,38 @@ def test_tolerance_flags_are_checked_by_the_parser(capsys, flag, bad):
         main(["sample", "--roots", "0,1", "--sig", "1,1", "--seed", "0", flag, bad])
     assert err.value.code == EXIT_USAGE
     assert f"argument {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag, bad", [
+    ("sample", "--seed", "-1"), ("connect", "--seed", "-1"), ("distance", "--seed", "-1"),
+    ("mindeg", "--seed", "-1"), ("suite", "--seed", "-1"), ("suite", "--samples", "-1"),
+    ("connect", "--dmax", "0"), ("connect", "--budget", "0"), ("mindeg", "--dmax", "0"),
+    ("mindeg", "--budget", "0"), ("distance", "--budget", "0"), ("suite", "--budget", "0"),
+    ("connect", "--min-motion", "nan"), ("mindeg", "--min-motion", "-1"),
+])
+def test_count_seed_and_motion_flags_are_checked_by_the_parser(proj_pair, capsys, command, flag, bad):
+    a, b = proj_pair
+    argv = {
+        "sample": ["sample", "--roots", "0,1", "--sig", "1,1", "--seed", "0"],
+        "connect": ["connect", "--a", a, "--b", b, "--roots", "0,1", "--method", "poly"],
+        "distance": ["distance", "--roots", "0,1", "--sig", "1,1", "--sig2", "0,2", "--seed", "0"],
+        "mindeg": ["mindeg", "--a", a, "--b", b, "--roots", "0,1", "--seed", "0"],
+        "suite": ["suite", "--samples", "0", "--budget", "1"],
+    }[command]
+    with pytest.raises(SystemExit) as err:
+        main(argv + [flag, bad])
+    assert err.value.code == EXIT_USAGE
+    assert f"argument {flag}" in capsys.readouterr().err
+
+
+def test_distance_takes_its_dimension_from_the_signature(capsys):
+    args = ["distance", "--roots", "0,1", "--sig", "1,1", "--sig2", "0,2", "--seed", "0", "--budget", "2"]
+    with pytest.raises(SystemExit) as err:
+        main(args + ["--dim", "2"])
+    assert err.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --dim 2" in capsys.readouterr().err
+    assert main(args) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["sig1"]["dim"] == 2
 
 
 def test_suite_quick_run_deterministic_and_sensitive_to_tolerance(tmp_path, capsys):

@@ -1,11 +1,21 @@
 """Component signatures, isolation, line witnesses, distance scans."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
+import resolution_reference
 import sampler_reference as reference
 from algpaths import components
-from algpaths.algebraic import certify, random_element, spectral_resolution, validate_roots
+from algpaths.algebraic import (
+    AlgebraicElement,
+    PartitionOfUnity,
+    certify,
+    random_element,
+    spectral_resolution,
+    validate_roots,
+)
 from algpaths.components import (
     ComponentSignature,
     _frobenius,
@@ -14,10 +24,19 @@ from algpaths.components import (
     distance_scan,
     is_isolated,
     line_direction,
+    partition_ranks,
+    resolve,
     same_component,
     signature,
 )
-from algpaths.errors import BadSignature, CentralElement, DimMismatch, RootMismatch
+from algpaths.errors import (
+    BadSignature,
+    CentralElement,
+    DimMismatch,
+    RankAmbiguous,
+    ResolutionResidualExceeded,
+    RootMismatch,
+)
 from algpaths.matkernel import operator_norm
 from algpaths.seeding import rng_from
 
@@ -90,6 +109,84 @@ def test_same_component_is_equivalence_relation():
             for z in els:
                 if same_component(x, y) and same_component(y, z):
                     assert same_component(x, z)
+
+
+# -- stacked resolution certificate and ranking -------------------------------------
+
+
+_RESOLUTION_CASES = [
+    ((0, 1), False), ((0, 1), True), ((0, 1, 2), False), ((0, 1, 2), True), ((1, 1j, -1), False),
+    ((0, 1, 2.5, -1.5), False), ((0, 1, 2.5, -1.5), True), ((1, 1j, -1, -1j), False), ((3.0,), True),
+]
+
+
+def _sampled_ranks(rng, n, m):
+    cuts = sorted(rng.integers(0, m + 1, size=n - 1).tolist())
+    return tuple(int(r) for r in np.diff([0] + cuts + [m]))
+
+
+@pytest.mark.parametrize("roots, self_adjoint", _RESOLUTION_CASES)
+def test_resolve_is_bit_identical_to_the_loop_reference(roots, self_adjoint):
+    roots = validate_roots(roots)
+    for m in (2, 3, 5, 8, 16):
+        for k in range(3):
+            ranks = _sampled_ranks(rng_from(m, k, 17), roots.n, m)
+            el = random_element(ranks, roots, seed=(m, k, 18), self_adjoint=self_adjoint)
+            part, sig = resolve(el)
+            want = resolution_reference.spectral_resolution(el)
+            assert part.self_adjoint == want.self_adjoint == el.self_adjoint
+            assert part.worst_residual == want.worst_residual
+            assert [e.tobytes() for e in part.members] == [e.tobytes() for e in want.members]
+            assert list(sig.ranks) == resolution_reference.partition_ranks(want)
+
+
+def _perturbed(roots, self_adjoint):
+    # p(a) != 0 breaks idempotency[0] first: the members stay polynomials in a
+    roots = validate_roots(roots)
+    rng = rng_from(roots.n, int(self_adjoint), 19)
+    el = random_element(_sampled_ranks(rng, roots.n, 4), roots, seed=(roots.n, 20), self_adjoint=self_adjoint)
+    z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    return AlgebraicElement(a=el.a + 1e-4 * z, roots=roots, residual=0.0, self_adjoint=self_adjoint)
+
+
+def _oblique_flagged_self_adjoint():
+    # an oblique idempotent resolved as if it were self-adjoint: only hermiticity fails
+    return AlgebraicElement(a=UPPER, roots=R01, residual=0.0, self_adjoint=True)
+
+
+@pytest.mark.parametrize("build, message", [
+    (partial(_perturbed, (0, 1), False), r"idempotency\[0\] residual 3\.783e-04 exceeds 1\.001e-09"),
+    (partial(_perturbed, (0, 1, 2.5, -1.5), True), r"idempotency\[0\] residual 2\.393e-04 exceeds"),
+    (partial(_perturbed, (1, 1j, -1, -1j), False), r"idempotency\[0\] residual 2\.846e-04 exceeds"),
+    (_oblique_flagged_self_adjoint, r"hermiticity\[0\] residual 1\.000e\+00 exceeds 5\.828e-09"),
+])
+def test_resolution_failures_match_the_loop_reference(build, message):
+    el = build()
+    with pytest.raises(ResolutionResidualExceeded, match="^" + message) as want:
+        resolution_reference.spectral_resolution(el)
+    with pytest.raises(ResolutionResidualExceeded) as got:
+        spectral_resolution(el)
+    assert str(got.value) == str(want.value)
+
+
+def _partition(*diagonals):
+    members = tuple(np.diag(d).astype(complex) for d in diagonals)
+    return PartitionOfUnity(members=members, roots=R01, self_adjoint=False, worst_residual=0.0)
+
+
+@pytest.mark.parametrize("rank", [partition_ranks, resolution_reference.partition_ranks])
+def test_partition_ranks_refuses_a_singular_value_near_the_threshold(rank):
+    # threshold 1e-10 * 1 * 2 = 2e-10, and 1e-10 lies in its window (2e-11, 2e-9)
+    part = _partition([1.0, 0.0], [1e-10, 1.0])
+    with pytest.raises(RankAmbiguous, match=r"^singular value 1\.000e-10 of idempotent 1 is within "
+                                            r"a factor 10 of the rank threshold 2\.000e-10$"):
+        rank(part)
+
+
+@pytest.mark.parametrize("rank", [partition_ranks, resolution_reference.partition_ranks])
+def test_partition_ranks_must_sum_to_the_dimension(rank):
+    with pytest.raises(RankAmbiguous, match=r"^idempotent ranks \[2, 1\] do not sum to the dimension 2$"):
+        rank(_partition([1.0, 1.0], [0.0, 1.0]))
 
 
 def _commutes_with_all_matrix_units(a, tol):

@@ -511,6 +511,54 @@ def test_verify_rejects_straight_cross_segment():
     assert err.value.coefficient in (1, 2)
 
 
+def test_verify_polynomial_rejects_non_hermitian_coefficients():
+    oblique = np.array([[1, 1], [0, 0]], dtype=complex)  # idempotent, so p vanishes along the path
+    path = PolynomialPath(x=MatrixPolynomial.constant(oblique), certificate=0.0, self_adjoint=True)
+    with pytest.raises(CertificationFailed, match=r"^coefficients are not Hermitian: 1\.000e\+00$") as err:
+        verify_path(path, R01)
+    assert err.value.value == 1.0
+    general = PolynomialPath(x=MatrixPolynomial.constant(oblique), certificate=0.0)
+    assert verify_path(general, R01).worst_membership == 0.0
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_verify_polynomial_rejects_an_endpoint_off_the_solution_set(reverse):
+    # x(t) = a + t b with a = diag(1, 1e-4) and b nilpotent of norm 1e6: every
+    # coefficient of p(x(t)) is at most 1e2 against a tolerance of 4e3 set by
+    # ||b||, while the small endpoint a misses p = 0 by 1e-4 against 2e-9
+    a = np.diag([1.0, 1e-4]).astype(complex)
+    b = np.array([[0, 1e6], [0, 0]], dtype=complex)
+    coeffs = np.stack([a + b, -b] if reverse else [a, b])
+    path = PolynomialPath(x=MatrixPolynomial(coeffs, normalized=False), certificate=0.0)
+    side = ("start", "end")[reverse]
+    with pytest.raises(CertificationFailed, match=f"^{side} point is not in the solution set") as err:
+        verify_path(path, R01)
+    assert err.value.sample_t == float(reverse)
+    assert err.value.value == pytest.approx(1e-4, rel=1e-3)
+
+
+def test_verify_exponential_rejects_a_non_hermitian_generator():
+    path = paths.ExpSimilarityPath(base=certify(E, R01), generators=(np.array([[0, 1], [0, 0]], dtype=complex),),
+                                   self_adjoint_mode=True)
+    with pytest.raises(CertificationFailed, match=r"^generator 0 is not Hermitian: 1\.000e\+00$") as err:
+        verify_path(path)
+    assert err.value.coefficient == 0
+
+
+def test_construction_and_verification_share_the_endpoint_gate():
+    a, b = certify(E, R01), certify(F_SWAP, R01)
+    still = (np.zeros((2, 2), dtype=complex),)
+    message = r"^endpoint error 1\.000e\+00 exceeds 2\.000e-09$"
+    with pytest.raises(CertificationFailed, match=message) as built:
+        paths._gated_path(a, b, still, ToleranceConfig())
+    path = paths.ExpSimilarityPath(base=a, generators=still)
+    with pytest.raises(CertificationFailed, match=message) as verified:
+        verify_path(path, expected_endpoint=b.a)
+    assert built.value.sample_t == verified.value.sample_t == 1.0
+    assert built.value.value == verified.value.value == 1.0
+    assert verify_path(path, expected_endpoint=a.a).endpoint_error == 0.0
+
+
 def test_verify_polygonal_flags_bad_breakpoint():
     a = certify(E, R01)
     b = certify(F_SHEAR, R01)

@@ -2,8 +2,11 @@
 
 ``spectral_resolution`` is wrapped with a counter in every ``algpaths``
 module that binds it, so a resolution counts whichever module calls it.
+One resolution takes two SVDs: one stacked over every partition invariant,
+one over every member's rank.
 """
 
+import dataclasses
 import json
 import sys
 
@@ -13,7 +16,7 @@ import pytest
 from algpaths import algebraic
 from algpaths.algebraic import certify, random_element, validate_roots
 from algpaths.cli import main
-from algpaths.components import line_direction
+from algpaths.components import line_direction, resolve
 from algpaths.errors import NotSameComponent
 from algpaths.matkernel import operator_norm
 from algpaths.paths import (
@@ -69,6 +72,29 @@ def _far_pair(ranks, self_adjoint=False):
 def test_constructors_resolve_each_endpoint_once(build, resolutions):
     build()
     assert len(resolutions) == 2
+
+
+@pytest.mark.parametrize("roots", [(3,), (0, 1), (0, 1, 2), (0, 1, 2.5, -1.5)])
+@pytest.mark.parametrize("self_adjoint", [False, True])
+def test_resolve_takes_two_svds(roots, self_adjoint, monkeypatch):
+    roots = validate_roots(roots)
+    ranks = tuple(range(1, roots.n + 1))
+    el = random_element(ranks, roots, seed=6, self_adjoint=True)
+    # a Hermitian element resolves in either mode; the flag decides which invariants are checked
+    el = dataclasses.replace(el, self_adjoint=self_adjoint)
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    part, sig = resolve(el)
+    n, m = roots.n, el.dim
+    invariants = 2 * n + n * (n - 1) + 2 + (n if self_adjoint else 0)
+    assert calls == [(1 + invariants, m, m), (n, m, m)]
+    assert part.self_adjoint == self_adjoint and sig.ranks == ranks
 
 
 def test_component_mismatch_resolves_each_endpoint_once(resolutions):
