@@ -228,6 +228,24 @@ def _frobenius(z: np.ndarray) -> np.ndarray:
     return np.sqrt(sq[..., 0, 0])
 
 
+def _distance_floor(sig1, sig2, roots: RootSystem, self_adjoint: bool) -> float:
+    """A proven lower bound on ``||x - y||`` between the components ``sig1`` and ``sig2``.
+
+    Self-adjoint: Weyl's ``max_k |l_k(x) - l_k(y)|`` over the two sorted real
+    spectra (the roots repeated by the ranks), which the sorted diagonal models
+    attain, so it is the exact distance.  General, two roots: ``x - y =
+    (l_1 - l_2)(p - q)`` with ``rank p != rank q``, and ``p - q`` moves a unit
+    vector of ``range p`` in ``ker q`` (or the reverse) by exactly 1, so the
+    root gap.  Zero otherwise.
+    """
+    if self_adjoint:
+        lam, mu = (np.sort(np.repeat(np.real(roots.roots), s.ranks)) for s in (sig1, sig2))
+        return float(np.max(np.abs(lam - mu)))
+    if roots.n == 2:
+        return abs(roots.roots[0] - roots.roots[1])
+    return 0.0
+
+
 def _scan_block(ks, seed, sig1, sig2, roots, self_adjoint, cond_bound):
     """Restarts ``ks`` of a distance scan, advanced together in lockstep.
 
@@ -238,7 +256,8 @@ def _scan_block(ks, seed, sig1, sig2, roots, self_adjoint, cond_bound):
     endpoint at a time (``x`` on even steps, ``y`` on odd ones).  Conjugation keeps each
     endpoint exactly on its component, so there is no projection step; a
     restart halves its step size whenever a move does not improve its
-    distance and stops once the step collapses.  Perturbations are drawn
+    distance and stops once the step collapses, or at entry when it starts
+    on the proven floor :func:`_distance_floor`.  Perturbations are drawn
     ``_SCAN_CHUNK`` steps at a time, by the restarts still live, into one
     ``(B, _SCAN_CHUNK, m, m)`` buffer; the generator's stream does not depend
     on how its draws are chunked.  The stacked linear algebra works matrix by
@@ -257,12 +276,16 @@ def _scan_block(ks, seed, sig1, sig2, roots, self_adjoint, cond_bound):
         return np.ascontiguousarray(a)
 
     x, y = sample(sig1, 0), sample(sig2, 1)
-    rngs = [rng_from(seed, k, 2) for k in ks]
-    z = np.empty((n, _SCAN_CHUNK, m, m), dtype=complex)
+    z = np.ones((n, _SCAN_CHUNK, m, m), dtype=complex)  # finite in rows never drawn into
 
     eye = np.eye(m, dtype=complex)
     dist = np.linalg.svd(x - y, compute_uv=False)[:, 0]
-    delta = np.full(n, 0.25)
+    # a restart that starts on the proven floor could only accept a candidate
+    # below it, i.e. round-off, which the genuine-decrease rule below refuses,
+    # so it stops before its first step and builds no generator
+    floor = _distance_floor(sig1, sig2, roots, self_adjoint)
+    delta = np.where(dist - 1e-13 * (1.0 + dist) <= floor, 0.0, 0.25)
+    rngs = {j: rng_from(seed, k, 2) for j, k in enumerate(ks) if delta[j] > 0.0}
     for it in range(_SCAN_ITERS):
         live = np.flatnonzero(delta >= 1e-12)
         if live.size == 0:

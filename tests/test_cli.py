@@ -151,6 +151,18 @@ def test_line_command(tmp_path, capsys):
     assert rep["result"]["direction"]["entries"] == [[0.0, 0.0], [1.0, 0.0], [0.0, -0.0], [0.0, -0.0]]
 
 
+def test_line_command_with_no_certified_candidate_fails_certification(tmp_path, capsys, monkeypatch):
+    from algpaths import components
+
+    monkeypatch.setattr(components, "matpoly_is_zero", lambda q, cfg, scale: (False, 1.0))
+    a = _write(tmp_path / "m.json", _matrix([[0, 0], [0, 1]]))
+    assert main(["line", "--a", a, "--roots", "0,1"]) == EXIT_CERTIFICATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "algpaths: certification failed: no candidate direction certified" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_config_file_supplies_defaults(tmp_path, capsys):
     cfgfile = _write(tmp_path / "cfg.json", {"roots": "0,1", "sig": "1,1", "seed": 5})
     assert main(["sample", "--config", str(cfgfile), "--roots", "0,1", "--sig", "1,1",

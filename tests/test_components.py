@@ -13,11 +13,13 @@ from algpaths.algebraic import (
     PartitionOfUnity,
     certify,
     random_element,
+    random_elements,
     spectral_resolution,
     validate_roots,
 )
 from algpaths.components import (
     ComponentSignature,
+    _distance_floor,
     _frobenius,
     _scan_block,
     _scan_block_size,
@@ -36,6 +38,7 @@ from algpaths.errors import (
     RankAmbiguous,
     ResolutionResidualExceeded,
     RootMismatch,
+    SearchExhausted,
 )
 from algpaths.matkernel import operator_norm
 from algpaths.seeding import rng_from
@@ -257,6 +260,12 @@ def test_line_direction_random_elements_certify_and_are_unbounded():
             assert operator_norm(el.a + lam * w.direction) >= lam * nb - na
 
 
+def test_line_direction_raises_when_no_candidate_certifies(monkeypatch):
+    monkeypatch.setattr(components, "matpoly_is_zero", lambda q, cfg, scale: (False, 1.0))
+    with pytest.raises(SearchExhausted, match="no candidate direction certified"):
+        line_direction(certify(np.diag([0.0, 1.0]), R01))
+
+
 def test_spectral_floor_from_scalars():
     roots = validate_roots([0, 1, 2])
     for s in range(8):
@@ -270,6 +279,55 @@ def test_spectral_floor_from_scalars():
 
 
 # -- distance scans ------------------------------------------------------------
+
+
+def _sigs(ranks1, ranks2):
+    m = sum(ranks1)
+    return ComponentSignature(ranks1, m), ComponentSignature(ranks2, m)
+
+
+def _pairs(sig1, sig2, roots, self_adjoint, n, seed=21):
+    x = random_elements(sig1, roots, [(seed, k, 0) for k in range(n)], self_adjoint)[0]
+    y = random_elements(sig2, roots, [(seed, k, 1) for k in range(n)], self_adjoint)[0]
+    return np.ascontiguousarray(x), np.ascontiguousarray(y)
+
+
+@pytest.mark.parametrize("ranks1, ranks2, roots, exact", [
+    ((1, 2), (2, 1), (0, 1), 1.0),
+    ((2, 3), (0, 5), (0, 1), 1.0),
+    ((2, 0, 1), (0, 1, 2), (0, 1, 2), 2.0),
+    ((1, 1, 2), (0, 2, 2), (0, 1, 2), 1.0),
+    ((1, 1, 1, 1), (0, 2, 1, 1), (0, 1, 2.5, -1.5), 1.0),
+    ((2, 0, 1, 1), (0, 1, 1, 2), (0, 1, 2.5, -1.5), 1.5),
+])
+def test_self_adjoint_floor_is_the_distance_of_the_sorted_diagonal_models(ranks1, ranks2, roots, exact):
+    sig1, sig2 = _sigs(ranks1, ranks2)
+    roots = validate_roots(list(roots))
+    floor = _distance_floor(sig1, sig2, roots, self_adjoint=True)
+    models = [np.diag(np.sort(np.repeat(np.real(roots.roots), s.ranks))) for s in (sig1, sig2)]
+    assert floor == operator_norm(models[0] - models[1]) == exact
+    # Weyl: no self-adjoint pair of the two components comes closer
+    x, y = _pairs(sig1, sig2, roots, True, 50)
+    assert np.all(floor <= np.linalg.svd(x - y, compute_uv=False)[:, 0] + 1e-12 * (1.0 + floor))
+
+
+@pytest.mark.parametrize("ranks1, ranks2", [((1, 2), (2, 1)), ((2, 3), (4, 1)), ((2, 0), (0, 2)),
+                                            ((3, 0), (1, 2))],
+                         ids=["oblique", "oblique-m5", "central", "one-central"])
+@pytest.mark.parametrize("roots", [(0, 1), (-1.5, 2j)])
+def test_two_root_floor_is_the_root_gap(ranks1, ranks2, roots):
+    sig1, sig2 = _sigs(ranks1, ranks2)
+    roots = validate_roots(list(roots))
+    floor = _distance_floor(sig1, sig2, roots, self_adjoint=False)
+    assert floor == roots.min_gap
+    # x - y = (l_1 - l_2)(p - q), and p - q fixes a unit vector when the ranks differ
+    x, y = _pairs(sig1, sig2, roots, False, 50)  # oblique: condition numbers up to 20
+    assert np.all(floor <= np.linalg.svd(x - y, compute_uv=False)[:, 0] + 1e-12 * (1.0 + floor))
+
+
+@pytest.mark.parametrize("ranks1, ranks2", [((1, 1, 2), (0, 2, 2)), ((2, 0, 1), (0, 1, 2))])
+def test_general_three_root_floor_is_zero(ranks1, ranks2):
+    assert _distance_floor(*_sigs(ranks1, ranks2), validate_roots([0, 1, 2]), self_adjoint=False) == 0.0
 
 
 def test_distance_scan_two_root_floor():
@@ -287,6 +345,16 @@ def test_distance_scan_central_pair():
         ComponentSignature((2, 0), 2), ComponentSignature((0, 2), 2), R01, budget=5, seed=0
     )
     assert abs(rep.best_distance - 1.0) <= 1e-12
+
+
+def test_distance_scan_central_pair_on_shifted_roots_stays_on_the_floor():
+    # conjugating 1e6 * I moves it by round-off of about 1e6 * eps, far more
+    # than the decrease a step must gain at distance 1; a restart that starts
+    # on the floor takes no step, so none of that drift reaches the report
+    roots = validate_roots([1e6, 1e6 + 1])
+    rep = distance_scan(ComponentSignature((2, 0), 2), ComponentSignature((0, 2), 2), roots, budget=5, seed=0)
+    assert rep.best_distance == 1.0
+    np.testing.assert_array_equal(rep.witness[0].a, 1e6 * np.eye(2))
 
 
 def test_distance_scan_explicit_pair_distance_is_exactly_one():
@@ -437,7 +505,7 @@ def test_scan_block_is_bit_identical_to_per_restart_descent(ranks1, ranks2, root
 def test_scan_chunks_that_do_not_divide_the_steps_are_bit_identical(ranks1, ranks2, roots, self_adjoint,
                                                                      iters, monkeypatch):
     # chunks of 7 divide neither 200 nor 60: the central and self-adjoint
-    # restarts fail every step and freeze after step 38, in the middle of a
+    # restarts start on the proven floor and stop at entry, before the first
     # chunk; the general ones are still live in the partial last chunk of 60
     monkeypatch.setattr(components, "_SCAN_CHUNK", 7)
     monkeypatch.setattr(components, "_SCAN_ITERS", iters)
@@ -472,6 +540,88 @@ def test_scan_draws_perturbations_only_while_a_restart_is_live(iters, monkeypatc
     # one chunk per restart still live where the chunk starts, the last one partial
     assert draws == [(min(chunk, iters - t), 2, m, m)
                      for t in range(0, iters, chunk) for k in range(n) if steps[k] > t]
+
+
+# shapes whose every restart starts on the proven floor of its distance
+FLOOR_SHAPES = [((1, 2), (2, 1), (0, 1), True), ((2, 0, 1), (0, 1, 2), (0, 1, 2), True),
+                ((2, 0), (0, 2), (0, 1), False)]
+FLOOR_IDS = ["m3-self-adjoint", "m3-three-roots-self-adjoint", "m2-central"]
+
+
+@pytest.mark.parametrize("ranks1, ranks2, roots, self_adjoint", FLOOR_SHAPES, ids=FLOOR_IDS)
+def test_restarts_on_the_floor_accept_no_step(ranks1, ranks2, roots, self_adjoint):
+    # the scan stops these restarts at entry; the unfrozen reference descent,
+    # run in full from the same pairs and streams, moves none of them
+    sig1, sig2 = _sigs(ranks1, ranks2)
+    roots = validate_roots(list(roots))
+    floor = _distance_floor(sig1, sig2, roots, self_adjoint)
+    x, y = _pairs(sig1, sig2, roots, self_adjoint, 100, seed=11)
+    for k in range(100):
+        start = operator_norm(x[k] - y[k])
+        assert start - 1e-13 * (1.0 + start) <= floor
+        dist, xk, yk = _reference_descend(x[k], y[k], rng_from(11, k, 2), self_adjoint)
+        assert dist == start
+        np.testing.assert_array_equal(xk, x[k])
+        np.testing.assert_array_equal(yk, y[k])
+
+
+@pytest.mark.parametrize("ranks1, ranks2, roots, self_adjoint", FLOOR_SHAPES, ids=FLOOR_IDS)
+def test_scan_block_on_the_floor_takes_one_svd_and_draws_nothing(ranks1, ranks2, roots, self_adjoint,
+                                                                   monkeypatch):
+    sig1, sig2 = _sigs(ranks1, ranks2)
+    roots = validate_roots(list(roots))
+    want = _block(range(20), sig1, sig2, roots, self_adjoint)
+    # sample outside the count: hand the block the pairs it samples itself
+    pairs = dict(zip((sig1, sig2), _pairs(sig1, sig2, roots, self_adjoint, 20, seed=11)))
+    monkeypatch.setattr(components, "random_elements", lambda sig, *args: (pairs[sig], None, None))
+    built, draws, calls = [], [], []
+    monkeypatch.setattr(components, "rng_from",
+                        lambda *key: built.append(key) or _CountedDraws(rng_from(*key), draws))
+    for name in ("svd", "solve"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, _fn=fn, _name=name, **kw: calls.append(_name) or _fn(*a, **kw))
+    dist, x, y = _block(range(20), sig1, sig2, roots, self_adjoint)
+    assert calls == ["svd"] and built == [] and draws == []
+    for got, ref in zip((dist, x, y), want):
+        np.testing.assert_array_equal(got, ref)
+
+
+def test_scan_block_mixing_restarts_on_and_above_the_floor_matches_the_reference(monkeypatch):
+    # general {0,1} (1,2)/(2,1) with the pairs of restarts 1 and 3 replaced by
+    # the diagonal models, which sit on the floor: those two stop at entry and
+    # never build a generator, the others descend exactly as before
+    sig1, sig2 = _sigs((1, 2), (2, 1))
+    models = {sig1: np.diag([0.0, 1.0, 1.0]), sig2: np.diag([0.0, 0.0, 1.0])}
+    sample = components.random_elements
+
+    def sampled(sig, *args):
+        a, res, sa = sample(sig, *args)
+        a = a.copy()
+        a[[1, 3]] = models[sig]
+        return a, res, sa
+
+    monkeypatch.setattr(components, "random_elements", sampled)
+    built = []
+    monkeypatch.setattr(components, "rng_from", lambda *key: built.append(key) or rng_from(*key))
+    dist, x, y = _block(range(5), sig1, sig2, R01, False)
+    assert built == [(11, k, 2) for k in (0, 2, 4)]
+    for k in range(5):
+        if k in (1, 3):
+            assert dist[k] == 1.0
+            np.testing.assert_array_equal(x[k], models[sig1])
+            np.testing.assert_array_equal(y[k], models[sig2])
+        else:
+            ref = _reference_restart(k, 11, sig1, sig2, R01, False)
+            assert dist[k] == ref[0]
+            np.testing.assert_array_equal(x[k], ref[1])
+            np.testing.assert_array_equal(y[k], ref[2])
+
+
+def test_scan_block_above_the_floor_builds_a_generator_per_restart(monkeypatch):
+    built = []
+    monkeypatch.setattr(components, "rng_from", lambda *key: built.append(key) or rng_from(*key))
+    _block(range(8), *_sigs((1, 2), (2, 1)), R01, False)
+    assert built == [(11, k, 2) for k in range(8)]
 
 
 @pytest.mark.parametrize("ranks1, ranks2, roots, blocks",
