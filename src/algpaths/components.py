@@ -256,13 +256,17 @@ def _scan_block(ks, seed, sig1, sig2, roots, self_adjoint, cond_bound):
     endpoint at a time (``x`` on even steps, ``y`` on odd ones).  Conjugation keeps each
     endpoint exactly on its component, so there is no projection step; a
     restart halves its step size whenever a move does not improve its
-    distance and stops once the step collapses, or at entry when it starts
-    on the proven floor :func:`_distance_floor`.  Perturbations are drawn
-    ``_SCAN_CHUNK`` steps at a time, by the restarts still live, into one
+    distance and stops once the step collapses, at entry when it starts on
+    the proven floor :func:`_distance_floor`, or as soon as a proven lower
+    bound on every distance its remaining steps can reach lies above the
+    block's best distance so far.  Perturbations are drawn ``_SCAN_CHUNK``
+    steps at a time, by the restarts still live, into one
     ``(B, _SCAN_CHUNK, m, m)`` buffer; the generator's stream does not depend
     on how its draws are chunked.  The stacked linear algebra works matrix by
-    matrix, so restart ``k`` comes out bit-identical however the restarts are
-    grouped into blocks.
+    matrix, so every row is bit for bit a state of its restart's own descent,
+    and the block's ``(distance, index)`` minimum, which is never pruned, is
+    the same however the restarts are grouped into blocks.  A pruned
+    restart's row is where it stopped, not where the unpruned descent ends.
 
     Returns the distances ``(B,)`` and the endpoints ``x`` and ``y``
     ``(B, m, m)``, row ``j`` belonging to restart ``ks[j]``.
@@ -278,7 +282,7 @@ def _scan_block(ks, seed, sig1, sig2, roots, self_adjoint, cond_bound):
     x, y = sample(sig1, 0), sample(sig2, 1)
     z = np.ones((n, _SCAN_CHUNK, m, m), dtype=complex)  # finite in rows never drawn into
 
-    eye = np.eye(m, dtype=complex)
+    eye, diag = np.eye(m, dtype=complex), np.arange(m)
     dist = np.linalg.svd(x - y, compute_uv=False)[:, 0]
     # a restart that starts on the proven floor could only accept a candidate
     # below it, i.e. round-off, which the genuine-decrease rule below refuses,
@@ -324,6 +328,37 @@ def _scan_block(ks, seed, sig1, sig2, roots, self_adjoint, cond_bound):
         dist[live[better]] = cand[better]
         (x if it % 2 == 0 else y)[live[better]] = moved[better]
         delta[live[~better]] *= 0.5
+        # Prune.  A later move conjugates an endpoint e by some g with
+        # ||g - 1|| <= delta (1 + delta z with ||z||_F = 1, or the Cayley
+        # transform of an h with ||h|| <= 1), and delta never grows.  For
+        # every scalar c the move shifts e by at most q ||e - c|| and multiplies
+        # ||e - c|| by at most 1 + q, where q = 2 delta / (1 - delta).  With
+        # c = tr e / m and s the larger ||e - c||_F of the two endpoints, no
+        # distance within the `left` remaining steps lies below
+        #     dist - left q (1 + q)^left (s + margin) - margin.
+        # `margin` covers round-off, which scales with the unshifted endpoints,
+        # ||e||_F <= ||e - c||_F + sqrt(m) |c|.  A conjugation (products and a
+        # solve by a matrix of condition at most 5/3) errs by about
+        # 64 m eps ||e||_F, and no endpoint grows past 4 (||x||_F + ||y||_F)
+        # while the bound is positive, so 200 steps and the SVDs err by under
+        # 4e-10 (||x||_F + ||y||_F) at m = 32, a 25th of the margin.  Round-off
+        # that enters ||e - c|| grows like s, hence s + margin.  A restart
+        # whose bound lies above the block's current minimum, never below its
+        # final one, cannot be the scan's (distance, index) minimum: it stops.
+        left = _SCAN_ITERS - it - 1
+        q = 2.0 * delta[live] / (1.0 - delta[live])
+        power = left * np.log1p(q)
+        near = power <= 50.0  # (1 + q)^left at most e^50: no overflow
+        if near.any():
+            rows = live[near]
+            e = np.stack((x[rows], y[rows]))  # (2, n, m, m)
+            c = np.trace(e, axis1=-2, axis2=-1) / m
+            e[..., diag, diag] -= c[..., None]
+            centred = np.linalg.norm(e, axis=(-2, -1))
+            margin = 1e-8 * (1.0 + (centred + np.sqrt(m) * np.abs(c)).sum(axis=0))
+            s = centred.max(axis=0) + margin
+            reach = dist[rows] - left * q[near] * np.exp(power[near]) * s - margin
+            delta[rows[reach > dist.min()]] = 0.0
     return dist, x, y
 
 
@@ -351,8 +386,10 @@ def distance_scan(
     bounded by the dimension whatever the budget.  A block samples its pairs
     on stacked arrays, one :func:`random_elements` call per signature, and
     every sampled element is certified.  ``workers > 1`` splits the restarts
-    into at least that many blocks and maps them over that many processes;
-    every restart comes out bit-identical, so the report does not change.
+    into at least that many blocks and maps them over that many processes.
+    A block stops a restart once it provably cannot reach the block's best
+    distance; the best restart comes out bit-identical, so the report does
+    not change.
     """
     if sig1 == sig2:
         raise BadSignature("distance scan needs two distinct signatures")

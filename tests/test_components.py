@@ -42,6 +42,7 @@ from algpaths.errors import (
 )
 from algpaths.matkernel import operator_norm
 from algpaths.seeding import rng_from
+from algpaths.serialize import scan_report_to_json
 
 R01 = validate_roots([0, 1])
 UPPER = np.array([[0, 1], [0, 1]], dtype=complex)
@@ -404,14 +405,16 @@ def test_distance_scan_preconditions():
 
 # The per-restart descent the lockstep scan replaced, kept as the reference it
 # must reproduce bit for bit: one matrix at a time, perturbations drawn as the
-# descent goes.
+# descent goes, no pruning.  ``trail`` collects the state after every step.
 
 
-def _reference_descend(x, y, rng, self_adjoint, inner_iters=200, delta0=0.25):
+def _reference_descend(x, y, rng, self_adjoint, inner_iters=200, delta0=0.25, trail=None):
     m = x.shape[0]
     eye = np.eye(m, dtype=complex)
     dist = operator_norm(x - y)
     delta = delta0
+    if trail is not None:
+        trail.append((dist, x, y))
     for it in range(inner_iters):
         if delta < 1e-12:
             break
@@ -438,14 +441,45 @@ def _reference_descend(x, y, rng, self_adjoint, inner_iters=200, delta0=0.25):
                 y = moved
         else:
             delta *= 0.5
+        if trail is not None:
+            trail.append((dist, x, y))
     return dist, x, y
 
 
-def _reference_restart(k, seed, sig1, sig2, roots, self_adjoint, inner_iters=200, rng=None):
-    x = reference.random_element(sig1.ranks, roots, (seed, k, 0), self_adjoint=self_adjoint)
-    y = reference.random_element(sig2.ranks, roots, (seed, k, 1), self_adjoint=self_adjoint)
-    rng = rng_from(seed, k, 2) if rng is None else rng
-    return _reference_descend(x.a, y.a, rng, self_adjoint, inner_iters)
+def _reference_trails(ks, sig1, sig2, roots, self_adjoint, inner_iters=200, seed=11):
+    """Restart ``k``'s states along its reference descent, from its start to its end."""
+    trails = {k: [] for k in ks}
+    for k in ks:
+        x = reference.random_element(sig1.ranks, roots, (seed, k, 0), self_adjoint=self_adjoint)
+        y = reference.random_element(sig2.ranks, roots, (seed, k, 1), self_adjoint=self_adjoint)
+        _reference_descend(x.a, y.a, rng_from(seed, k, 2), self_adjoint, inner_iters, trail=trails[k])
+    return trails
+
+
+def _assert_block_follows_the_reference(block, ks, trails):
+    """Check a block's rows against the reference descents; return the restarts it pruned.
+
+    Row ``j`` is bit for bit a state that restart ``ks[j]``'s reference
+    descent passes through: its end for the block's (distance, index) winner
+    and for every restart the block did not prune.  A pruned restart stopped
+    early, which is sound only if the reference ends strictly above the
+    block's best; it ends at most at the distance the block returned.
+    """
+    dist, x, y = block
+    best = min(range(len(ks)), key=lambda j: (dist[j], ks[j]))
+    pruned = []
+    for j, k in enumerate(ks):
+        # a descent's distance falls strictly at every move, so it names the state
+        states = [state for state in trails[k] if state[0] == dist[j]]
+        assert states, f"restart {k} left its descent"
+        np.testing.assert_array_equal(x[j], states[0][1])
+        np.testing.assert_array_equal(y[j], states[0][2])
+        end = trails[k][-1][0]
+        if dist[j] != end:
+            pruned.append(k)
+            assert j != best
+            assert end > dist[best] and dist[j] >= end
+    return pruned
 
 
 class _CountedDraws:
@@ -481,14 +515,12 @@ def test_scan_block_is_bit_identical_to_per_restart_descent(ranks1, ranks2, root
     sig1, sig2 = ComponentSignature(ranks1, m), ComponentSignature(ranks2, m)
     roots = validate_roots(list(roots))
     budget = 7
-    ref = [_reference_restart(k, 11, sig1, sig2, roots, self_adjoint) for k in range(budget)]
-    dist, x, y = _block(range(budget), sig1, sig2, roots, self_adjoint)
-    for k, (d, xa, ya) in enumerate(ref):
-        assert dist[k] == d
-        np.testing.assert_array_equal(x[k], xa)
-        np.testing.assert_array_equal(y[k], ya)
+    trails = _reference_trails(range(budget), sig1, sig2, roots, self_adjoint)
+    _assert_block_follows_the_reference(_block(range(budget), sig1, sig2, roots, self_adjoint),
+                                        range(budget), trails)
 
     # blocks of one, two and three restarts, the last one partial: same best restart
+    ref = [trails[k][-1] for k in range(budget)]
     best = min(range(budget), key=lambda k: (ref[k][0], k))
     for size in (1, 2, 3):
         monkeypatch.setattr(components, "_SCAN_BLOCK_BYTES", size * components._SCAN_CHUNK * m * m * 16)
@@ -506,19 +538,31 @@ def test_scan_chunks_that_do_not_divide_the_steps_are_bit_identical(ranks1, rank
                                                                      iters, monkeypatch):
     # chunks of 7 divide neither 200 nor 60: the central and self-adjoint
     # restarts start on the proven floor and stop at entry, before the first
-    # chunk; the general ones are still live in the partial last chunk of 60
+    # chunk; the general winner is still live in the partial last chunk of 60,
+    # after the bound has stopped the other general restarts
     monkeypatch.setattr(components, "_SCAN_CHUNK", 7)
     monkeypatch.setattr(components, "_SCAN_ITERS", iters)
     m = sum(ranks1)
     sig1, sig2 = ComponentSignature(ranks1, m), ComponentSignature(ranks2, m)
     roots = validate_roots(list(roots))
-    ref = [_reference_restart(k, 11, sig1, sig2, roots, self_adjoint, iters) for k in range(5)]
+    trails = _reference_trails(range(5), sig1, sig2, roots, self_adjoint, iters)
     for ks in (range(5), [3, 1]):
-        dist, x, y = _block(ks, sig1, sig2, roots, self_adjoint)
-        for j, k in enumerate(ks):
-            assert dist[j] == ref[k][0]
-            np.testing.assert_array_equal(x[j], ref[k][1])
-            np.testing.assert_array_equal(y[j], ref[k][2])
+        _assert_block_follows_the_reference(_block(ks, sig1, sig2, roots, self_adjoint), ks, trails)
+
+
+def _block_and_svd_rows(n, sig1, sig2, roots, seed, monkeypatch):
+    """A general block of restarts ``0..n-1`` and the rows of each SVD it takes.
+
+    The pairs are sampled outside the count; ``monkeypatch`` is undone afterwards.
+    """
+    pairs = dict(zip((sig1, sig2), _pairs(sig1, sig2, roots, False, n, seed=seed)))
+    monkeypatch.setattr(components, "random_elements", lambda sig, *args: (pairs[sig], None, None))
+    rows = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: rows.append(len(a)) or svd(a, **kw))
+    block = _block(range(n), sig1, sig2, roots, False, seed=seed)
+    monkeypatch.undo()
+    return block, rows
 
 
 @pytest.mark.parametrize("iters", [200, 60])
@@ -527,19 +571,44 @@ def test_scan_draws_perturbations_only_while_a_restart_is_live(iters, monkeypatc
     monkeypatch.setattr(components, "_SCAN_CHUNK", chunk)
     monkeypatch.setattr(components, "_SCAN_ITERS", iters)
     sig1, sig2 = ComponentSignature((1, 2), m), ComponentSignature((2, 1), m)
-    # the steps each restart runs: the reference descent draws twice per step
-    steps = []
-    for k in range(n):
-        log = []
-        _reference_restart(k, 11, sig1, sig2, R01, False, iters, _CountedDraws(rng_from(11, k, 2), log))
-        steps.append(len(log) // 2)
+    # the steps each restart runs unpruned: its trail holds its start and one state per step
+    trails = _reference_trails(range(n), sig1, sig2, R01, False, iters)
+    steps = [len(trails[k]) - 1 for k in range(n)]
     assert len(set(steps)) > 1  # the restarts freeze at different steps (58 to 81)
-    draws = []
-    monkeypatch.setattr(components, "rng_from", lambda *key: _CountedDraws(rng_from(*key), draws))
-    _block(range(n), sig1, sig2, R01, False)
-    # one chunk per restart still live where the chunk starts, the last one partial
-    assert draws == [(min(chunk, iters - t), 2, m, m)
-                     for t in range(0, iters, chunk) for k in range(n) if steps[k] > t]
+    # the block's live set at each step: the rows of that step's SVD, after
+    # the one of the starting distances
+    draws = {k: [] for k in range(n)}
+    monkeypatch.setattr(components, "rng_from", lambda *key: _CountedDraws(rng_from(*key), draws[key[1]]))
+    block, rows = _block_and_svd_rows(n, sig1, sig2, R01, 11, monkeypatch)
+    pruned = _assert_block_follows_the_reference(block, range(n), trails)
+    assert pruned  # the bound stops some restarts before their step collapses
+    live = rows[1:]
+    assert rows[0] == n and len(live) <= iters
+    chunks = range(0, len(live), chunk)
+    # restart k draws one chunk, the last one partial, at each chunk start
+    # before it leaves the live set, and no more than its unpruned descent
+    for k in range(n):
+        assert draws[k] == [(min(chunk, iters - t), 2, m, m) for t in range(0, chunk * len(draws[k]), chunk)]
+        unpruned = -(-steps[k] // chunk)
+        assert len(draws[k]) <= unpruned and (k in pruned or len(draws[k]) == unpruned)
+    # exactly the restarts live where a chunk starts draw it
+    assert [sum(len(draws[k]) > c for k in range(n)) for c in range(len(chunks))] == [live[t] for t in chunks]
+
+
+@pytest.mark.parametrize("ranks1, ranks2, roots", [((1, 2), (2, 1), (0, 1)), ((1, 1, 2), (0, 2, 2), (0, 1, 2))],
+                         ids=["m3", "m4-three-roots"])
+def test_scan_block_prunes_most_of_the_unpruned_descent(ranks1, ranks2, roots, monkeypatch):
+    # the scan benchmark's two general shapes at its budget: the block hands
+    # np.linalg.svd at most 40% of the rows the unpruned descents take, one for
+    # each start and each step (24% with numpy 2.4); the slack is for other
+    # BLAS builds, whose round-off moves the steps a little
+    sig1, sig2 = _sigs(ranks1, ranks2)
+    roots = validate_roots(list(roots))
+    n = 200
+    trails = _reference_trails(range(n), sig1, sig2, roots, False, seed=0)
+    block, rows = _block_and_svd_rows(n, sig1, sig2, roots, 0, monkeypatch)
+    assert _assert_block_follows_the_reference(block, range(n), trails)  # the winner is never pruned
+    assert sum(rows) <= 0.4 * sum(len(trail) for trail in trails.values())
 
 
 # shapes whose every restart starts on the proven floor of its distance
@@ -603,18 +672,14 @@ def test_scan_block_mixing_restarts_on_and_above_the_floor_matches_the_reference
     monkeypatch.setattr(components, "random_elements", sampled)
     built = []
     monkeypatch.setattr(components, "rng_from", lambda *key: built.append(key) or rng_from(*key))
-    dist, x, y = _block(range(5), sig1, sig2, R01, False)
+    block = _block(range(5), sig1, sig2, R01, False)
     assert built == [(11, k, 2) for k in (0, 2, 4)]
-    for k in range(5):
-        if k in (1, 3):
-            assert dist[k] == 1.0
-            np.testing.assert_array_equal(x[k], models[sig1])
-            np.testing.assert_array_equal(y[k], models[sig2])
-        else:
-            ref = _reference_restart(k, 11, sig1, sig2, R01, False)
-            assert dist[k] == ref[0]
-            np.testing.assert_array_equal(x[k], ref[1])
-            np.testing.assert_array_equal(y[k], ref[2])
+    trails = _reference_trails((0, 2, 4), sig1, sig2, R01, False)
+    for k in (1, 3):
+        trails[k] = [(1.0, models[sig1], models[sig2])]
+    # restart 1 holds the floor from the start, so the others stop as soon as
+    # their bound clears it, each at a state of its own descent
+    assert _assert_block_follows_the_reference(block, range(5), trails) == [0, 2, 4]
 
 
 def test_scan_block_above_the_floor_builds_a_generator_per_restart(monkeypatch):
@@ -658,25 +723,37 @@ def test_scan_pool_gets_a_block_per_worker(workers, sizes, monkeypatch):
             mapped.extend(len(ks) for ks in blocks)
             return map(fn, blocks)
 
-    mapped = []
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    sig1, sig2 = ComponentSignature((1, 1), 2), ComponentSignature((0, 2), 2)
-    pooled = distance_scan(sig1, sig2, R01, budget=200, seed=4, workers=workers)
-    assert mapped == sizes
-    serial = distance_scan(sig1, sig2, R01, budget=200, seed=4)
-    assert pooled.best_distance == serial.best_distance
-    np.testing.assert_array_equal(pooled.witness[0].a, serial.witness[0].a)
+    # central (1,1)/(0,2): every restart stops at entry; general (1,2)/(2,1):
+    # the restarts descend, and each block prunes against its own best
+    for ranks1, ranks2 in (((1, 1), (0, 2)), ((1, 2), (2, 1))):
+        sig1, sig2 = _sigs(ranks1, ranks2)
+        mapped = []
+        pooled = distance_scan(sig1, sig2, R01, budget=200, seed=4, workers=workers)
+        assert mapped == sizes
+        serial = distance_scan(sig1, sig2, R01, budget=200, seed=4)
+        assert scan_report_to_json(pooled) == scan_report_to_json(serial)
 
 
 def test_scan_restart_ignores_block_boundaries_and_budget():
+    # a block prunes against its own best, so where a pruned restart stops
+    # depends on its company; every row stays a state of its own descent, and
+    # the restarts split over blocks elect the whole block's winner
     sig1, sig2 = ComponentSignature((1, 2), 3), ComponentSignature((2, 1), 3)
-    whole = _block(range(9), sig1, sig2, R01, False)
-    for ks in (range(0, 4), range(4, 9), range(6, 8), [8, 2, 5]):
-        part = _block(ks, sig1, sig2, R01, False)
-        for j, k in enumerate(ks):
-            assert part[0][j] == whole[0][k]
-            np.testing.assert_array_equal(part[1][j], whole[1][k])
-            np.testing.assert_array_equal(part[2][j], whole[2][k])
+    trails = _reference_trails(range(9), sig1, sig2, R01, False)
+
+    def winner(blocks):
+        return min(((d, k, xk, yk) for ks, (ds, x, y) in blocks for d, k, xk, yk in zip(ds, ks, x, y)),
+                   key=lambda row: row[:2])
+
+    groups = (range(9), range(0, 4), range(4, 9), range(6, 8), [8, 2, 5])
+    blocks = [(ks, _block(ks, sig1, sig2, R01, False)) for ks in groups]
+    for ks, block in blocks:
+        _assert_block_follows_the_reference(block, ks, trails)
+    whole, split = winner(blocks[:1]), winner(blocks[1:3])
+    assert split[:2] == whole[:2]
+    np.testing.assert_array_equal(split[2], whole[2])
+    np.testing.assert_array_equal(split[3], whole[3])
 
 
 @pytest.mark.parametrize("ranks1, ranks2, self_adjoint, sampled",

@@ -290,6 +290,13 @@ def test_oblique_swap_pairs_without_an_invertible_similarity(k):
             connect(a, b)
 
 
+def test_log_positive_refuses_a_non_positive_eigenvalue():
+    # the polar factor of an invertible matrix is positive definite, so no
+    # constructor hands this one an indefinite matrix
+    with pytest.raises(FactorizationFailed, match=r"eigenvalue -1\.000e\+00"):
+        paths._log_positive(np.diag([1.0, -1.0]).astype(complex))
+
+
 def test_polygonal_two_segments_for_close_idempotent_pairs():
     for s in range(12):
         rng = rng_from(s, 18)
@@ -352,6 +359,14 @@ def test_mindeg_hermitian_constrained_antipodal_fails():
     found = min_degree_search(a, b, d_max=3, budget=8, seed=0, self_adjoint=True, min_motion=0.1)
     assert not found.succeeded
     assert min(found.residual_by_degree.values()) >= 1e-3
+
+
+def test_mindeg_degree_whose_candidates_all_move_too_little_reads_infinite():
+    # the degree-1 candidate (a, b - a) moves by ||b - a||_F = sqrt(2) < min_motion
+    a, b = certify(E, R01), certify(F_SWAP, R01)
+    found = min_degree_search(a, b, d_max=1, budget=1, seed=0, self_adjoint=True, min_motion=2.0)
+    assert found.residual_by_degree == {1: np.inf}
+    assert found.path is None
 
 
 def test_mindeg_reports_residual_curve():
