@@ -28,7 +28,7 @@ from .errors import (
     ResolutionResidualExceeded,
 )
 from .matkernel import ToleranceConfig, as_matrix, identity_like, operator_norms, poly_from_roots
-from .seeding import conditioned_invertible, haar_unitary, rng_from
+from .seeding import conditioned_invertible, haar_unitary, rngs_from
 
 __all__ = [
     "RootSystem",
@@ -324,8 +324,9 @@ def random_elements(
 
     Conjugates the diagonal model (root ``l_i`` repeated ``sig[i]`` times) by
     a random similarity with bounded condition number, or by a random unitary
-    in the self-adjoint case.  Element ``j`` draws from its own generator
-    ``rng_from(seeds[j])`` alone, so it is bit-identical whichever seeds share
+    in the self-adjoint case.  The generators come from one ``rngs_from(seeds)``
+    batch, and element ``j`` draws from its own, bit for bit
+    ``rng_from(seeds[j])``, alone, so it is bit-identical whichever seeds share
     its stack; the factoring and the certificate then run on the whole stack
     ``(N, m, m)`` at once.  A signature with a single present root gives that
     root times the identity for every seed.
@@ -349,7 +350,7 @@ def random_elements(
         return (a, *_certify_stack(a, roots, cfg))
 
     diag = np.repeat(np.array(roots.roots, dtype=complex), ranks)
-    rngs = [rng_from(seed) for seed in seeds]
+    rngs = rngs_from(seeds)
     if self_adjoint:
         u = haar_unitary(m, rngs)
         a = (u * diag) @ u.conj().swapaxes(-1, -2)

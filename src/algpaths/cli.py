@@ -321,6 +321,12 @@ def _cmd_suite(ns) -> int:
 # -- wiring ---------------------------------------------------------------------
 
 
+def _add_roots(p: argparse.ArgumentParser, required=False, help="comma-separated roots, e.g. '0,1' or '1+1j,-1'"):
+    # argparse reads a value that starts with '-' as a flag: "--roots -1,1" is a usage error
+    p.add_argument("--roots", type=_roots_flag, required=required, default=None,
+                   help=f"{help}; a list that starts with a minus sign takes '=', as in --roots=-1,1")
+
+
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--tol", type=_tolerance, default=None, help="residual tolerance override")
     p.add_argument("--rank-tol", type=_tolerance, default=None, help="relative rank threshold override")
@@ -336,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="draw a random certified element")
-    p.add_argument("--roots", type=_roots_flag, required=True, help="comma-separated roots, e.g. '0,1' or '1+1j,-1'")
+    _add_roots(p, required=True)
     p.add_argument("--sig", type=_sig_flag, required=True, help="rank per root, e.g. '1,2'")
     p.add_argument("--seed", type=_non_negative, required=True)
     p.add_argument("--self-adjoint", action="store_true")
@@ -346,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="spectral idempotents of an element")
     p.add_argument("--a", required=True, help="element or matrix JSON file")
-    p.add_argument("--roots", type=_roots_flag, default=None, help="roots (required for bare matrix files)")
+    _add_roots(p, help="roots (required for bare matrix files)")
     _add_common(p)
     p.set_defaults(func=_cmd_decompose)
 
@@ -355,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True)
     p.add_argument("--method", required=True,
                    choices=["exp-local", "exp-global", "polygonal", "poly", "selfadjoint"])
-    p.add_argument("--roots", type=_roots_flag, default=None)
+    _add_roots(p)
     p.add_argument("--seed", type=_non_negative, default=0)
     p.add_argument("--dmax", type=_positive, default=3, help="max degree for --method poly, >= 1")
     p.add_argument("--budget", type=_positive, default=32, help="restarts for --method poly, >= 1")
@@ -366,18 +372,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="re-certify a serialized path")
     p.add_argument("--path", required=True, help="path JSON file (or a connect report)")
-    p.add_argument("--roots", type=_roots_flag, default=None, help="required for polynomial paths")
+    _add_roots(p, help="roots (required for polynomial paths)")
     _add_common(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("line", help="complex-line direction through a non-central element")
     p.add_argument("--a", required=True)
-    p.add_argument("--roots", type=_roots_flag, default=None)
+    _add_roots(p)
     _add_common(p)
     p.set_defaults(func=_cmd_line)
 
     p = sub.add_parser("distance", help="randomized distance scan between two components")
-    p.add_argument("--roots", type=_roots_flag, required=True)
+    _add_roots(p, required=True)
     p.add_argument("--sig", type=_sig_flag, required=True)
     p.add_argument("--sig2", type=_sig_flag, required=True)
     p.add_argument("--seed", type=_non_negative, required=True)
@@ -393,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mindeg", help="minimum-degree polynomial path search")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--roots", type=_roots_flag, default=None)
+    _add_roots(p)
     p.add_argument("--dmax", type=_positive, default=3, help="max degree, >= 1")
     p.add_argument("--budget", type=_positive, default=32, help="restarts per degree, >= 1")
     p.add_argument("--seed", type=_non_negative, required=True)

@@ -26,7 +26,7 @@ from .matkernel import (
     matpoly_is_zero,
     operator_norm,
 )
-from .seeding import rng_from
+from .seeding import rngs_from
 
 __all__ = [
     "ComponentSignature",
@@ -252,7 +252,8 @@ def _scan_block(ks, seed, sig1, sig2, roots, self_adjoint, cond_bound):
     Restart ``k`` samples its pair from the seeds ``(seed, k, 0)`` and
     ``(seed, k, 1)`` (one stacked :func:`random_elements` call per signature
     for the whole block) and its perturbations from the stream
-    ``(seed, k, 2)``, then descends ``||x - y||`` greedily by conjugating one
+    ``(seed, k, 2)`` (one :func:`rngs_from` batch for the restarts that do not
+    stop at entry), then descends ``||x - y||`` greedily by conjugating one
     endpoint at a time (``x`` on even steps, ``y`` on odd ones).  Conjugation keeps each
     endpoint exactly on its component, so there is no projection step; a
     restart halves its step size whenever a move does not improve its
@@ -289,7 +290,8 @@ def _scan_block(ks, seed, sig1, sig2, roots, self_adjoint, cond_bound):
     # so it stops before its first step and builds no generator
     floor = _distance_floor(sig1, sig2, roots, self_adjoint)
     delta = np.where(dist - 1e-13 * (1.0 + dist) <= floor, 0.0, 0.25)
-    rngs = {j: rng_from(seed, k, 2) for j, k in enumerate(ks) if delta[j] > 0.0}
+    live = np.flatnonzero(delta)
+    rngs = dict(zip(live, rngs_from([(seed, ks[j], 2) for j in live]))) if live.size else {}
     for it in range(_SCAN_ITERS):
         live = np.flatnonzero(delta >= 1e-12)
         if live.size == 0:

@@ -270,6 +270,19 @@ def test_malformed_roots_are_a_usage_error(tmp_path, proj_pair, capsys, bad):
         assert "argument --roots" in capsys.readouterr().err
 
 
+def test_roots_starting_with_a_minus_sign_take_the_equals_form(capsys):
+    # argparse reads "-1,1" after a space as a flag, so "--roots -1,1" has no
+    # value: a usage error, as the help text and the README say
+    args = ["--sig", "1,1", "--seed", "0"]
+    with pytest.raises(SystemExit) as err:
+        main(["sample", "--roots", "-1,1"] + args)
+    assert err.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "argument --roots: expected one argument" in captured.err and "Traceback" not in captured.err
+    assert main(["sample", "--roots=-1,1"] + args) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["roots"] == "-1,1"
+
+
 @pytest.mark.parametrize("bad", ["1,x", "", "1,,2", "1.5,1"])
 def test_malformed_signatures_are_a_usage_error(tmp_path, capsys, bad):
     cfgfile = _write(tmp_path / "cfg.json", {"sig2": bad})

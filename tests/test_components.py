@@ -7,7 +7,7 @@ import pytest
 
 import resolution_reference
 import sampler_reference as reference
-from algpaths import components
+from algpaths import algebraic, components
 from algpaths.algebraic import (
     AlgebraicElement,
     PartitionOfUnity,
@@ -41,7 +41,7 @@ from algpaths.errors import (
     SearchExhausted,
 )
 from algpaths.matkernel import operator_norm
-from algpaths.seeding import rng_from
+from algpaths.seeding import rng_from, rngs_from
 from algpaths.serialize import scan_report_to_json
 
 R01 = validate_roots([0, 1])
@@ -493,6 +493,19 @@ class _CountedDraws:
         return self.rng.standard_normal(shape)
 
 
+def _watch_streams(monkeypatch, built, log=None):
+    """Record the key of every perturbation stream the scan builds in ``built``.
+
+    With ``log``, stream ``key`` is a :class:`_CountedDraws` appending to ``log(key)``.
+    """
+    def batch(keys):
+        built.extend(keys)
+        rngs = rngs_from(keys)
+        return rngs if log is None else [_CountedDraws(rng, log(key)) for key, rng in zip(keys, rngs)]
+
+    monkeypatch.setattr(components, "rngs_from", batch)
+
+
 SCAN_SHAPES = [
     ((1, 2), (2, 1), (0, 1), True),
     ((1, 2), (2, 1), (0, 1), False),
@@ -578,7 +591,7 @@ def test_scan_draws_perturbations_only_while_a_restart_is_live(iters, monkeypatc
     # the block's live set at each step: the rows of that step's SVD, after
     # the one of the starting distances
     draws = {k: [] for k in range(n)}
-    monkeypatch.setattr(components, "rng_from", lambda *key: _CountedDraws(rng_from(*key), draws[key[1]]))
+    _watch_streams(monkeypatch, [], lambda key: draws[key[1]])
     block, rows = _block_and_svd_rows(n, sig1, sig2, R01, 11, monkeypatch)
     pruned = _assert_block_follows_the_reference(block, range(n), trails)
     assert pruned  # the bound stops some restarts before their step collapses
@@ -644,8 +657,7 @@ def test_scan_block_on_the_floor_takes_one_svd_and_draws_nothing(ranks1, ranks2,
     pairs = dict(zip((sig1, sig2), _pairs(sig1, sig2, roots, self_adjoint, 20, seed=11)))
     monkeypatch.setattr(components, "random_elements", lambda sig, *args: (pairs[sig], None, None))
     built, draws, calls = [], [], []
-    monkeypatch.setattr(components, "rng_from",
-                        lambda *key: built.append(key) or _CountedDraws(rng_from(*key), draws))
+    _watch_streams(monkeypatch, built, lambda key: draws)
     for name in ("svd", "solve"):
         fn = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name, lambda *a, _fn=fn, _name=name, **kw: calls.append(_name) or _fn(*a, **kw))
@@ -671,7 +683,7 @@ def test_scan_block_mixing_restarts_on_and_above_the_floor_matches_the_reference
 
     monkeypatch.setattr(components, "random_elements", sampled)
     built = []
-    monkeypatch.setattr(components, "rng_from", lambda *key: built.append(key) or rng_from(*key))
+    _watch_streams(monkeypatch, built)
     block = _block(range(5), sig1, sig2, R01, False)
     assert built == [(11, k, 2) for k in (0, 2, 4)]
     trails = _reference_trails((0, 2, 4), sig1, sig2, R01, False)
@@ -684,7 +696,7 @@ def test_scan_block_mixing_restarts_on_and_above_the_floor_matches_the_reference
 
 def test_scan_block_above_the_floor_builds_a_generator_per_restart(monkeypatch):
     built = []
-    monkeypatch.setattr(components, "rng_from", lambda *key: built.append(key) or rng_from(*key))
+    _watch_streams(monkeypatch, built)
     _block(range(8), *_sigs((1, 2), (2, 1)), R01, False)
     assert built == [(11, k, 2) for k in range(8)]
 
@@ -702,6 +714,21 @@ def test_budget_200_scan_runs_few_blocks(ranks1, ranks2, roots, blocks, monkeypa
     assert len(calls) == blocks and sum(calls) == 200
     # the chunk buffer of a full block stays within the byte cap
     assert max(calls) * components._SCAN_CHUNK * m * m * 16 <= components._SCAN_BLOCK_BYTES
+
+
+@pytest.mark.parametrize("self_adjoint, batches", [(False, [200, 200, 200]), (True, [200, 200])],
+                         ids=["general", "self-adjoint"])
+def test_budget_200_scan_builds_its_streams_in_batches(self_adjoint, batches, monkeypatch):
+    # one block: a batch of streams for each side's pairs and, in general mode,
+    # one for the restarts live after entry (every self-adjoint restart starts
+    # on the floor); no stream is built through a SeedSequence of its own
+    sizes, made = [], []
+    for module in (algebraic, components):
+        monkeypatch.setattr(module, "rngs_from", lambda seeds: sizes.append(len(seeds)) or rngs_from(seeds))
+    seed_sequence = np.random.SeedSequence
+    monkeypatch.setattr(np.random, "SeedSequence", lambda *a, **kw: made.append(a) or seed_sequence(*a, **kw))
+    distance_scan(*_sigs((1, 2), (2, 1)), R01, budget=200, seed=0, self_adjoint=self_adjoint)
+    assert made == [] and sizes == batches
 
 
 @pytest.mark.parametrize("workers, sizes", [(2, [100, 100]), (3, [67, 67, 66]), (8, [25] * 8)])
