@@ -166,6 +166,25 @@ class PartitionOfUnity:
         return self.members[0].shape[0]
 
 
+def defining_poly_value(a, roots: RootSystem) -> np.ndarray:
+    """``p(a) = prod (a - l_i)`` of one matrix or of a stack ``(N, m, m)``.
+
+    Non-finite entries raise :class:`MagnitudeOverflow`.  A product that
+    overflows comes out non-finite, without a warning: its magnitude
+    (:meth:`RootSystem.magnitude`) overflows too, and callers check that.
+    """
+    a = np.asarray(a, dtype=complex)
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    if not finite.all():
+        raise MagnitudeOverflow(f"element {int(np.argmin(finite))} has non-finite entries")
+    eye = np.eye(a.shape[-1], dtype=complex)
+    value = eye
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in roots.roots:
+            value = value @ (a - r * eye)
+    return value
+
+
 def eval_defining_poly(a: np.ndarray, roots: RootSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Evaluate ``prod (a - l_i)`` with its natural magnitude and ``||a||``.
 
@@ -175,16 +194,9 @@ def eval_defining_poly(a: np.ndarray, roots: RootSystem) -> tuple[np.ndarray, np
     ``(N, m, m)``; the magnitude and norm then carry the leading sample axis.
     Non-finite entries raise :class:`MagnitudeOverflow`, as an overflowing magnitude does.
     """
-    a = np.asarray(a, dtype=complex)
-    finite = np.isfinite(a).all(axis=(-2, -1))
-    if not finite.all():
-        raise MagnitudeOverflow(f"element {int(np.argmin(finite))} has non-finite entries")
-    eye = np.eye(a.shape[-1], dtype=complex)
-    norm_a = np.linalg.svd(a, compute_uv=False)[..., 0]
+    value = defining_poly_value(a, roots)
+    norm_a = np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False)[..., 0]
     scale = roots.magnitude(norm_a)
-    value = eye
-    for r in roots.roots:
-        value = value @ (a - r * eye)
     return value, np.maximum(1.0, scale), norm_a
 
 

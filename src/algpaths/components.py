@@ -22,6 +22,7 @@ from .errors import BadSignature, CentralElement, DimMismatch, RankAmbiguous, Ro
 from .matkernel import (
     MatrixPolynomial,
     ToleranceConfig,
+    _frobenius,
     matpoly_compose_p,
     matpoly_is_zero,
     operator_norm,
@@ -214,20 +215,6 @@ def _scan_block_size(m: int) -> int:
     return max(1, _SCAN_BLOCK_BYTES // (_SCAN_CHUNK * m * m * 16))
 
 
-def _frobenius(z: np.ndarray) -> np.ndarray:
-    """Frobenius norms over the last two axes, bit-exact with ``np.linalg.norm``.
-
-    ``np.linalg.norm`` sums the squares of the strided real and imaginary
-    views with two BLAS dot products; a ``(1, n) @ (n, 1)`` product over the
-    same strided views takes that dot product, where ``einsum``, a contiguous
-    copy or ``norm(axis=...)`` round differently in the last bit.
-    """
-    flat = z.shape[:-2] + (z.shape[-2] * z.shape[-1],)
-    re, im = z.real.reshape(flat), z.imag.reshape(flat)
-    sq = re[..., None, :] @ re[..., :, None] + im[..., None, :] @ im[..., :, None]
-    return np.sqrt(sq[..., 0, 0])
-
-
 def _distance_floor(sig1, sig2, roots: RootSystem, self_adjoint: bool) -> float:
     """A proven lower bound on ``||x - y||`` between the components ``sig1`` and ``sig2``.
 
@@ -246,6 +233,43 @@ def _distance_floor(sig1, sig2, roots: RootSystem, self_adjoint: bool) -> float:
     return 0.0
 
 
+def _reach_floor(rows, dist, delta, x, y, left: int) -> tuple[np.ndarray, np.ndarray]:
+    """A proven lower bound on every distance restarts ``rows`` can reach in ``left`` more steps.
+
+    A later move conjugates an endpoint e by some g with ||g - 1|| <= delta
+    (1 + delta z with ||z||_F = 1, or the Cayley transform of an h with
+    ||h|| <= 1), and delta never grows.  For every scalar c the move shifts e
+    by at most q ||e - c|| and multiplies ||e - c|| by at most 1 + q, where
+    q = 2 delta / (1 - delta).  With c = tr e / m and s the larger
+    ||e - c||_F of the two endpoints, no distance within ``left`` steps lies
+    below ``dist - left q (1 + q)^left (s + margin) - margin``.  ``margin``
+    covers round-off, which scales with the unshifted endpoints,
+    ||e||_F <= ||e - c||_F + sqrt(m) |c|.  A conjugation (products and a solve
+    by a matrix of condition at most 5/3) errs by about 64 m eps ||e||_F, and
+    no endpoint grows past 4 (||x||_F + ||y||_F) while the bound is positive,
+    so 200 steps and the SVDs err by under 4e-10 (||x||_F + ||y||_F) at
+    m = 32, a 25th of the margin.  Round-off that enters ||e - c|| grows like
+    s, hence s + margin.  Returns the rows it bounds and their bounds: rows
+    where (1 + q)^left would pass e^50 get none, which also keeps the power
+    from overflowing.
+    """
+    m = x.shape[-1]
+    q = 2.0 * delta[rows] / (1.0 - delta[rows])
+    power = left * np.log1p(q)
+    near = power <= 50.0
+    if not near.any():
+        return rows[:0], power[:0]
+    rows = rows[near]
+    e = np.stack((x[rows], y[rows]))  # (2, n, m, m)
+    c = np.trace(e, axis1=-2, axis2=-1) / m
+    diag = np.arange(m)
+    e[..., diag, diag] -= c[..., None]
+    centred = np.linalg.norm(e, axis=(-2, -1))
+    margin = 1e-8 * (1.0 + (centred + np.sqrt(m) * np.abs(c)).sum(axis=0))
+    s = centred.max(axis=0) + margin
+    return rows, dist[rows] - left * q[near] * np.exp(power[near]) * s - margin
+
+
 def _scan_block(ks, seed, sig1, sig2, roots, self_adjoint, cond_bound):
     """Restarts ``ks`` of a distance scan, advanced together in lockstep.
 
@@ -259,11 +283,11 @@ def _scan_block(ks, seed, sig1, sig2, roots, self_adjoint, cond_bound):
     restart halves its step size whenever a move does not improve its
     distance and stops once the step collapses, at entry when it starts on
     the proven floor :func:`_distance_floor`, or as soon as a proven lower
-    bound on every distance its remaining steps can reach lies above the
-    block's best distance so far.  Perturbations are drawn ``_SCAN_CHUNK``
-    steps at a time, by the restarts still live, into one
-    ``(B, _SCAN_CHUNK, m, m)`` buffer; the generator's stream does not depend
-    on how its draws are chunked.  The stacked linear algebra works matrix by
+    bound on every distance its remaining steps can reach
+    (:func:`_reach_floor`) lies above the block's best distance so far.
+    Perturbations are drawn ``_SCAN_CHUNK`` steps at a time, by the restarts
+    still live, into one ``(B, _SCAN_CHUNK, m, m)`` buffer; the generator's
+    stream does not depend on how its draws are chunked.  The stacked linear algebra works matrix by
     matrix, so every row is bit for bit a state of its restart's own descent,
     and the block's ``(distance, index)`` minimum, which is never pruned, is
     the same however the restarts are grouped into blocks.  A pruned
@@ -283,7 +307,7 @@ def _scan_block(ks, seed, sig1, sig2, roots, self_adjoint, cond_bound):
     x, y = sample(sig1, 0), sample(sig2, 1)
     z = np.ones((n, _SCAN_CHUNK, m, m), dtype=complex)  # finite in rows never drawn into
 
-    eye, diag = np.eye(m, dtype=complex), np.arange(m)
+    eye = np.eye(m, dtype=complex)
     dist = np.linalg.svd(x - y, compute_uv=False)[:, 0]
     # a restart that starts on the proven floor could only accept a candidate
     # below it, i.e. round-off, which the genuine-decrease rule below refuses,
@@ -330,36 +354,10 @@ def _scan_block(ks, seed, sig1, sig2, roots, self_adjoint, cond_bound):
         dist[live[better]] = cand[better]
         (x if it % 2 == 0 else y)[live[better]] = moved[better]
         delta[live[~better]] *= 0.5
-        # Prune.  A later move conjugates an endpoint e by some g with
-        # ||g - 1|| <= delta (1 + delta z with ||z||_F = 1, or the Cayley
-        # transform of an h with ||h|| <= 1), and delta never grows.  For
-        # every scalar c the move shifts e by at most q ||e - c|| and multiplies
-        # ||e - c|| by at most 1 + q, where q = 2 delta / (1 - delta).  With
-        # c = tr e / m and s the larger ||e - c||_F of the two endpoints, no
-        # distance within the `left` remaining steps lies below
-        #     dist - left q (1 + q)^left (s + margin) - margin.
-        # `margin` covers round-off, which scales with the unshifted endpoints,
-        # ||e||_F <= ||e - c||_F + sqrt(m) |c|.  A conjugation (products and a
-        # solve by a matrix of condition at most 5/3) errs by about
-        # 64 m eps ||e||_F, and no endpoint grows past 4 (||x||_F + ||y||_F)
-        # while the bound is positive, so 200 steps and the SVDs err by under
-        # 4e-10 (||x||_F + ||y||_F) at m = 32, a 25th of the margin.  Round-off
-        # that enters ||e - c|| grows like s, hence s + margin.  A restart
-        # whose bound lies above the block's current minimum, never below its
-        # final one, cannot be the scan's (distance, index) minimum: it stops.
-        left = _SCAN_ITERS - it - 1
-        q = 2.0 * delta[live] / (1.0 - delta[live])
-        power = left * np.log1p(q)
-        near = power <= 50.0  # (1 + q)^left at most e^50: no overflow
-        if near.any():
-            rows = live[near]
-            e = np.stack((x[rows], y[rows]))  # (2, n, m, m)
-            c = np.trace(e, axis1=-2, axis2=-1) / m
-            e[..., diag, diag] -= c[..., None]
-            centred = np.linalg.norm(e, axis=(-2, -1))
-            margin = 1e-8 * (1.0 + (centred + np.sqrt(m) * np.abs(c)).sum(axis=0))
-            s = centred.max(axis=0) + margin
-            reach = dist[rows] - left * q[near] * np.exp(power[near]) * s - margin
+        # a restart whose bound lies above the block's current minimum, never
+        # below its final one, cannot be the scan's (distance, index) minimum
+        rows, reach = _reach_floor(live, dist, delta, x, y, _SCAN_ITERS - it - 1)
+        if rows.size:
             delta[rows[reach > dist.min()]] = 0.0
     return dist, x, y
 

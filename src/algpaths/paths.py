@@ -33,13 +33,14 @@ from .algebraic import (
     _certify_stack,
     _hermiticity_tolerance,
     certify,
-    eval_defining_poly,
+    defining_poly_value,
 )
 from .components import resolve, resolve_pair
 from .errors import (
     AlgpathsError,
     CertificationFailed,
     FactorizationFailed,
+    MagnitudeOverflow,
     NotAlgebraic,
     NotLocallyClose,
     NotNearIdentity,
@@ -56,6 +57,7 @@ from .matkernel import (
     matpoly_compose_p,
     matpoly_mul,
     operator_norm,
+    operator_norm_bounds,
     operator_norms,
 )
 from .seeding import rng_from
@@ -904,55 +906,81 @@ def _verify_polygonal(path: PolygonalPath, roots, cfg) -> PathCertificate:
     )
 
 
+def _sample_tolerances(norm_x, roots, cfg, self_adjoint: bool) -> np.ndarray:
+    """Tolerances of ``||p(x)||`` and, in self-adjoint mode, of ``||x - x*||``, one row each.
+
+    Both are non-decreasing in ``norm_x``, so a lower bound on ``||x||``
+    gives tolerances no larger than the exact ones.
+    """
+    tols = [cfg.residual_tol * np.maximum(1.0, roots.magnitude(norm_x))]
+    if self_adjoint:
+        tols.append(_hermiticity_tolerance(norm_x, roots, cfg))
+    return np.stack(tols)
+
+
 def _verify_exponential(path: ExpSimilarityPath, roots, cfg, expected_endpoint, samples):
-    worst_mem = 0.0
-    worst_herm = 0.0 if path.self_adjoint_mode else None
-    if path.self_adjoint_mode:
+    self_adjoint = path.self_adjoint_mode
+    worst = [0.0] * (1 + self_adjoint)  # the largest ||p(x)||, then ||x - x*|| in self-adjoint mode
+    if self_adjoint:
         for i, c in enumerate(path.generators):
             h = operator_norm(c - c.conj().T)
             if h > cfg.residual_tol * (1.0 + operator_norm(c)):
                 raise CertificationFailed(
                     f"generator {i} is not Hermitian: {h:.3e}", coefficient=i, value=h
                 )
-            worst_herm = max(worst_herm, h)
+            worst[1] = max(worst[1], h)
     grid = np.linspace(0.0, 1.0, samples)
     step = max(1, _GRID_BLOCK_BYTES // (16 * path.base.dim**2))  # complex128 samples
-    for lo in range(0, samples, step):
-        ts = grid[lo : lo + step]
-        with np.errstate(over="ignore", invalid="ignore"):  # eval_defining_poly rejects what overflowed
+    for first in range(0, samples, step):
+        ts = grid[first : first + step]
+        with np.errstate(over="ignore", invalid="ignore"):  # defining_poly_value rejects what overflowed
             x = path.values(ts)
-        value, scale, norm_x = eval_defining_poly(x, roots)
-        res = np.linalg.svd(value, compute_uv=False)[:, 0]
-        bad_mem = ~(res <= cfg.residual_tol * scale)
-        bad = bad_mem
-        if path.self_adjoint_mode:
-            herm = np.linalg.svd(x - x.conj().swapaxes(-1, -2), compute_uv=False)[:, 0]
-            bad = bad_mem | ~(herm <= _hermiticity_tolerance(norm_x, roots, cfg))
-        if bad.any():
-            i = int(np.argmax(bad))  # the first failing sample in t order
-            t = float(ts[i])
-            if bad_mem[i]:
+        parts = [x, defining_poly_value(x, roots)]
+        if self_adjoint:
+            parts.append(x - x.conj().swapaxes(-1, -2))
+        lo, hi = (np.stack(b) for b in zip(*map(operator_norm_bounds, parts)))
+        try:
+            roots.magnitude(hi[0])
+        except MagnitudeOverflow:
+            roots.magnitude(operator_norms(x))  # the exact norms overflow too, or every sample is in range
+        # A sample passes on its brackets when the upper bound of each defect
+        # clears the tolerance of the lower bound of ||x||.  The SVD runs only
+        # on the other samples, which get the exact checks, and on the rows
+        # that may hold a new worst defect: every other row's upper bound lies
+        # below some row's lower bound, or at or below the worst so far.
+        undecided = ~np.all(hi[1:] <= _sample_tolerances(lo[0], roots, cfg, self_adjoint), axis=0)
+        rows = [np.flatnonzero(undecided)]
+        rows += [np.flatnonzero(undecided | ((h >= l.max()) & (h > w)))
+                 for l, h, w in zip(lo[1:], hi[1:], worst)]
+        stacked = np.concatenate([part[r] for part, r in zip(parts, rows)])
+        exact = np.linalg.svd(stacked, compute_uv=False)[:, 0] if len(stacked) else np.empty(0)
+        norm_x, *defects = np.split(exact, np.cumsum([r.size for r in rows[:-1]]))
+        worst = [float(np.max(d, initial=w)) for d, w in zip(defects, worst)]
+        if rows[0].size:
+            defects = np.stack([d[np.searchsorted(r, rows[0])] for d, r in zip(defects, rows[1:])])
+            bad = ~(defects <= _sample_tolerances(norm_x, roots, cfg, self_adjoint))
+            if bad.any():
+                i = int(np.argmax(bad.any(axis=0)))  # the first failing sample in t order
+                t = float(ts[rows[0][i]])
+                if bad[0, i]:
+                    raise CertificationFailed(
+                        f"membership fails at t = {t:.4f}: residual {defects[0, i]:.3e}",
+                        sample_t=t,
+                        value=float(defects[0, i]),
+                    )
                 raise CertificationFailed(
-                    f"membership fails at t = {t:.4f}: residual {res[i]:.3e}",
+                    f"path leaves the self-adjoint set at t = {t:.4f}: {defects[1, i]:.3e}",
                     sample_t=t,
-                    value=float(res[i]),
+                    value=float(defects[1, i]),
                 )
-            raise CertificationFailed(
-                f"path leaves the self-adjoint set at t = {t:.4f}: {herm[i]:.3e}",
-                sample_t=t,
-                value=float(herm[i]),
-            )
-        worst_mem = max(worst_mem, float(res.max()))
-        if path.self_adjoint_mode:
-            worst_herm = max(worst_herm, float(herm.max()))
     endpoint_error = None
     if expected_endpoint is not None:
         end = x[-1] if samples > 1 else path.value(1.0)  # the grid ends at t = 1
         endpoint_error = _endpoint_error(end, expected_endpoint, cfg)
     return PathCertificate(
         kind="exponential",
-        worst_membership=worst_mem,
+        worst_membership=worst[0],
         endpoint_error=endpoint_error,
-        worst_hermiticity=worst_herm,
+        worst_hermiticity=worst[1] if self_adjoint else None,
         samples=samples,
     )

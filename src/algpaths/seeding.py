@@ -64,8 +64,14 @@ def rngs_from(seeds) -> list[np.random.Generator]:
 
     Mixes every seed's little-endian uint32 words into its pool at once (a
     seed longer than the pool takes the extra rounds under a length mask),
-    and seeds each ``PCG64`` with its row of the generated state.
+    and seeds each ``PCG64`` with its row of the generated state.  A single
+    seed goes to :func:`rng_from`, whose C hash is faster for one stream.
+    Generators from a batch of two or more hold only their generated state,
+    so they cannot ``spawn`` (``TypeError``); draws and pickling match.
     """
+    seeds = list(seeds)
+    if len(seeds) == 1:
+        return [rng_from(seeds[0])]
     rows = []
     for seed in seeds:
         words = b""

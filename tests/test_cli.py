@@ -209,6 +209,24 @@ def test_exit_code_certification(tmp_path, capsys):
         assert json.loads(capsys.readouterr().out)["result"]["success"] is False
 
 
+def test_polygonal_connect_whose_chains_stay_degenerate_fails_certification(proj_pair, capsys, monkeypatch):
+    from algpaths import paths
+
+    real = paths._segment_certificates
+
+    def refuse(points, roots, cfg):
+        ok, worst, bad = real(points, roots, cfg)
+        return np.zeros_like(ok), worst, bad
+
+    monkeypatch.setattr(paths, "_segment_certificates", refuse)
+    a, b = proj_pair
+    assert main(["connect", "--a", a, "--b", b, "--roots", "0,1", "--method", "polygonal"]) == EXIT_CERTIFICATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "algpaths: certification failed: subspace configurations stayed degenerate" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_exit_code_usage():
     with pytest.raises(SystemExit) as err:
         main(["connect", "--method", "nope"])

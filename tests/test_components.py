@@ -624,6 +624,31 @@ def test_scan_block_prunes_most_of_the_unpruned_descent(ranks1, ranks2, roots, m
     assert sum(rows) <= 0.4 * sum(len(trail) for trail in trails.values())
 
 
+@pytest.mark.parametrize("ranks1, ranks2, roots, self_adjoint", [
+    ((1, 2), (2, 1), (0, 1), False),
+    ((1, 1, 2), (0, 2, 2), (0, 1, 2), False),
+    ((1, 1, 1, 1), (0, 2, 1, 1), (0, 1, 2.5, -1.5), True),
+], ids=["m3", "m4-three-roots", "m4-four-roots-self-adjoint"])
+def test_reach_floor_bounds_the_later_distances_of_unpruned_descents(ranks1, ranks2, roots, self_adjoint):
+    # the prune's bound, taken at every state of unpruned reference descents
+    # with 1 to 6 steps to go, never lies above a distance the descent goes on
+    # to reach within those steps: here the bound is tight enough that a
+    # hundredth of its step term is not sound
+    sig1, sig2 = _sigs(ranks1, ranks2)
+    roots = validate_roots(list(roots))
+    for trail in _reference_trails(range(20), sig1, sig2, roots, self_adjoint, inner_iters=60).values():
+        dist = np.array([d for d, _, _ in trail])
+        x, y = (np.stack([state[i] for state in trail]) for i in (1, 2))
+        # the step size before each step: halved at every step that did not move
+        delta = 0.25 * 0.5 ** np.concatenate(([0], np.cumsum(dist[1:] == dist[:-1])))
+        rows = np.arange(len(trail))
+        for left in range(1, 7):
+            # distances never rise along a descent: the one `left` steps on is the least
+            later = dist[np.minimum(rows + left, len(trail) - 1)]
+            bounded, reach = components._reach_floor(rows, dist, delta, x, y, left)
+            assert bounded.size and np.all(reach <= later[bounded])
+
+
 # shapes whose every restart starts on the proven floor of its distance
 FLOOR_SHAPES = [((1, 2), (2, 1), (0, 1), True), ((2, 0, 1), (0, 1, 2), (0, 1, 2), True),
                 ((2, 0), (0, 2), (0, 1), False)]

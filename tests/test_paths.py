@@ -297,6 +297,40 @@ def test_log_positive_refuses_a_non_positive_eigenvalue():
         paths._log_positive(np.diag([1.0, -1.0]).astype(complex))
 
 
+def _refusing_segment_certificates(monkeypatch, refusals):
+    """Make the first ``refusals`` segment certificates fail; returns the call log."""
+    calls = []
+    real = paths._segment_certificates
+
+    def refuse(points, roots, cfg):
+        ok, worst, bad = real(points, roots, cfg)
+        calls.append(len(points) - 1)
+        return (np.zeros_like(ok) if len(calls) <= refusals else ok), worst, bad
+
+    monkeypatch.setattr(paths, "_segment_certificates", refuse)
+    return calls
+
+
+def test_polygonal_chain_whose_segments_fail_retries_through_a_midpoint(monkeypatch):
+    # a chain that built its breakpoints but whose segment certificates fail is
+    # dropped (_ChainFailed) for two chains through the exponential midpoint
+    a, b = _conjugate_pair(R01, (1, 2), (5, 23), delta=0.2)
+    calls = _refusing_segment_certificates(monkeypatch, refusals=1)
+    path = connect_polygonal(a, b)
+    assert calls == [2, 2, 2]
+    assert path.segments == 4
+    verify_path(path)
+
+
+def test_polygonal_chain_that_stays_degenerate_raises_after_the_retries(monkeypatch):
+    # depth 4: the first chain and one per midpoint level down the left branch
+    a, b = _conjugate_pair(R01, (1, 2), (5, 23), delta=0.2)
+    calls = _refusing_segment_certificates(monkeypatch, refusals=10**6)
+    with pytest.raises(SubspaceSplitFailed, match="stayed degenerate through midpoint retries"):
+        connect_polygonal(a, b)
+    assert calls == [2] * 5
+
+
 def test_polygonal_two_segments_for_close_idempotent_pairs():
     for s in range(12):
         rng = rng_from(s, 18)
@@ -915,3 +949,220 @@ def test_verify_rejects_paths_whose_magnitude_overflows():
     x = certify(7e153 * E, roots)
     with pytest.raises(MagnitudeOverflow):
         verify_path(paths.PolygonalPath(breakpoints=(x, x), certificates=(0.0,)), roots)
+
+
+# -- bracketed sample checks against the SVD oracle -----------------------------------
+
+# The sample checks as they were before the operator-norm brackets: every
+# sample's ||x||, ||p(x)|| and ||x - x*|| from a stacked SVD.  The bracketed
+# verifier must give the same certificate, or the same failure, bit for bit.
+
+
+def _oracle_verify_exponential(path, roots, cfg, expected_endpoint, samples):
+    worst_mem = 0.0
+    worst_herm = 0.0 if path.self_adjoint_mode else None
+    if path.self_adjoint_mode:
+        for i, c in enumerate(path.generators):
+            h = operator_norm(c - c.conj().T)
+            if h > cfg.residual_tol * (1.0 + operator_norm(c)):
+                raise CertificationFailed(f"generator {i} is not Hermitian: {h:.3e}", coefficient=i, value=h)
+            worst_herm = max(worst_herm, h)
+    grid = np.linspace(0.0, 1.0, samples)
+    step = max(1, paths._GRID_BLOCK_BYTES // (16 * path.base.dim**2))
+    for lo in range(0, samples, step):
+        ts = grid[lo : lo + step]
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = path.values(ts)
+        value, scale, norm_x = algebraic.eval_defining_poly(x, roots)
+        res = np.linalg.svd(value, compute_uv=False)[:, 0]
+        bad_mem = ~(res <= cfg.residual_tol * scale)
+        bad = bad_mem
+        if path.self_adjoint_mode:
+            herm = np.linalg.svd(x - x.conj().swapaxes(-1, -2), compute_uv=False)[:, 0]
+            bad = bad_mem | ~(herm <= algebraic._hermiticity_tolerance(norm_x, roots, cfg))
+        if bad.any():
+            i = int(np.argmax(bad))
+            t = float(ts[i])
+            if bad_mem[i]:
+                raise CertificationFailed(f"membership fails at t = {t:.4f}: residual {res[i]:.3e}",
+                                          sample_t=t, value=float(res[i]))
+            raise CertificationFailed(f"path leaves the self-adjoint set at t = {t:.4f}: {herm[i]:.3e}",
+                                      sample_t=t, value=float(herm[i]))
+        worst_mem = max(worst_mem, float(res.max()))
+        if path.self_adjoint_mode:
+            worst_herm = max(worst_herm, float(herm.max()))
+    endpoint_error = None
+    if expected_endpoint is not None:
+        end = x[-1] if samples > 1 else path.value(1.0)
+        endpoint_error = paths._endpoint_error(end, expected_endpoint, cfg)
+    return paths.PathCertificate(kind="exponential", worst_membership=worst_mem,
+                                 endpoint_error=endpoint_error, worst_hermiticity=worst_herm,
+                                 samples=samples)
+
+
+def _outcome(verify, *args):
+    """The certificate's repr, or the failure's type, message and fields (floats by repr)."""
+    try:
+        return repr(verify(*args))
+    except (CertificationFailed, MagnitudeOverflow) as exc:
+        return type(exc).__name__, str(exc), repr(vars(exc))
+
+
+def _assert_matches_the_oracle(path, roots, cfg, samples, expected_endpoint=None):
+    got = _outcome(verify_path, path, roots, cfg, expected_endpoint, samples)
+    want = _outcome(_oracle_verify_exponential, path, roots, cfg, expected_endpoint, samples)
+    assert got == want
+    return want
+
+
+class _SampledOnce(paths.ExpSimilarityPath):
+    """An exponential path that computes each sample grid once: both verifiers
+    then judge the very same samples, and the sweeps below stay cheap."""
+
+    def values(self, ts):
+        cache = self.__dict__.setdefault("_grids", {})
+        key = np.asarray(ts, dtype=float).tobytes()
+        if key not in cache:
+            cache[key] = super().values(ts)
+        return cache[key].copy()
+
+
+def _oracle_bases(m, self_adjoint):
+    """An exponential path's generators with its base, the base off the solution
+    set, and (self-adjoint mode) the base off the Hermitian matrices only."""
+    path, roots = _exp_path(m, 2, self_adjoint, seed=83)
+    a = path.base.a
+    rng = rng_from(83, m, int(self_adjoint))
+    z = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    bases = [a, a + 1e-7 * z / operator_norm(z)]
+    if self_adjoint:
+        # a + d P_0 z P_1 keeps the spectrum of a (block triangular in its
+        # eigenbasis), so it stays in the solution set
+        p = algebraic.spectral_resolution(path.base).members
+        bases.append(a + 1e-7 * p[0] @ z @ p[1] / operator_norm(p[0] @ z @ p[1]))
+    return [_SampledOnce(
+        base=AlgebraicElement(a=b, roots=roots, residual=0.0, self_adjoint=self_adjoint),
+        generators=path.generators, self_adjoint_mode=self_adjoint) for b in bases], roots
+
+
+def _oracle_tolerances(path, roots, samples):
+    """The default tolerance, and per check three taken from the ratios of the
+    samples' exact defects to their scales: the ratio at t = 0, which fails the
+    samples above it along the path; the largest, which ties the worst sample
+    with its own tolerance to rounding; and just below the largest, which fails
+    the worst sample alone, whichever samples the brackets clear around it."""
+    x = path.values(np.linspace(0.0, 1.0, samples))
+    value, scale, norm_x = algebraic.eval_defining_poly(x, roots)
+    ratios = [np.linalg.svd(value, compute_uv=False)[:, 0] / scale]
+    if path.self_adjoint_mode:
+        herm = np.linalg.svd(x - x.conj().swapaxes(-1, -2), compute_uv=False)[:, 0]
+        ratios.append(herm / (norm_x + min(1.0, roots.min_gap)))
+    return [1e-9] + [float(t) for r in ratios for t in (r[0], r.max(), r.max() * (1 - 1e-12))]
+
+
+ORACLE_SHAPES = [(m, n, sa) for sa in (False, True) for m in (2, 16, 32) for n in (1, 2, 100, 257)]
+
+
+def _assert_sweep_matches_the_oracle(m, samples, self_adjoint):
+    variants, roots = _oracle_bases(m, self_adjoint)
+    kinds, failed_at = set(), set()
+    for path in variants:
+        end = path.value(1.0)
+        for tol in _oracle_tolerances(path, roots, samples):
+            want = _assert_matches_the_oracle(path, roots, ToleranceConfig(residual_tol=tol), samples, end)
+            if isinstance(want, tuple):
+                kinds.add(want[1].split(" at t = ")[0])
+                failed_at.add(want[1].split(" at t = ")[1][:6])
+            else:
+                kinds.add("passes")
+    expected = {"passes", "membership fails"}
+    if self_adjoint:
+        expected.add("path leaves the self-adjoint set")
+    assert expected <= kinds
+    if samples > 2:
+        assert failed_at - {"0.0000"}  # some failure lies beyond the first sample
+
+
+@pytest.mark.parametrize("m, samples, self_adjoint", ORACLE_SHAPES,
+                         ids=[f"{'sa' if sa else 'gen'}-m{m}-n{n}" for m, n, sa in ORACLE_SHAPES])
+def test_verify_exponential_matches_the_svd_oracle(m, samples, self_adjoint):
+    _assert_sweep_matches_the_oracle(m, samples, self_adjoint)
+
+
+def _overflowing_paths(self_adjoint):
+    """General mode: e^{800 t} overflows part of the way along (non-finite
+    samples) or ||x(t)|| (||x|| + 1) does.  Self-adjoint mode: the base sits
+    at 1e160 next to a root there, so the first block's scale overflows."""
+    if self_adjoint:
+        roots = validate_roots([0, 1e160])
+        base = AlgebraicElement(a=1e160 * E, roots=roots, residual=0.0, self_adjoint=True)
+        k = np.array([[0, 1], [1, 0]], dtype=complex)
+        return [paths.ExpSimilarityPath(base=base, generators=(k,), self_adjoint_mode=True)], roots
+    base = certify(E, R01)
+    return [paths.ExpSimilarityPath(base=base, generators=(np.array(g, dtype=complex),))
+            for g in ([[300, 800], [0, -300]], [[0, 800], [800, 0]], [[800, 800], [0, -800]])], R01
+
+
+@pytest.mark.parametrize("self_adjoint", [False, True], ids=["general", "self-adjoint"])
+@pytest.mark.parametrize("samples", [1, 2, 100, 257])
+def test_verify_exponential_overflow_matches_the_svd_oracle(samples, self_adjoint):
+    cases, roots = _overflowing_paths(self_adjoint)
+    for path in cases:
+        want = _assert_matches_the_oracle(path, roots, ToleranceConfig(), samples)
+        if samples > 2 or self_adjoint:
+            assert want[0] == "MagnitudeOverflow"
+
+
+def _loose_bounds(stack):
+    """A valid bracket far looser than the kernel's: the computed norm times a
+    random factor in [1/4, 1] below and in [1, 4] above."""
+    finite = np.isfinite(stack).all(axis=(-2, -1))
+    sigma = np.zeros(stack.shape[:-2])
+    sigma[finite] = np.linalg.svd(stack[finite], compute_uv=False)[:, 0]
+    rng = np.random.default_rng(sigma.size)
+    lo = sigma * rng.uniform(0.25, 1.0, sigma.shape)
+    return lo, np.where(finite, sigma * rng.uniform(1.0, 4.0, sigma.shape), np.inf)
+
+
+@pytest.mark.parametrize("self_adjoint", [False, True], ids=["general", "self-adjoint"])
+@pytest.mark.parametrize("m, samples", [(2, 100), (16, 2), (16, 100)])
+def test_verify_exponential_needs_only_a_valid_bracket(m, samples, self_adjoint, monkeypatch):
+    # the reports may not depend on how tight the bracket is: with a loose one,
+    # more samples reach the exact checks and more rows may hold the maximum,
+    # and the outcome is still the oracle's, bit for bit
+    monkeypatch.setattr(paths, "operator_norm_bounds", _loose_bounds)
+    _assert_sweep_matches_the_oracle(m, samples, self_adjoint)
+    for path in _overflowing_paths(self_adjoint)[0]:
+        _assert_matches_the_oracle(path, path.base.roots, ToleranceConfig(), samples)
+
+
+def test_verify_exponential_rows_holding_the_max_may_pass_before_a_failing_sample():
+    # x(t) = g (a + d) g^{-1} with a = [[1, 100], [0, 0]] and g = diag(e^{-2t}, e^{2t}):
+    # p(x) = 2 d x_a(t) + d (d - 1) with ||x_a(t)|| falling from 100 to 1.8, so
+    # the early samples hold the largest residuals yet pass on their large
+    # scale, and the later ones fail on their small one, all in one block
+    d = 1e-8
+    base = AlgebraicElement(a=np.array([[1 + d, 100], [0, d]], dtype=complex), roots=R01,
+                            residual=0.0, self_adjoint=False)
+    path = paths.ExpSimilarityPath(base=base, generators=(np.diag([-2.0, 2.0]).astype(complex),))
+    want = _assert_matches_the_oracle(path, R01, ToleranceConfig(), 100)
+    assert want[1].startswith("membership fails at t = 0.")
+    assert not want[1].startswith("membership fails at t = 0.0000")
+
+
+def test_verify_exponential_scale_bracket_straddling_the_float_maximum():
+    # ||x|| = s with 2 s^2 just below the float maximum: the upper bracket's
+    # magnitude overflows, the exact one does not, and the path certifies
+    big = np.finfo(float).max
+    s = np.sqrt(big / 2) * (1 - 16 * np.finfo(float).eps)
+    roots = validate_roots([0, s])
+    base = AlgebraicElement(a=s * E, roots=roots, residual=0.0, self_adjoint=True)
+    lo, hi = paths.operator_norm_bounds(base.a[None])
+    with pytest.raises(MagnitudeOverflow):
+        roots.magnitude(hi)
+    assert np.isfinite(roots.magnitude(operator_norm(base.a)))
+    for self_adjoint in (False, True):
+        path = paths.ExpSimilarityPath(base=base, generators=(np.zeros((2, 2), dtype=complex),),
+                                       self_adjoint_mode=self_adjoint)
+        cert = _assert_matches_the_oracle(path, roots, ToleranceConfig(), 100, base.a)
+        assert "worst_membership=0.0" in cert

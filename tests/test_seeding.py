@@ -44,6 +44,9 @@ def test_rngs_from_is_seed_sequence_bit_for_bit():
         _assert_same_stream(got, _oracle(seed))
     for seed in seeds:
         _assert_same_stream(rngs_from([seed])[0], _oracle(seed))
+        # a batch of two runs the batched hash at this seed's own width
+        for got in rngs_from([seed, seed]):
+            _assert_same_stream(got, _oracle(seed))
 
 
 def test_rngs_from_empty_batch():
@@ -56,3 +59,23 @@ def test_rngs_from_refuses_a_negative_part_as_rng_from_does(seed):
         rng_from(seed)
     with pytest.raises(ValueError):
         rngs_from([(1, 2), seed])
+
+
+def test_a_single_seed_takes_rng_from(monkeypatch):
+    # one stream is cheaper through NumPy's C SeedSequence than through the
+    # batched hash, and its generator can spawn
+    def no_batch(*args):
+        raise AssertionError("the batched hash ran for a single seed")
+
+    monkeypatch.setattr("algpaths.seeding._hash_consts", no_batch)
+    (got,) = rngs_from(iter([(5, 1, 2)]))
+    _assert_same_stream(got, _oracle((5, 1, 2)))
+    assert len(rngs_from([(5, 1, 2)])[0].spawn(2)) == 2
+    with pytest.raises(ValueError):
+        rngs_from([-1])
+
+
+def test_batched_generators_cannot_spawn():
+    for got in rngs_from([(1, 2), 3]):
+        with pytest.raises(TypeError):
+            got.spawn(1)
