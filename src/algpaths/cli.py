@@ -151,23 +151,8 @@ def _load_element(path: str, cfg: ToleranceConfig, roots_flag=None):
 
 
 def _tolerances(ns) -> ToleranceConfig:
-    kwargs = {}
-    if ns.tol is not None:
-        kwargs["residual_tol"] = ns.tol
-    if ns.rank_tol is not None:
-        kwargs["rank_rel_tol"] = ns.rank_tol
-    if ns.margin is not None:
-        kwargs["invertibility_margin"] = ns.margin
-    return ToleranceConfig(**kwargs)
-
-
-def _emit(report: dict, ns) -> None:
-    text = ser.canonical_dumps(report)
-    if ns.out:
-        with open(ns.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    flags = {"residual_tol": ns.tol, "rank_rel_tol": ns.rank_tol, "invertibility_margin": ns.margin}
+    return ToleranceConfig(**{field: v for field, v in flags.items() if v is not None})
 
 
 _VOLATILE_FLAGS = {"func", "out", "config"}  # not part of the experiment
@@ -182,140 +167,122 @@ def _report(ns, result: dict) -> dict:
 
 
 # -- subcommand bodies ---------------------------------------------------------
+# each returns (result, exit code); main writes the report of a result that is not None
 
 
-def _cmd_sample(ns) -> int:
-    cfg = _tolerances(ns)
+def _cmd_sample(ns, cfg):
     roots = validate_roots(_parse_roots(ns.roots))
     sig = ComponentSignature(ranks=_parse_sig(ns.sig), dim=sum(_parse_sig(ns.sig)))
     el = random_element(sig, roots, seed=ns.seed, self_adjoint=ns.self_adjoint, cond_bound=ns.cond, cfg=cfg)
-    _emit(_report(ns, ser.element_to_json(el)), ns)
-    return EXIT_OK
+    return ser.element_to_json(el), EXIT_OK
 
 
-def _cmd_decompose(ns) -> int:
-    cfg = _tolerances(ns)
-    el = _load_element(ns.a, cfg, ns.roots)
-    part, sig = resolve(el, cfg)
+def _cmd_decompose(ns, cfg):
+    part, sig = resolve(_load_element(ns.a, cfg, ns.roots), cfg)
     result = ser.partition_to_json(part)
     result["signature"] = ser.signature_to_json(sig)
     result["isolated"] = sig.scalar
-    _emit(_report(ns, result), ns)
-    return EXIT_OK
+    return result, EXIT_OK
 
 
-def _cmd_connect(ns) -> int:
-    cfg = _tolerances(ns)
+def _search(ns, a, b, cfg):
+    """The degree search of ``connect --method poly`` and ``mindeg``, and its common report fields."""
+    found = min_degree_search(a, b, d_max=ns.dmax, budget=ns.budget, seed=ns.seed, cfg=cfg,
+                              self_adjoint=ns.self_adjoint, min_motion=ns.min_motion)
+    return found, {
+        "success": found.succeeded,
+        "residual_by_degree": {str(k): v for k, v in found.residual_by_degree.items()},
+    }
+
+
+# each entry names its constructor at call time, so a rebound module name
+# (the benchmark's tracing) is the one called
+_CONSTRUCTORS = {
+    "exp-local": lambda a, b, cfg, seed: connect_exp_local(a, b, cfg),
+    "exp-global": lambda a, b, cfg, seed: connect_exp_global(a, b, cfg, seed=seed),
+    "selfadjoint": lambda a, b, cfg, seed: connect_selfadjoint(a, b, cfg, seed=seed),
+    "polygonal": lambda a, b, cfg, seed: connect_polygonal(a, b, cfg, seed=seed),
+}
+
+
+def _cmd_connect(ns, cfg):
     a = _load_element(ns.a, cfg, ns.roots)
     b = _load_element(ns.b, cfg, ns.roots)
-    if ns.method == "exp-local":
-        path = connect_exp_local(a, b, cfg)
-    elif ns.method == "exp-global":
-        path = connect_exp_global(a, b, cfg, seed=ns.seed)
-    elif ns.method == "selfadjoint":
-        path = connect_selfadjoint(a, b, cfg, seed=ns.seed)
-    elif ns.method == "polygonal":
-        path = connect_polygonal(a, b, cfg, seed=ns.seed)
-    elif ns.method == "poly":
-        found = min_degree_search(a, b, d_max=ns.dmax, budget=ns.budget, seed=ns.seed, cfg=cfg,
-                                  self_adjoint=ns.self_adjoint, min_motion=ns.min_motion)
+    if ns.method == "poly":
+        found, result = _search(ns, a, b, cfg)
         if not found.succeeded:
-            result = {"success": False, "residual_by_degree": {str(k): v for k, v in found.residual_by_degree.items()}}
-            _emit(_report(ns, result), ns)
-            return EXIT_CERTIFICATION
+            return result, EXIT_CERTIFICATION
         path = found.path
-    else:  # pragma: no cover - argparse restricts choices
-        raise PreconditionError(f"unknown method {ns.method}")
+    else:
+        path = _CONSTRUCTORS[ns.method](a, b, cfg, ns.seed)
     cert = verify_path(path, a.roots, cfg, expected_endpoint=b.a)
-    result = {"path": ser.path_to_json(path), "certificate": {
+    return {"path": ser.path_to_json(path), "certificate": {
         "worst_membership": cert.worst_membership,
         "endpoint_error": cert.endpoint_error,
-    }}
-    _emit(_report(ns, result), ns)
-    return EXIT_OK
+    }}, EXIT_OK
 
 
-def _cmd_verify(ns) -> int:
-    cfg = _tolerances(ns)
+def _cmd_verify(ns, cfg):
     obj = _load_json(ns.path)
     if "result" in obj and "path" in obj.get("result", {}):  # accept connect reports
         obj = obj["result"]["path"]
     path = ser.path_from_json(obj, cfg)
     roots = validate_roots(_parse_roots(ns.roots)) if ns.roots else None
-    if roots is None and obj.get("kind") == "polynomial":
-        raise PreconditionError("polynomial paths need --roots for verification")
     cert = verify_path(path, roots, cfg)
-    result = {
+    return {
         "kind": cert.kind,
         "worst_membership": cert.worst_membership,
         "worst_hermiticity": cert.worst_hermiticity,
         "segment_certificates": list(cert.segment_certificates),
         "samples": cert.samples,
-    }
-    _emit(_report(ns, result), ns)
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def _cmd_line(ns) -> int:
-    cfg = _tolerances(ns)
-    el = _load_element(ns.a, cfg, ns.roots)
-    witness = line_direction(el, cfg)
+def _cmd_line(ns, cfg):
+    witness = line_direction(_load_element(ns.a, cfg, ns.roots), cfg)
     result = ser.line_witness_to_json(witness)
     result["direction_norm"] = operator_norm(witness.direction)
-    _emit(_report(ns, result), ns)
-    return EXIT_OK
+    return result, EXIT_OK
 
 
-def _cmd_distance(ns) -> int:
-    cfg = _tolerances(ns)
+def _cmd_distance(ns, cfg):
     roots = validate_roots(_parse_roots(ns.roots))
     ranks1, ranks2 = _parse_sig(ns.sig), _parse_sig(ns.sig2)
     sig1 = ComponentSignature(ranks=ranks1, dim=sum(ranks1))
     sig2 = ComponentSignature(ranks=ranks2, dim=sum(ranks1))
     report = distance_scan(sig1, sig2, roots, budget=ns.budget, seed=ns.seed,
                            self_adjoint=ns.self_adjoint, cfg=cfg, workers=ns.threads)
-    if ns.format == "csv":
-        row = ser.scan_csv_row(report) + "\n"
-        if ns.out:
-            # scan batches accumulate: append rows, write the header once
-            try:
-                fresh = os.path.getsize(ns.out) == 0
-            except OSError:
-                fresh = True
-            with open(ns.out, "a", encoding="utf-8") as fh:
-                if fresh:
-                    fh.write(ser.SCAN_CSV_HEADER + "\n")
-                fh.write(row)
-        else:
-            sys.stdout.write(ser.SCAN_CSV_HEADER + "\n" + row)
+    if ns.format == "json":
+        return ser.scan_report_to_json(report), EXIT_OK
+    row = ser.scan_csv_row(report) + "\n"
+    if ns.out:
+        # scan batches accumulate: append rows, write the header once
+        try:
+            fresh = os.path.getsize(ns.out) == 0
+        except OSError:
+            fresh = True
+        with open(ns.out, "a", encoding="utf-8") as fh:
+            if fresh:
+                fh.write(ser.SCAN_CSV_HEADER + "\n")
+            fh.write(row)
     else:
-        _emit(_report(ns, ser.scan_report_to_json(report)), ns)
-    return EXIT_OK
+        sys.stdout.write(ser.SCAN_CSV_HEADER + "\n" + row)
+    return None, EXIT_OK
 
 
-def _cmd_mindeg(ns) -> int:
-    cfg = _tolerances(ns)
+def _cmd_mindeg(ns, cfg):
     a = _load_element(ns.a, cfg, ns.roots)
     b = _load_element(ns.b, cfg, ns.roots)
-    found = min_degree_search(a, b, d_max=ns.dmax, budget=ns.budget, seed=ns.seed, cfg=cfg,
-                              self_adjoint=ns.self_adjoint, min_motion=ns.min_motion)
-    result = {
-        "success": found.succeeded,
-        "degree": found.degree,
-        "residual_by_degree": {str(k): v for k, v in found.residual_by_degree.items()},
-    }
+    found, result = _search(ns, a, b, cfg)
+    result["degree"] = found.degree
     if found.succeeded:
         result["path"] = ser.path_to_json(found.path)
-    _emit(_report(ns, result), ns)
-    return EXIT_OK if found.succeeded else EXIT_CERTIFICATION
+    return result, EXIT_OK if found.succeeded else EXIT_CERTIFICATION
 
 
-def _cmd_suite(ns) -> int:
-    cfg = _tolerances(ns)
-    outcome = run_suite(seed=ns.seed, samples=ns.samples, budget=ns.budget, cfg=cfg,
-                        stream=sys.stdout)
-    _emit(_report(ns, outcome), ns)
-    return EXIT_OK if outcome["all_passed"] else 1
+def _cmd_suite(ns, cfg):
+    outcome = run_suite(seed=ns.seed, samples=ns.samples, budget=ns.budget, cfg=cfg, stream=sys.stdout)
+    return outcome, EXIT_OK if outcome["all_passed"] else 1
 
 
 # -- wiring ---------------------------------------------------------------------
@@ -325,6 +292,17 @@ def _add_roots(p: argparse.ArgumentParser, required=False, help="comma-separated
     # argparse reads a value that starts with '-' as a flag: "--roots -1,1" is a usage error
     p.add_argument("--roots", type=_roots_flag, required=required, default=None,
                    help=f"{help}; a list that starts with a minus sign takes '=', as in --roots=-1,1")
+
+
+def _add_search(p: argparse.ArgumentParser, **seed):
+    # the degree-search flags of connect --method poly and mindeg; mindeg passes its
+    # --seed rule, which its usage line lists after --budget (connect's comes before)
+    p.add_argument("--dmax", type=_positive, default=3, help="max degree of the polynomial search, >= 1")
+    p.add_argument("--budget", type=_positive, default=32, help="restarts per degree, >= 1")
+    if seed:
+        p.add_argument("--seed", type=_non_negative, **seed)
+    p.add_argument("--self-adjoint", action="store_true", help="Hermitian coefficients")
+    p.add_argument("--min-motion", type=_tolerance, default=0.0)
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -363,10 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["exp-local", "exp-global", "polygonal", "poly", "selfadjoint"])
     _add_roots(p)
     p.add_argument("--seed", type=_non_negative, default=0)
-    p.add_argument("--dmax", type=_positive, default=3, help="max degree for --method poly, >= 1")
-    p.add_argument("--budget", type=_positive, default=32, help="restarts for --method poly, >= 1")
-    p.add_argument("--self-adjoint", action="store_true", help="Hermitian coefficients for --method poly")
-    p.add_argument("--min-motion", type=_tolerance, default=0.0)
+    _add_search(p)
     _add_common(p)
     p.set_defaults(func=_cmd_connect)
 
@@ -400,11 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     _add_roots(p)
-    p.add_argument("--dmax", type=_positive, default=3, help="max degree, >= 1")
-    p.add_argument("--budget", type=_positive, default=32, help="restarts per degree, >= 1")
-    p.add_argument("--seed", type=_non_negative, required=True)
-    p.add_argument("--self-adjoint", action="store_true")
-    p.add_argument("--min-motion", type=_tolerance, default=0.0)
+    _add_search(p, required=True)
     _add_common(p)
     p.set_defaults(func=_cmd_mindeg)
 
@@ -446,13 +417,21 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     try:
         ns = _apply_config_file(parser, ns, argv)
-        return ns.func(ns)
+        result, code = ns.func(ns, _tolerances(ns))
     except PreconditionError as exc:
         print(f"algpaths: precondition: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except CertificationError as exc:
         print(f"algpaths: certification failed: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATION
+    if result is not None:
+        text = ser.canonical_dumps(_report(ns, result))
+        if ns.out:
+            with open(ns.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    return code
 
 
 if __name__ == "__main__":

@@ -270,12 +270,12 @@ def _reach_floor(rows, dist, delta, x, y, left: int) -> tuple[np.ndarray, np.nda
     return rows, dist[rows] - left * q[near] * np.exp(power[near]) * s - margin
 
 
-def _scan_block(ks, seed, sig1, sig2, roots, self_adjoint, cond_bound):
+def _scan_block(ks, seed, sig1, sig2, roots, self_adjoint, cond_bound, cfg):
     """Restarts ``ks`` of a distance scan, advanced together in lockstep.
 
     Restart ``k`` samples its pair from the seeds ``(seed, k, 0)`` and
     ``(seed, k, 1)`` (one stacked :func:`random_elements` call per signature
-    for the whole block) and its perturbations from the stream
+    for the whole block, certified under ``cfg``) and its perturbations from the stream
     ``(seed, k, 2)`` (one :func:`rngs_from` batch for the restarts that do not
     stop at entry), then descends ``||x - y||`` greedily by conjugating one
     endpoint at a time (``x`` on even steps, ``y`` on odd ones).  Conjugation keeps each
@@ -299,7 +299,7 @@ def _scan_block(ks, seed, sig1, sig2, roots, self_adjoint, cond_bound):
     m, n = sig1.dim, len(ks)
 
     def sample(sig, side):
-        a, _, _ = random_elements(sig, roots, [(seed, k, side) for k in ks], self_adjoint, cond_bound)
+        a, _, _ = random_elements(sig, roots, [(seed, k, side) for k in ks], self_adjoint, cond_bound, cfg)
         # the descent runs on C-ordered endpoints; the general sampler returns
         # each matrix transposed in memory
         return np.ascontiguousarray(a)
@@ -407,7 +407,7 @@ def distance_scan(
     size = min(_scan_block_size(sig1.dim), -(-budget // workers))
     blocks = [range(s, min(s + size, budget)) for s in range(0, budget, size)]
     task = partial(_scan_block, seed=seed, sig1=sig1, sig2=sig2, roots=roots,
-                   self_adjoint=self_adjoint, cond_bound=cond_bound)
+                   self_adjoint=self_adjoint, cond_bound=cond_bound, cfg=cfg)
 
     def best(results):
         rows = (row for ks, (d, x, y) in zip(blocks, results) for row in zip(d, ks, x, y))

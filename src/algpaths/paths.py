@@ -46,6 +46,7 @@ from .errors import (
     NotNearIdentity,
     NotSameComponent,
     NotSelfAdjoint,
+    PreconditionError,
     SubspaceSplitFailed,
 )
 from .matkernel import (
@@ -116,15 +117,19 @@ class ExpSimilarityPath:
         if self.self_adjoint_mode:
             ginv = g.conj().swapaxes(-1, -2)
         else:
-            ginv = identity_like(self.base.a)
+            ginv = self._identities(ts)
             for k in range(len(self.generators)):
                 ginv = ginv @ self._exp_stack(k, -ts)
         x = g @ self.base.a @ ginv
         x[ts == 0] = self.base.a
         return x
 
+    def _identities(self, ts: np.ndarray) -> np.ndarray:
+        # stacked, so a path with no generators (the constant path) still gives (N, m, m)
+        return np.repeat(identity_like(self.base.a)[None], len(ts), axis=0)
+
     def _transport(self, ts: np.ndarray) -> np.ndarray:
-        g = identity_like(self.base.a)
+        g = self._identities(ts)
         for k in range(len(self.generators)):
             g = self._exp_stack(k, ts) @ g
         return g
@@ -839,7 +844,7 @@ def verify_path(
     """
     if isinstance(path, PolynomialPath):
         if roots is None:
-            raise ValueError("polynomial paths need the root system for verification")
+            raise PreconditionError("polynomial paths need the root system for verification")
         return _verify_polynomial(path, roots, cfg)
     if isinstance(path, PolygonalPath):
         rs = roots if roots is not None else path.breakpoints[0].roots

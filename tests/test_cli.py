@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from algpaths.algebraic import certify, validate_roots
+from algpaths.algebraic import certify, random_element, validate_roots
+from algpaths.components import ComponentSignature
 from algpaths.cli import EXIT_CERTIFICATION, EXIT_PRECONDITION, EXIT_USAGE, main
 from algpaths.paths import ExpSimilarityPath
 from algpaths.serialize import path_to_json
@@ -91,6 +92,20 @@ def test_mindeg_reports_degree(tmp_path, proj_pair, capsys):
                  "--dmax", "3", "--budget", "4", "--out", str(out)]) == 0
     assert len(json.loads(out.read_text())["result"]["path"]["coeffs"]) == 2
     assert main(["verify", "--path", str(out), "--roots", "0,1"]) == 0
+    capsys.readouterr()
+    # a polynomial path carries no root system of its own
+    assert main(["verify", "--path", str(out)]) == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert "algpaths: precondition: polynomial paths need the root system" in err and "Traceback" not in err
+
+
+def test_verify_of_an_exponential_path_with_no_generators_is_the_constant_path(tmp_path, capsys):
+    # used to end in an IndexError traceback
+    base = random_element(ComponentSignature((1, 2), 3), validate_roots([0, 1]), seed=4)
+    file = _write(tmp_path / "p.json", path_to_json(ExpSimilarityPath(base=base, generators=())))
+    assert main(["verify", "--path", file]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["samples"] == 100 and result["worst_membership"] == base.residual > 0.0
 
 
 def test_distance_json_and_csv(tmp_path):
@@ -109,6 +124,14 @@ def test_distance_json_and_csv(tmp_path):
     assert main(args + ["--format", "csv", "--out", str(csv_out)]) == 0
     lines = csv_out.read_text().splitlines()
     assert len(lines) == 3 and lines[1] == lines[2]
+
+
+def test_distance_csv_goes_to_stdout_and_writes_complex_roots(capsys):
+    assert main(["distance", "--roots=1,1j,-1", "--sig", "1,1,0", "--sig2", "0,1,1", "--seed", "0",
+                 "--budget", "3", "--format", "csv"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header == "sig1,sig2,roots,m,seed,budget,best_distance,bound"
+    assert row.split(",")[2] == "1.0:0.0+1.0j:-1.0"
 
 
 def test_threads_must_be_a_positive_integer(monkeypatch, capsys):
@@ -197,6 +220,29 @@ def test_exit_code_precondition(tmp_path):
     b = _write(tmp_path / "b.json", _matrix([[1, 0], [0, 1]]))
     code = main(["connect", "--a", a, "--b", b, "--roots", "0,1", "--method", "exp-local"])
     assert code == EXIT_PRECONDITION
+
+
+def test_exp_local_beyond_its_margin_points_to_the_global_constructor(proj_pair, capsys):
+    a, b = proj_pair  # ||w - 1|| = 0.5
+    assert main(["connect", "--a", a, "--b", b, "--roots", "0,1", "--method", "exp-local",
+                 "--margin", "0.1"]) == EXIT_PRECONDITION
+    assert "use the global constructor" in capsys.readouterr().err
+
+
+def test_rank_decision_near_the_threshold_fails_certification(proj_pair, capsys):
+    a, _ = proj_pair  # diag(1, 0): singular value 1 of its idempotents lies on the threshold 0.5 m = 1
+    assert main(["decompose", "--a", a, "--roots", "0,1", "--rank-tol", "0.5"]) == EXIT_CERTIFICATION
+    assert "rank threshold" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("obj, roots, message", [
+    ({"foo": 1}, ["--roots", "0,1"], "holds neither an element nor a matrix"),
+    (_matrix([[1, 0], [0, 0]]), [], "holds a bare matrix; pass --roots"),
+])
+def test_element_files_that_cannot_be_certified_are_a_precondition(tmp_path, capsys, obj, roots, message):
+    a = _write(tmp_path / "a.json", obj)
+    assert main(["decompose", "--a", a, *roots]) == EXIT_PRECONDITION
+    assert message in capsys.readouterr().err
 
 
 def test_exit_code_certification(tmp_path, capsys):

@@ -35,12 +35,13 @@ from algpaths.errors import (
     BadSignature,
     CentralElement,
     DimMismatch,
+    NotAlgebraic,
     RankAmbiguous,
     ResolutionResidualExceeded,
     RootMismatch,
     SearchExhausted,
 )
-from algpaths.matkernel import operator_norm
+from algpaths.matkernel import ToleranceConfig, operator_norm
 from algpaths.seeding import rng_from, rngs_from
 from algpaths.serialize import scan_report_to_json
 
@@ -512,16 +513,21 @@ SCAN_SHAPES = [
     ((1, 1, 2), (0, 2, 2), (0, 1, 2), False),
     ((2, 0), (0, 2), (0, 1), False),  # scalars: every step fails, all restarts freeze early
     ((2, 3), (3, 2), (0, 1), False),
+    # self-adjoint over three and four roots: restarts start above the Weyl floor
+    # and take Cayley steps (over two roots every one stops at entry)
+    ((1, 1, 1), (0, 2, 1), (0, 1, 2), True),
+    ((1, 1, 1, 1), (0, 2, 1, 1), (0, 1, 2.5, -1.5), True),
 ]
 
 
 def _block(ks, sig1, sig2, roots, self_adjoint, seed=11):
     return _scan_block(ks, seed=seed, sig1=sig1, sig2=sig2, roots=roots,
-                       self_adjoint=self_adjoint, cond_bound=20.0)
+                       self_adjoint=self_adjoint, cond_bound=20.0, cfg=ToleranceConfig())
 
 
 @pytest.mark.parametrize("ranks1, ranks2, roots, self_adjoint", SCAN_SHAPES,
-                         ids=["m3-self-adjoint", "m3-general", "m4-three-roots", "m2-central", "m5"])
+                         ids=["m3-self-adjoint", "m3-general", "m4-three-roots", "m2-central", "m5",
+                              "m3-self-adjoint-three-roots", "m4-self-adjoint-four-roots"])
 def test_scan_block_is_bit_identical_to_per_restart_descent(ranks1, ranks2, roots, self_adjoint,
                                                             monkeypatch):
     m = sum(ranks1)
@@ -724,6 +730,16 @@ def test_scan_block_above_the_floor_builds_a_generator_per_restart(monkeypatch):
     _watch_streams(monkeypatch, built)
     _block(range(8), *_sigs((1, 2), (2, 1)), R01, False)
     assert built == [(11, k, 2) for k in range(8)]
+
+
+def test_scan_samples_under_the_configured_tolerance(monkeypatch):
+    # an unattainable residual tolerance fails the sampled pairs, before any
+    # perturbation stream is built or descent run
+    built = []
+    _watch_streams(monkeypatch, built)
+    with pytest.raises(NotAlgebraic):
+        distance_scan(*_sigs((1, 2), (2, 1)), R01, budget=20, seed=0, cfg=ToleranceConfig(residual_tol=1e-20))
+    assert built == []
 
 
 @pytest.mark.parametrize("ranks1, ranks2, roots, blocks",

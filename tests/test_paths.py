@@ -13,6 +13,7 @@ from algpaths.errors import (
     NotLocallyClose,
     NotSameComponent,
     NotSelfAdjoint,
+    PreconditionError,
     SubspaceSplitFailed,
 )
 from algpaths.matkernel import MatrixPolynomial, ToleranceConfig, operator_norm, poly_from_roots
@@ -550,6 +551,13 @@ def test_verify_polynomial_line_path():
     path = PolynomialPath(x=MatrixPolynomial(coeffs, normalized=False), certificate=0.0)
     cert = verify_path(path, R01)
     assert cert.worst_membership == 0.0
+
+
+def test_verify_polynomial_path_without_roots_is_a_precondition():
+    # a polynomial path carries no root system of its own
+    path = PolynomialPath(x=MatrixPolynomial.constant(E), certificate=0.0)
+    with pytest.raises(PreconditionError, match="need the root system"):
+        verify_path(path, None)
 
 
 def test_verify_rejects_straight_cross_segment():
