@@ -138,7 +138,7 @@ def _load_json(path: str) -> dict:
 
 def _load_element(path: str, cfg: ToleranceConfig, roots_flag=None):
     obj = _load_json(path)
-    if "tool" in obj and "result" in obj:  # full report files are fine too
+    if "tool" in obj and isinstance(obj.get("result"), dict):  # full report files are fine too
         obj = obj["result"]
     if "matrix" in obj:
         return ser.element_from_json(obj, cfg)
@@ -224,7 +224,7 @@ def _cmd_connect(ns, cfg):
 
 def _cmd_verify(ns, cfg):
     obj = _load_json(ns.path)
-    if "result" in obj and "path" in obj.get("result", {}):  # accept connect reports
+    if isinstance(obj.get("result"), dict) and "path" in obj["result"]:  # accept connect reports
         obj = obj["result"]["path"]
     path = ser.path_from_json(obj, cfg)
     roots = validate_roots(_parse_roots(ns.roots)) if ns.roots else None

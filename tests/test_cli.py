@@ -318,6 +318,28 @@ def test_unknown_path_kind_is_a_precondition(tmp_path, capsys):
     assert "unknown path kind 'spiral'" in capsys.readouterr().err
 
 
+_ONE = {"dim": 1, "entries": [[1.0, 0.0]]}
+
+
+@pytest.mark.parametrize("command, obj", [
+    ("decompose", {"dim": 1, "entries": [[1.0, 0.0, 3.0]]}),
+    ("decompose", {"dim": 1, "entries": [["1", 0.0]]}),
+    ("decompose", {"dim": "x", "entries": [[1.0, 0.0]]}),
+    ("decompose", {"dim": 1, "entries": 5}),
+    ("decompose", {"matrix": _ONE, "roots": [[1.0]]}),
+    ("verify", {"kind": "exp"}),
+    ("decompose", {"tool": "algpaths", "result": 5}),  # a report whose result is not an object
+    ("verify", {"tool": "algpaths", "result": 5}),
+])
+def test_malformed_wire_files_are_a_precondition(tmp_path, capsys, command, obj):
+    # each used to end in a traceback and exit 1
+    file = _write(tmp_path / "bad.json", obj)
+    argv = ["verify", "--path", file] if command == "verify" else ["decompose", "--a", file, "--roots", "0,1"]
+    assert main(argv) == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert err.startswith("algpaths: precondition: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("bad", ["0,x", "", "1,,2"])
 def test_malformed_roots_are_a_usage_error(tmp_path, proj_pair, capsys, bad):
     a, b = proj_pair
