@@ -79,6 +79,15 @@ __all__ = [
 
 _PHASE_CUT_TOL = 1e-6
 _GRID_BLOCK_BYTES = 64 * 1024  # per stacked (N, m, m) array of a sample grid
+# The largest kappa_1(v) = ||v||_1 ||v^{-1}||_1 of a non-normal generator's
+# eigenbasis that ExpSimilarityPath exponentiates through it.  The computed
+# v diag(e^{t lam}) v^{-1} is within about kappa m u of e^{tc}, relative to
+# ||e^{tc}|| (u = eps / 2): eig's backward error, the computed inverse and the
+# two products each contribute a small multiple of m u ||v|| ||v^{-1}||
+# max|e^{t lam}|, and max|e^{t lam}| <= ||e^{tc}||.  At kappa = 1e4 and m = 32
+# that is 3.6e-11, 28 times below the default residual_tol of 1e-9 that each
+# sample and the endpoint are judged against.
+_EIGENBASIS_KAPPA = 1e4
 
 
 # -- path types ----------------------------------------------------------------
@@ -136,12 +145,16 @@ class ExpSimilarityPath:
 
     @cached_property
     def _exponents(self) -> tuple:
-        """``(c, q, lam)`` per generator, from one complex Schur form ``c = Q T Q*``.
+        """``(c, v, lam, v_inv)`` per generator, ``c = v diag(lam) v_inv``.
 
-        ``c`` is the generator (``i c_k`` in self-adjoint mode).  When ``c`` is
-        normal to working precision, ``||triu(T, 1)||_F <= 8 m u ||c||_F`` with
-        ``u`` the machine epsilon, ``q`` is its unitary eigenbasis and ``lam``
-        its eigenvalues; otherwise both are None.
+        ``c`` is the generator (``i c_k`` in self-adjoint mode), first put in
+        complex Schur form ``c = Q T Q*``.  When ``c`` is normal to working
+        precision, ``||triu(T, 1)||_F <= 8 m eps ||c||_F`` with ``eps`` the machine
+        epsilon, ``v = Q`` is its unitary eigenbasis, ``v_inv = Q*`` and ``lam``
+        the diagonal of ``T``.  Otherwise ``np.linalg.eig`` gives ``v`` and
+        ``lam``, kept when ``kappa_1(v) = ||v||_1 ||v^{-1}||_1`` is at most
+        ``_EIGENBASIS_KAPPA``; a defective ``c`` (a singular or ill-conditioned
+        ``v``) gets ``v = lam = v_inv = None``.
         """
         m = self.base.dim
         out = []
@@ -149,23 +162,33 @@ class ExpSimilarityPath:
             c = 1j * gen if self.self_adjoint_mode else gen
             tri, q = scipy.linalg.schur(c, output="complex")
             if np.linalg.norm(np.triu(tri, 1)) <= 8 * m * np.finfo(float).eps * np.linalg.norm(c):
-                out.append((c, q, np.diagonal(tri)))
+                out.append((c, q, np.diagonal(tri), q.conj().T))
+                continue
+            lam, v = np.linalg.eig(c)
+            try:
+                v_inv = np.linalg.inv(v)
+            except np.linalg.LinAlgError:  # an exactly singular eigenbasis
+                v_inv = None
+            if v_inv is not None and np.linalg.norm(v, 1) * np.linalg.norm(v_inv, 1) <= _EIGENBASIS_KAPPA:
+                out.append((c, v, lam, v_inv))
             else:
-                out.append((c, None, None))
+                out.append((c, None, None, None))
         return tuple(out)
 
     def _exp_stack(self, k: int, ts: np.ndarray) -> np.ndarray:
         """``e^{t c}`` for the exponent ``c`` of generator ``k`` at each ``t`` of ``ts``.
 
-        A normal ``c = Q diag(lam) Q*`` takes ``Q diag(e^{t lam}) Q*``, which is
-        backward stable because ``Q`` is unitary (Moler & Van Loan 2003, "Nineteen
-        dubious ways ..."); any other ``c`` one stacked ``scipy.linalg.expm``.
+        A diagonalized ``c = v diag(lam) v^{-1}`` takes ``v diag(e^{t lam}) v^{-1}``
+        for the whole block in one broadcast product, the eigenvector method of
+        Moler & Van Loan (2003, "Nineteen dubious ways ...", method 14), backward
+        stable when ``v`` is unitary and within ``kappa(v) m u`` of ``e^{tc}``
+        otherwise; any other ``c`` takes one stacked ``scipy.linalg.expm``.
         ``t = 0`` gives the identity exactly.
         """
-        c, q, lam = self._exponents[k]
-        if q is None:
+        c, v, lam, v_inv = self._exponents[k]
+        if v is None:
             return scipy.linalg.expm(ts[:, None, None] * c)
-        e = (q * np.exp(ts[:, None] * lam)[:, None, :]) @ q.conj().T
+        e = (v * np.exp(ts[:, None] * lam)[:, None, :]) @ v_inv
         e[ts == 0] = identity_like(c)
         return e
 

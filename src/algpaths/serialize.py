@@ -155,13 +155,9 @@ def _number(value, what: str) -> float:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    dim = _field(obj, "dim")
-    try:
-        m = int(dim)
-    except (TypeError, ValueError, OverflowError):
-        m = 0
-    if m < 1:
-        raise PreconditionError(f"matrix dim must be an integer >= 1, got {dim!r}")
+    m = _field(obj, "dim")
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:  # a JSON integer, not 2.5, "2" or true
+        raise PreconditionError(f"matrix dim must be an integer >= 1, got {m!r}")
     flat = np.array(_complex_pairs(_field(obj, "entries"), "matrix entries"))
     if flat.size != m * m:
         raise PreconditionError(f"a {m}x{m} matrix needs {m * m} entries, got {flat.size}")

@@ -340,6 +340,15 @@ def test_malformed_wire_files_are_a_precondition(tmp_path, capsys, command, obj)
     assert err.startswith("algpaths: precondition: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("dim", [2.5, "2", True])
+def test_a_matrix_dim_that_is_not_a_json_integer_is_a_precondition(tmp_path, capsys, dim):
+    # 2.5 and "2" used to read as the 2x2 matrix diag(1, 0) through int(dim), True as [1], and exit 0
+    entries = [[1.0, 0.0]] if dim is True else [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+    a = _write(tmp_path / "a.json", {"dim": dim, "entries": entries})
+    assert main(["decompose", "--a", a, "--roots", "0,1"]) == EXIT_PRECONDITION
+    assert f"dim must be an integer >= 1, got {dim!r}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("bad", ["0,x", "", "1,,2"])
 def test_malformed_roots_are_a_usage_error(tmp_path, proj_pair, capsys, bad):
     a, b = proj_pair

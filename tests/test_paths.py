@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 
 from algpaths.algebraic import AlgebraicElement, certify, random_element, validate_roots
 from algpaths import algebraic, paths
@@ -831,63 +832,98 @@ def test_exp_grid_reports_the_first_failing_sample():
         assert str(err.value).startswith(f"membership fails at t = {t:.4f}: residual ")
 
 
+def _jordan_generators(m, k, seed):
+    """``k`` defective generators: a nilpotent Jordan block of size ``m`` in a random unitary frame."""
+    rng = rng_from(seed, m, k, 2)
+    gens = []
+    for _ in range(k):
+        q, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+        gens.append(q @ (0.5 * np.eye(m, k=1)) @ q.conj().T)
+    return tuple(gens)
+
+
 @pytest.mark.parametrize("m", [2, 8, 16])
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("self_adjoint", [False, True], ids=["general", "self-adjoint"])
 def test_verify_exp_path_calls_expm_once_per_generator_and_block(m, k, self_adjoint, monkeypatch):
-    # the random generators of general mode are non-normal: one stacked expm per
-    # generator, direction and block; the Hermitian ones of self-adjoint mode are
-    # normal and take the diagonal route, no expm at all.  Either way the path
-    # takes one Schur form per generator, however many times it is evaluated.
+    # The random generators of both modes are diagonalizable with a well
+    # conditioned eigenbasis (unitary for the Hermitian ones of self-adjoint
+    # mode): no expm at all.  Defective generators take one stacked expm per
+    # generator, direction and block.  Either way the path takes one Schur form
+    # per generator, and one eig and inverse per non-normal generator, however
+    # many times it is evaluated.
     path, roots = _exp_path(m, k, self_adjoint, seed=53)
-    expm_calls, schur_calls = [], []
-    expm, schur = scipy.linalg.expm, scipy.linalg.schur
-    monkeypatch.setattr(scipy.linalg, "expm", lambda x: expm_calls.append(x.shape) or expm(x))
-    monkeypatch.setattr(scipy.linalg, "schur", lambda *a, **kw: schur_calls.append(1) or schur(*a, **kw))
+    calls = {"expm": [], "schur": [], "eig": [], "inv": []}
+    for module, name in ((scipy.linalg, "expm"), (scipy.linalg, "schur"), (np.linalg, "eig"), (np.linalg, "inv")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, _real=real, _seen=calls[name], **kw: _seen.append(a[0].shape) or _real(*a, **kw))
     end = path.value(1.0)
-    expm_calls.clear()
+    verify_path(path, roots, expected_endpoint=end, samples=100)
+    verify_path(path, roots, expected_endpoint=end, samples=100)
+    assert calls["expm"] == []
+    assert len(calls["schur"]) == k
+    assert len(calls["eig"]) == len(calls["inv"]) == (0 if self_adjoint else k)
+    if self_adjoint:
+        return
+
+    for name in calls:
+        calls[name].clear()
+    path = paths.ExpSimilarityPath(base=path.base, generators=_jordan_generators(m, k, seed=53))
+    end = path.value(1.0)
+    calls["expm"].clear()
     verify_path(path, roots, expected_endpoint=end, samples=100)
     verify_path(path, roots, expected_endpoint=end, samples=100)
     per_block = max(1, paths._GRID_BLOCK_BYTES // (16 * m * m))
     blocks = -(-100 // per_block)
-    assert len(expm_calls) == (0 if self_adjoint else 2 * 2 * k * blocks)
-    assert all(shape[0] <= per_block for shape in expm_calls)
-    assert len(schur_calls) == k
+    assert len(calls["expm"]) == 2 * 2 * k * blocks
+    assert all(shape[0] <= per_block for shape in calls["expm"])
+    assert len(calls["schur"]) == len(calls["eig"]) == k
+    assert _routes(path) == ["expm"] * k
 
 
-def _is_diagonal_route(path):
-    return [q is not None for _, q, _ in path._exponents]
+def _routes(path):
+    """Per generator: ``"unitary"`` (its Schur basis), ``"eigenbasis"`` (``eig``) or ``"expm"``."""
+    out = []
+    for _, v, _, v_inv in path._exponents:
+        if v is None:
+            out.append("expm")
+        else:
+            out.append("unitary" if np.array_equal(v_inv, v.conj().T) else "eigenbasis")
+    return out
 
 
 @pytest.mark.parametrize("m", [2, 4, 8, 16])
 def test_polar_and_selfadjoint_generators_take_the_diagonal_route(m):
     # log h and iK of the polar split and the Hermitian K of self-adjoint mode
-    # are normal; the near-identity logarithm of exp-local is not
+    # are normal and take their unitary Schur basis; the near-identity
+    # logarithm of exp-local is not normal and takes its eigenbasis
     roots = validate_roots([0, 1, 2])
     ranks = (m - m // 2 - m // 4, m // 2, m // 4)
     for s in range(2):
         a = random_element(ranks, roots, seed=(s, m, 61))
         b = random_element(ranks, roots, seed=(s, m, 62))
         path = connect_exp_global(a, b)
-        assert len(path.generators) == 2 and _is_diagonal_route(path) == [True, True]
+        assert len(path.generators) == 2 and _routes(path) == ["unitary", "unitary"]
         verify_path(path, expected_endpoint=b.a)
 
         a = random_element(ranks, roots, seed=(s, m, 63), self_adjoint=True)
         b = random_element(ranks, roots, seed=(s, m, 64), self_adjoint=True)
         path = connect_selfadjoint(a, b)
-        assert _is_diagonal_route(path) == [True] * len(path.generators)
+        assert _routes(path) == ["unitary"] * len(path.generators)
         verify_path(path, expected_endpoint=b.a)
 
         a, b = _conjugate_pair(roots, ranks, (s, m, 65))
         path = connect_exp_local(a, b)
-        assert _is_diagonal_route(path) == [False]
+        assert _routes(path) == ["eigenbasis"]
         verify_path(path, expected_endpoint=b.a)
 
 
 @pytest.mark.parametrize("side", [0.8, 1.25], ids=["below", "above"])
 def test_exponential_routes_agree_with_expm_at_the_normality_cutoff(side):
     # c = Q (diag(lam) + eps N) Q* has departure from normality eps ||N||_F in
-    # every Schur form; put it a little below or above 8 m u ||c||_F
+    # every Schur form; put it a little below or above 8 m u ||c||_F.  Below it
+    # takes its unitary Schur basis, above it the eigenbasis from eig.
     m = 8
     rng = rng_from(67, m)
     q, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
@@ -897,10 +933,11 @@ def test_exponential_routes_agree_with_expm_at_the_normality_cutoff(side):
     c = q @ (np.diag(lam) + side * cutoff * n / np.linalg.norm(n)) @ q.conj().T
     base = certify(np.diag([1.0] * (m // 2) + [0.0] * (m // 2)), R01)
     path = paths.ExpSimilarityPath(base=base, generators=(c,))
-    t_schur = scipy.linalg.schur(c, output="complex")[0]
+    t_schur, q_schur = scipy.linalg.schur(c, output="complex")
     off = np.linalg.norm(np.triu(t_schur, 1)) / (np.finfo(float).eps * np.linalg.norm(c))
     assert (off < 8 * m) == (side < 1)
-    assert _is_diagonal_route(path) == [side < 1]
+    assert _routes(path) == ["unitary" if side < 1 else "eigenbasis"]
+    assert np.array_equal(path._exponents[0][1], q_schur) == (side < 1)
     ts = np.linspace(0.0, 1.0, 11)
     for sign in (1.0, -1.0):
         got = path._exp_stack(0, sign * ts)
@@ -908,6 +945,80 @@ def test_exponential_routes_agree_with_expm_at_the_normality_cutoff(side):
             ref = scipy.linalg.expm(t * c)
             assert operator_norm(e - ref) <= 1e-13 * operator_norm(ref)
     np.testing.assert_array_equal(path.transporter(0.0), np.eye(m))
+
+
+def _kappa_1(c):
+    lam, v = np.linalg.eig(c)
+    return np.linalg.norm(v, 1) * np.linalg.norm(np.linalg.inv(v), 1)
+
+
+@pytest.mark.parametrize("side", [0.99, 1.01], ids=["below", "above"])
+def test_exponential_routes_agree_with_expm_at_the_eigenbasis_cutoff(side):
+    # c = Q T Q* with T = diag(lam) + r e_0 e_1^T: the eigenvector of lam_1
+    # leans towards e_0 as r grows, so kappa_1(v) grows with r.  Put it a
+    # little below or above the cutoff: below takes the eigenbasis, within
+    # kappa m u of e^{tc}, above the stacked expm.  e^{tT} is known in closed
+    # form, so the reference errs only by the unitary products (expm itself
+    # errs by up to about 1.5 kappa m u at this ||c|| of about 470).
+    m = 8
+    rng = rng_from(73, m)
+    q, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    lam = np.linspace(-0.5, 0.5, m)
+
+    def generator(r):
+        t = np.diag(lam).astype(complex)
+        t[0, 1] = r
+        return q @ t @ q.conj().T
+
+    target = side * paths._EIGENBASIS_KAPPA
+    r = scipy.optimize.brentq(lambda r: _kappa_1(generator(r)) - target, 1.0, 1e4, xtol=1e-12)
+    c = generator(r)
+    kappa = _kappa_1(c)
+    assert abs(kappa / target - 1.0) < 1e-3
+    base = certify(np.diag([1.0] * (m // 2) + [0.0] * (m // 2)), R01)
+    path = paths.ExpSimilarityPath(base=base, generators=(c,))
+    assert _routes(path) == ["eigenbasis" if side < 1 else "expm"]
+    ts = np.linspace(-1.0, 1.0, 21)
+    got = path._exp_stack(0, ts)
+    if side > 1:
+        np.testing.assert_array_equal(got, scipy.linalg.expm(ts[:, None, None] * c))
+    else:
+        for t, e in zip(ts, got):
+            exp_t = np.diag(np.exp(t * lam)).astype(complex)
+            exp_t[0, 1] = r * (np.exp(t * lam[0]) - np.exp(t * lam[1])) / (lam[0] - lam[1])
+            ref = q @ exp_t @ q.conj().T
+            assert operator_norm(e - ref) <= kappa * m * np.finfo(float).eps / 2 * operator_norm(ref)
+    np.testing.assert_array_equal(path.transporter(0.0), np.eye(m))
+    verify_path(path, expected_endpoint=path.value(1.0))
+
+
+@pytest.mark.parametrize("m", [2, 3, 8])
+def test_nilpotent_jordan_generators_take_expm_and_certify(m):
+    # A nilpotent Jordan block: eig returns (nearly) parallel eigenvectors,
+    # an exactly singular v at m = 3 (inv raises) and one with kappa_1 near
+    # 1e291 at m = 2, so both reach the stacked expm.  e^{tN} is a polynomial
+    # in t, and the path stays in the solution set.
+    n = 0.1 * np.eye(m, k=1).astype(complex)
+    lam, v = np.linalg.eig(n)
+    if m == 3:
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(v)
+    base = certify(np.diag([1.0] * (m - m // 2) + [0.0] * (m // 2)), R01)
+    for gens in ((n,), _jordan_generators(m, 2, seed=79)):
+        path = paths.ExpSimilarityPath(base=base, generators=gens)
+        assert _routes(path) == ["expm"] * len(gens)
+        end = base.a
+        for c in gens:  # e^{c_k} ... e^{c_1} a e^{-c_1} ... e^{-c_k}
+            end = scipy.linalg.expm(c) @ end @ scipy.linalg.expm(-c)
+        cert = verify_path(path, expected_endpoint=end)
+        assert cert.worst_membership <= 1e-13 and cert.endpoint_error <= 1e-13
+    if m == 2:  # N^2 = 0 and N a = 0, a N = N for a = diag(1, 0): e^{N} a e^{-N} = a - N
+        path = paths.ExpSimilarityPath(base=base, generators=(n,))
+        np.testing.assert_allclose(path.value(1.0), base.a - n, rtol=0, atol=1e-16)
+    overflow = paths.ExpSimilarityPath(base=base, generators=(800 * np.eye(m) + n,))
+    assert _routes(overflow) == ["expm"]
+    with pytest.raises(MagnitudeOverflow):
+        verify_path(overflow)
 
 
 TINY_GAP = validate_roots([0, 1e-9])
@@ -942,8 +1053,9 @@ def test_selfadjoint_samples_are_judged_on_the_element_scale():
 def test_verify_rejects_paths_whose_magnitude_overflows():
     # [[300, 800], [0, -300]]: ||x(1)|| is about 5e260, so the scale ||x|| (||x|| + 1)
     # overflows; the tolerance used to become inf and pass a residual of 1.1e245.
-    # The other two overflow e^{800} itself, one on the diagonal route (normal) and
-    # one through expm; their non-finite samples used to end in a LinAlgError.
+    # The other two overflow e^{800} itself, one through its unitary Schur basis
+    # (normal) and one through its eigenbasis; their non-finite samples used to
+    # end in a LinAlgError.  (The nilpotent Jordan test overflows through expm.)
     base = certify(E, R01)
     for generator in ([[300, 800], [0, -300]], [[0, 800], [800, 0]], [[800, 800], [0, -800]]):
         path = paths.ExpSimilarityPath(base=base, generators=(np.array(generator, dtype=complex),))

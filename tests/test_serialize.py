@@ -305,6 +305,10 @@ _ELEMENT_2 = {"matrix": {"dim": 2, "entries": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0
      "coeffs must be one or more matrices of one size"),
     (path_from_json, {"kind": "polynomial", "coeffs": [_M1], "certificate": None, "self_adjoint": False},
      "certificate must be a number, got None"),
+    (matrix_from_json, {"dim": 2.5, "entries": [[1.0, 0.0]] * 4}, "dim must be an integer >= 1, got 2.5"),
+    (matrix_from_json, {"dim": 1.0, "entries": [[1.0, 0.0]]}, "dim must be an integer >= 1, got 1.0"),
+    (matrix_from_json, {"dim": "2", "entries": [[1.0, 0.0]] * 4}, "dim must be an integer >= 1, got '2'"),
+    (matrix_from_json, {"dim": True, "entries": [[1.0, 0.0]]}, "dim must be an integer >= 1, got True"),
 ])
 def test_malformed_wire_objects_are_preconditions(read, obj, message):
     with pytest.raises(PreconditionError, match=re.escape(message)):
