@@ -10,7 +10,8 @@ on the construction heuristics:
 * ``connect_selfadjoint`` — unitary conjugation ``e^{ict} a e^{-ict}`` with a
   Hermitian generator, staying inside the self-adjoint solution set;
 * ``connect_polygonal`` — straight segments through intermediates that swap
-  one spectral subspace at a time, certified coefficient-by-coefficient.
+  one spectral subspace at a time, certified coefficient-by-coefficient; a
+  degenerate pair is crossed through one seeded element of its component.
 
 ``min_degree_search`` hunts for polynomial paths of prescribed degree by
 least-squares on the exact coefficients of the composed polynomial, and
@@ -34,10 +35,12 @@ from .algebraic import (
     _hermiticity_tolerance,
     certify,
     defining_poly_value,
+    random_element,
+    spectral_resolution,
 )
-from .components import resolve, resolve_pair
+from .components import resolve_pair
 from .errors import (
-    AlgpathsError,
+    CertificationError,
     CertificationFailed,
     FactorizationFailed,
     MagnitudeOverflow,
@@ -444,10 +447,6 @@ def connect_exp_global(
     ``(log h, i h, i k)``.
     """
     ea, fb, ranks = _require_same_component(a, b, cfg)
-    return _global_from_partitions(a, b, ea, fb, ranks, cfg, seed)
-
-
-def _global_from_partitions(a, b, ea, fb, ranks, cfg, seed) -> ExpSimilarityPath:
     w = _matching_similarity(ea, fb)
     if operator_norm(w - identity_like(w)) < cfg.invertibility_margin:
         return _local_from_partitions(a, b, w, cfg)
@@ -545,9 +544,11 @@ def connect_polygonal(
     but one, and on that one they agree modulo the others, which makes the
     defining polynomial vanish identically along the straight segment — the
     coefficient certificates confirm it numerically.  With ``n`` roots this
-    yields ``n`` segments; degenerate subspace configurations fall back to
-    inserting a midpoint from the global exponential path, so the segment
-    count can exceed ``n`` (it is reported via ``segments``).
+    yields ``n`` segments.  When that chain is degenerate (antipodal or
+    oblique subspaces), the path goes through one random element ``z`` of the
+    pair's component, drawn from ``seed``, as the two chains ``a -> z`` and
+    ``z -> b``: up to ``2n`` segments (reported via ``segments``).  If either
+    of those is degenerate too, :class:`SubspaceSplitFailed` is raised.
     """
     ea, fb, ranks = _require_same_component(a, b, cfg)
     return _polygonal_from_partitions(a, b, ea, fb, ranks, cfg, seed)
@@ -556,24 +557,18 @@ def connect_polygonal(
 def _polygonal_from_partitions(a, b, ea, fb, ranks, cfg, seed) -> PolygonalPath:
     if operator_norm(a.a - b.a) <= cfg.residual_tol * (1.0 + operator_norm(a.a)):
         return PolygonalPath(breakpoints=(a,), certificates=())
-    breakpoints, certs = _polygonal_chain(a, b, ea, fb, ranks, cfg, seed, depth=4)
-    return PolygonalPath(breakpoints=tuple(breakpoints), certificates=tuple(certs))
-
-
-def _polygonal_chain(a, b, ea, fb, ranks, cfg, seed, depth):
     try:
-        return _subspace_replacement_chain(a, b, ea, fb, ranks, cfg)
-    except (_ChainFailed, NotAlgebraic):
-        if depth <= 0:
-            raise SubspaceSplitFailed(
-                "subspace configurations stayed degenerate through midpoint retries"
-            )
-    mid_path = _global_from_partitions(a, b, ea, fb, ranks, cfg, seed)
-    z = certify(mid_path.value(0.5), a.roots, cfg)
-    ez, zsig = resolve(z, cfg)
-    left_bp, left_c = _polygonal_chain(a, z, ea, ez, ranks, cfg, seed + 1, depth - 1)
-    right_bp, right_c = _polygonal_chain(z, b, ez, fb, zsig.ranks, cfg, seed + 2, depth - 1)
-    return left_bp + right_bp[1:], left_c + right_c
+        breakpoints, certs = _subspace_replacement_chain(a, b, ea, fb, ranks, cfg)
+    except (_ChainFailed, NotAlgebraic):  # degenerate: go through one seeded element z
+        z = random_element(ranks, a.roots, seed=(seed, 32), cfg=cfg)
+        ez = spectral_resolution(z, cfg)
+        try:
+            left_bp, left_c = _subspace_replacement_chain(a, z, ea, ez, ranks, cfg)
+            right_bp, right_c = _subspace_replacement_chain(z, b, ez, fb, ranks, cfg)
+        except (_ChainFailed, NotAlgebraic):
+            raise SubspaceSplitFailed("subspace configurations stayed degenerate through a seeded midpoint") from None
+        breakpoints, certs = left_bp + right_bp[1:], left_c + right_c
+    return PolygonalPath(breakpoints=tuple(breakpoints), certificates=tuple(certs))
 
 
 def _subspace_replacement_chain(a, b, ea, fb, ranks, cfg):
@@ -805,7 +800,7 @@ def min_degree_search(
     # the polygonal path only seeds one restart; the search runs without it
     try:
         poly_seed = _polygonal_from_partitions(a, b, ea, fb, ranks, cfg, seed)
-    except AlgpathsError:
+    except CertificationError:
         poly_seed = None
 
     for d in range(1, d_max + 1):

@@ -7,6 +7,7 @@ import scipy.optimize
 
 from algpaths.algebraic import AlgebraicElement, certify, random_element, validate_roots
 from algpaths import algebraic, paths
+from algpaths.components import signature
 from algpaths.errors import (
     CertificationFailed,
     FactorizationFailed,
@@ -209,7 +210,7 @@ def test_polygonal_same_element():
 
 def test_polygonal_antipodal_needs_midpoints():
     # R(e) equals N(f) here, so the direct subspace swap is degenerate and a
-    # midpoint from the exponential path is inserted; certificates still hold.
+    # seeded element of the component is inserted; certificates still hold.
     a = certify(E, R01)
     b = certify(F_SWAP, R01)
     path = connect_polygonal(a, b)
@@ -231,7 +232,7 @@ def _antipodal_projections(k):
 # eigenvalues off the branch cut: for k = 1 the flips succeed, from k = 2 on the
 # constructors must take their last fallbacks.
 @pytest.mark.parametrize("k, n_global, n_selfadjoint", [(1, 2, 1), (2, 3, 2), (3, 3, 2)])
-def test_antipodal_projections_reach_the_fallbacks(k, n_global, n_selfadjoint, monkeypatch):
+def test_antipodal_projections_reach_the_fallbacks(k, n_global, n_selfadjoint):
     a, b = _antipodal_projections(k)
     path = connect_exp_global(a, b)
     assert len(path.generators) == n_global  # 3: the unitary factor split off the branch cut
@@ -240,31 +241,27 @@ def test_antipodal_projections_reach_the_fallbacks(k, n_global, n_selfadjoint, m
     assert len(path.generators) == n_selfadjoint  # 2: the two-factor split
     assert verify_path(path, expected_endpoint=b.a).endpoint_error <= 1e-12
 
-    # the polygonal path inserts a midpoint from the global exponential path
-    midpoint_generators = []
-    global_path = paths._global_from_partitions
-
-    def spy(*args):
-        path = global_path(*args)
-        midpoint_generators.append(len(path.generators))
-        return path
-
-    monkeypatch.setattr(paths, "_global_from_partitions", spy)
+    # the direct chain is degenerate, so the polygonal path goes through one
+    # seeded element of the component: two chains of two segments each
     path = connect_polygonal(a, b)
-    assert midpoint_generators[0] == n_global
-    assert path.breakpoints[-1] is b
+    assert path.segments == 4
+    assert path.breakpoints[0] is a and path.breakpoints[-1] is b
+    assert signature(path.breakpoints[2]).ranks == (k, k)
     verify_path(path)
 
 
-def _oblique_swap(eps, k):
+def _oblique_swap(eps, k, identity_first=True):
     """``1_k kron S diag(1, 0) S^-1`` and ``1_k kron S diag(0, 1) S^-1`` over the roots {0, 1}.
 
     ``S = [e_1 | v]`` with the unit vector ``v`` at angle ``eps`` to ``e_1``, so
     the pair swaps two oblique subspaces and its norm grows like ``1 / eps``.
+    With ``identity_first=False`` the Kronecker factors come in the other order,
+    ``S diag(1, 0) S^-1 kron 1_k``.
     """
     v = np.array([1.0, eps]) / np.hypot(1.0, eps)
     s = np.column_stack([[1.0, 0.0], v]).astype(complex)
-    swap = [np.kron(np.eye(k), s @ np.diag(d) @ np.linalg.inv(s)) for d in ([1.0, 0.0], [0.0, 1.0])]
+    blocks = [s @ np.diag(d) @ np.linalg.inv(s) for d in ([1.0, 0.0], [0.0, 1.0])]
+    swap = [np.kron(np.eye(k), x) if identity_first else np.kron(x, np.eye(k)) for x in blocks]
     return certify(swap[0], R01), certify(swap[1], R01)
 
 
@@ -283,13 +280,48 @@ def test_oblique_swap_pairs_split_the_unitary_off_the_cut(eps, k):
 
 
 # At eps = 1e-9 the matcher is singular and each stacked basis is
-# rank-deficient, so there is no similarity to factor at all.
+# rank-deficient, so there is no similarity to factor at all; the polygonal
+# path needs none.
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_oblique_swap_pairs_without_an_invertible_similarity(k):
     a, b = _oblique_swap(1e-9, k)
-    for connect in (connect_exp_global, connect_polygonal):
-        with pytest.raises(FactorizationFailed, match="no invertible similarity"):
-            connect(a, b)
+    with pytest.raises(FactorizationFailed, match="no invertible similarity"):
+        connect_exp_global(a, b)
+    poly = connect_polygonal(a, b)
+    assert poly.breakpoints[0] is a and poly.breakpoints[-1] is b
+    verify_path(poly)
+
+
+@pytest.mark.parametrize("identity_first", [True, False])
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("eps", [1e-4, 1e-9])
+def test_polygonal_oblique_swap_pairs_never_build_an_exponential_path(eps, k, identity_first, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the polygonal constructor built an exponential path")
+
+    monkeypatch.setattr(paths, "ExpSimilarityPath", refuse)
+    a, b = _oblique_swap(eps, k, identity_first)
+    poly = connect_polygonal(a, b)
+    assert poly.segments == 4  # the direct chain is degenerate
+    assert poly.breakpoints[0] is a and poly.breakpoints[-1] is b
+    verify_path(poly)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=CertificationFailed,
+    reason="ROADMAP item 9: every similarity candidate of this pair misses b by conditioning",
+)
+def test_exp_global_oblique_swap_pair_in_the_other_kronecker_order():
+    a, b = _oblique_swap(1e-4, 3, identity_first=False)
+    verify_path(connect_exp_global(a, b), expected_endpoint=b.a)
+
+
+def test_polygonal_midpoint_follows_the_seed():
+    a, b = _antipodal_projections(2)
+    mid = [connect_polygonal(a, b, seed=s).breakpoints[2].a for s in (0, 0, 1)]
+    np.testing.assert_array_equal(mid[0], mid[1])
+    assert operator_norm(mid[0] - mid[2]) > 1e-3
 
 
 def test_log_positive_refuses_a_non_positive_eigenvalue():
@@ -315,7 +347,7 @@ def _refusing_segment_certificates(monkeypatch, refusals):
 
 def test_polygonal_chain_whose_segments_fail_retries_through_a_midpoint(monkeypatch):
     # a chain that built its breakpoints but whose segment certificates fail is
-    # dropped (_ChainFailed) for two chains through the exponential midpoint
+    # dropped (_ChainFailed) for two chains through a seeded midpoint
     a, b = _conjugate_pair(R01, (1, 2), (5, 23), delta=0.2)
     calls = _refusing_segment_certificates(monkeypatch, refusals=1)
     path = connect_polygonal(a, b)
@@ -325,12 +357,13 @@ def test_polygonal_chain_whose_segments_fail_retries_through_a_midpoint(monkeypa
 
 
 def test_polygonal_chain_that_stays_degenerate_raises_after_the_retries(monkeypatch):
-    # depth 4: the first chain and one per midpoint level down the left branch
+    # the direct chain, then a -> z through the seeded midpoint, whose failure
+    # ends the search before z -> b is built
     a, b = _conjugate_pair(R01, (1, 2), (5, 23), delta=0.2)
     calls = _refusing_segment_certificates(monkeypatch, refusals=10**6)
-    with pytest.raises(SubspaceSplitFailed, match="stayed degenerate through midpoint retries"):
+    with pytest.raises(SubspaceSplitFailed, match="^subspace configurations stayed degenerate through a seeded midpoint$"):
         connect_polygonal(a, b)
-    assert calls == [2] * 5
+    assert calls == [2, 2]
 
 
 def test_polygonal_two_segments_for_close_idempotent_pairs():
@@ -425,6 +458,18 @@ def test_mindeg_search_runs_without_polygonal_seed(monkeypatch):
     found = min_degree_search(a, b, d_max=2, budget=3, seed=0)
     assert 2 in found.residual_by_degree  # the degree-2 restarts ran
     assert fits == []  # without a polygonal seed to fit
+
+
+def test_mindeg_lets_a_polygonal_precondition_error_through(monkeypatch):
+    # only a certification failure of the polygonal seed is absorbed
+    def bad_input(*args, **kwargs):
+        raise PreconditionError("bad polygonal input")
+
+    monkeypatch.setattr(paths, "_polygonal_from_partitions", bad_input)
+    a = random_element((1, 1), R01, seed=(0, 21), self_adjoint=True)
+    b = random_element((1, 1), R01, seed=(0, 22), self_adjoint=True)
+    with pytest.raises(PreconditionError, match="bad polygonal input"):
+        min_degree_search(a, b, d_max=2, budget=3, seed=0)
 
 
 def test_mindeg_does_not_swallow_foreign_errors(monkeypatch):
