@@ -97,7 +97,7 @@ class SearchExhausted(CertificationError):
 
 
 class FactorizationFailed(CertificationError):
-    """A unitary factor has a phase at the branch cut and retries ran out."""
+    """No similarity to factor (a singular matcher, rank-deficient bases), or a non-positive polar factor."""
 
 
 class SubspaceSplitFailed(CertificationError):

@@ -56,7 +56,6 @@ from .matkernel import (
     MatrixPolynomial,
     ToleranceConfig,
     identity_like,
-    mat_exp,
     mat_log_near_identity,
     matpoly_compose_p,
     matpoly_mul,
@@ -80,7 +79,6 @@ __all__ = [
     "verify_path",
 ]
 
-_PHASE_CUT_TOL = 1e-6
 _GRID_BLOCK_BYTES = 64 * 1024  # per stacked (N, m, m) array of a sample grid
 # The largest kappa_1(v) = ||v||_1 ||v^{-1}||_1 of a non-normal generator's
 # eigenbasis that ExpSimilarityPath exponentiates through it.  The computed
@@ -312,45 +310,14 @@ def _log_positive(h: np.ndarray) -> np.ndarray:
 
 
 def _hermitian_log_of_unitary(u: np.ndarray) -> np.ndarray:
-    """Hermitian ``K`` with ``u = e^{iK}``, phases in (-pi, pi).
+    """Hermitian ``K`` with ``u = e^{iK}``, phases in ``[-pi, pi]``.
 
-    Fails when a phase sits at the branch cut; callers retry with a modified
-    factorization in that case, the last tier being :func:`_split_off_the_cut`.
+    ``u = q t q*`` in complex Schur form; ``u`` is normal, so ``t`` is diagonal
+    to rounding and ``K = q diag(angle(diag t)) q*``.  A phase at -1 becomes
+    ``pi`` or ``-pi``, both of which exponentiate to -1.
     """
     t, q = scipy.linalg.schur(u, output="complex")
-    phases = np.angle(np.diagonal(t))
-    if np.min(np.pi - np.abs(phases)) < _PHASE_CUT_TOL:
-        raise FactorizationFailed("unitary factor has a phase at the branch cut")
-    return (q * phases) @ q.conj().T
-
-
-def _split_off_the_cut(u: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Hermitian ``(h, k)`` with ``u = e^{ik} e^{ih}``, for a unitary ``u`` whose phase sits at the cut.
-
-    ``h`` is a small seeded random Hermitian (``||h|| <= 0.2``) that moves the
-    spectrum of ``u e^{-ih}`` off the branch cut, so ``k`` is its logarithm;
-    a phase still at the cut raises :class:`FactorizationFailed`.
-    """
-    m = u.shape[0]
-    rng = rng_from(seed, 31, 0)
-    z = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-    h = 0.5 * (z + z.conj().T)
-    h *= 0.2 / max(1.0, operator_norm(h))
-    return h, _hermitian_log_of_unitary(u @ mat_exp(1j * h).conj().T)
-
-
-def _column_flips(basis: np.ndarray):
-    """``basis``, then each copy with one column negated, for retries off the branch cut.
-
-    A flip negates the determinant and moves the spectrum of the unitary factor built
-    from the basis.  Being a rank-one change, it cannot clear a -1 eigenvalue of
-    multiplicity two.
-    """
-    yield basis
-    for col in range(basis.shape[1]):
-        flipped = np.array(basis)
-        flipped[:, col] = -flipped[:, col]
-        yield flipped
+    return (q * np.angle(np.diagonal(t))) @ q.conj().T
 
 
 def _range_basis(e: np.ndarray, r: int) -> np.ndarray:
@@ -434,57 +401,36 @@ def connect_exp_global(
     cfg: ToleranceConfig = ToleranceConfig(),
     seed: int = 0,
 ) -> ExpSimilarityPath:
-    """Conjugation path with at most three exponential factors, any distance.
+    """Conjugation path with two exponential factors, any distance.
 
     Factors the connecting similarity through a polar split ``w = u h``: the
     positive part contributes a Hermitian generator ``log h``, the unitary
     part a skew one ``i K``.  When the partition matcher is singular (it can
     be, e.g. for antipodal idempotent pairs) the similarity is rebuilt from
     stacked spectral bases, which conjugates partition onto partition just as
-    well.  When every similarity's unitary factor has a phase at the branch
-    cut, the first one is split as ``u = e^{ik} e^{ih}`` with a small seeded
-    ``h``, as :func:`connect_selfadjoint` does, giving the generators
-    ``(log h, i h, i k)``.
+    well.  A matcher near the identity gives the one-generator local path.
+    ``seed`` has no effect.
     """
     ea, fb, ranks = _require_same_component(a, b, cfg)
     w = _matching_similarity(ea, fb)
     if operator_norm(w - identity_like(w)) < cfg.invertibility_margin:
         return _local_from_partitions(a, b, w, cfg)
-
-    factored = []  # the polar factors of each invertible candidate
-    for sim in _similarity_candidates(w, ea, fb, ranks):
-        try:
-            log_h, u = _polar_factors(sim)
-            factored.append((log_h, u))
-            return _gated_path(a, b, (log_h, 1j * _hermitian_log_of_unitary(u)), cfg)
-        except FactorizationFailed:  # a singular positive factor, or a phase at the cut
-            continue
-    if not factored:
-        raise FactorizationFailed("no invertible similarity: singular matcher, rank-deficient spectral bases")
-    log_h, u = factored[0]
-    h, k = _split_off_the_cut(u, seed)
-    return _gated_path(a, b, (log_h, 1j * h, 1j * k), cfg)
+    log_h, u = _polar_factors(_connecting_similarity(w, ea, fb, ranks))
+    return _gated_path(a, b, (log_h, 1j * _hermitian_log_of_unitary(u)), cfg)
 
 
-def _similarity_candidates(w, ea, fb, ranks):
-    """Similarities conjugating the first partition onto the second.
-
-    The partition matcher is tried first; when it is singular, similarities
-    are rebuilt from stacked spectral bases, then retried with one basis
-    column flipped at a time.
-    """
+def _connecting_similarity(w, ea, fb, ranks):
+    """The matcher ``w`` if it is invertible, else ``sf se^{-1}`` from the stacked spectral bases."""
     svals = np.linalg.svd(w, compute_uv=False)
     if svals[-1] > 1e-6 * max(1.0, svals[0]):
-        yield w
+        return w
     se = np.hstack([_range_basis(e, r) for e, r in zip(ea.members, ranks)])
     sf = np.hstack([_range_basis(f, r) for f, r in zip(fb.members, ranks)])
     for stack in (se, sf):
         s = np.linalg.svd(stack, compute_uv=False)
         if s[-1] <= 1e-8 * s[0]:
-            return
-    se_inv = np.linalg.inv(se)
-    for flipped in _column_flips(sf):
-        yield flipped @ se_inv
+            raise FactorizationFailed("no invertible similarity: singular matcher, rank-deficient spectral bases")
+    return sf @ np.linalg.inv(se)
 
 
 def connect_selfadjoint(
@@ -493,12 +439,12 @@ def connect_selfadjoint(
     cfg: ToleranceConfig = ToleranceConfig(),
     seed: int = 0,
 ) -> ExpSimilarityPath:
-    """Unitary conjugation path between self-adjoint elements.
+    """Unitary conjugation path between self-adjoint elements, one generator.
 
     Orthonormal bases of matching eigenspaces assemble a unitary ``u`` with
-    ``u a u* = b``; its Hermitian logarithm drives ``x(t) = e^{ict} a e^{-ict}``,
-    which is self-adjoint and in the solution set for every ``t``.  If ``u``
-    has a phase at the branch cut the unitary is split into two factors.
+    ``u a u* = b``; its Hermitian logarithm ``c`` (phases in ``[-pi, pi]``)
+    drives ``x(t) = e^{ict} a e^{-ict}``, which is self-adjoint and in the
+    solution set for every ``t``.  ``seed`` has no effect.
     """
     _require_self_adjoint(a, b)
     if not a.roots.all_real:
@@ -506,15 +452,7 @@ def connect_selfadjoint(
     ea, fb, ranks = _require_same_component(a, b, cfg)
     ubasis = np.hstack([_eigbasis(e, r) for e, r in zip(ea.members, ranks)])
     vbasis = np.hstack([_eigbasis(f, r) for f, r in zip(fb.members, ranks)])
-
-    for v in _column_flips(vbasis):  # basis-phase freedom
-        u = v @ ubasis.conj().T
-        try:
-            k = _hermitian_log_of_unitary(u)
-        except FactorizationFailed:
-            continue
-        return _gated_path(a, b, (k,), cfg, self_adjoint_mode=True)
-    return _gated_path(a, b, _split_off_the_cut(vbasis @ ubasis.conj().T, seed), cfg, self_adjoint_mode=True)
+    return _gated_path(a, b, (_hermitian_log_of_unitary(vbasis @ ubasis.conj().T),), cfg, self_adjoint_mode=True)
 
 
 def _eigbasis(e: np.ndarray, r: int) -> np.ndarray:

@@ -28,7 +28,7 @@ from algpaths.paths import (
     min_degree_search,
     verify_path,
 )
-from algpaths.seeding import rng_from
+from algpaths.seeding import haar_unitary, rng_from
 from algpaths.serialize import path_from_json, path_to_json
 
 R01 = validate_roots([0, 1])
@@ -139,16 +139,22 @@ def test_conjugation_invariance_of_membership():
 
 
 def test_selfadjoint_rotation_example():
-    # Conjugating diag(1,0) to diag(0,1) takes a quarter-turn rotation:
-    # the generator is (pi/2) [[0, -i], [i, 0]] up to the rotation sense,
-    # and e^{ict} sweeps the orbit of projections.
+    # Conjugating diag(1,0) to diag(0,1) takes a quarter turn.  The matched
+    # eigenbases give the swap u = sigma_x up to basis signs, with eigenvalue 1
+    # on (1, 1) and -1 on (1, -1); its logarithm takes the phase pi or -pi on
+    # the latter, c = +-pi (1/2) [[1, -1], [-1, 1]].  Up to the global phase
+    # e^{i tr(c) t / 2}, which conjugation ignores, e^{ict} is the rotation by
+    # the traceless part +-(pi/2) sigma_x, and it sweeps the orbit of projections.
     a = certify(E, R01)
     b = certify(F_SWAP, R01)
     path = connect_selfadjoint(a, b)
     assert len(path.generators) == 1
     c = path.generators[0]
-    sigma = (np.pi / 2.0) * np.array([[0, -1j], [1j, 0]])
-    assert min(operator_norm(c - sigma), operator_norm(c + sigma)) <= 1e-12
+    assert operator_norm(c - c.conj().T) <= 1e-15
+    assert abs(abs(np.trace(c)) - np.pi) <= 1e-12
+    traceless = c - 0.5 * np.trace(c) * np.eye(2)
+    sigma = (np.pi / 2.0) * np.array([[0, 1], [1, 0]])
+    assert min(operator_norm(traceless - sigma), operator_norm(traceless + sigma)) <= 1e-12
     np.testing.assert_allclose(path.value(1.0), F_SWAP, atol=1e-12)
     mid = path.value(0.5)
     np.testing.assert_allclose(np.diag(mid).real, [0.5, 0.5], atol=1e-12)
@@ -228,17 +234,16 @@ def _antipodal_projections(k):
 
 # The matching similarity of an antipodal pair of rank-k projections swaps the
 # two subspaces, so its unitary factor has the eigenvalue -1, k times over.
-# Flipping one basis column is a rank-one change and moves at most one of those
-# eigenvalues off the branch cut: for k = 1 the flips succeed, from k = 2 on the
-# constructors must take their last fallbacks.
-@pytest.mark.parametrize("k, n_global, n_selfadjoint", [(1, 2, 1), (2, 3, 2), (3, 3, 2)])
-def test_antipodal_projections_reach_the_fallbacks(k, n_global, n_selfadjoint):
+# The logarithm takes the phase pi or -pi there, so at every k exp-global has
+# its two generators and selfadjoint its one.
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_antipodal_projections_need_no_fallback(k):
     a, b = _antipodal_projections(k)
     path = connect_exp_global(a, b)
-    assert len(path.generators) == n_global  # 3: the unitary factor split off the branch cut
+    assert len(path.generators) == 2
     assert verify_path(path, expected_endpoint=b.a).endpoint_error <= 1e-12
     path = connect_selfadjoint(a, b)
-    assert len(path.generators) == n_selfadjoint  # 2: the two-factor split
+    assert len(path.generators) == 1
     assert verify_path(path, expected_endpoint=b.a).endpoint_error <= 1e-12
 
     # the direct chain is degenerate, so the polygonal path goes through one
@@ -265,14 +270,14 @@ def _oblique_swap(eps, k, identity_first=True):
     return certify(swap[0], R01), certify(swap[1], R01)
 
 
-# Every similarity candidate of these pairs has a unitary factor at the branch
-# cut, so exp-global splits that factor as the self-adjoint constructor does.
+# The similarity of these pairs has a unitary factor with a phase at -1, which
+# the logarithm takes as pi or -pi: exp-global keeps its two generators.
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("eps", [1e-2, 1e-4])
 def test_oblique_swap_pairs_split_the_unitary_off_the_cut(eps, k):
     a, b = _oblique_swap(eps, k)
     path = connect_exp_global(a, b)
-    assert len(path.generators) == 3
+    assert len(path.generators) == 2
     verify_path(path, expected_endpoint=b.a)
     poly = connect_polygonal(a, b)
     assert poly.breakpoints[-1] is b
@@ -329,6 +334,34 @@ def test_log_positive_refuses_a_non_positive_eigenvalue():
     # constructor hands this one an indefinite matrix
     with pytest.raises(FactorizationFailed, match=r"eigenvalue -1\.000e\+00"):
         paths._log_positive(np.diag([1.0, -1.0]).astype(complex))
+
+
+# Eigenvalue -1 of every multiplicity j, and clusters of j eigenvalues that
+# straddle -1 at phases pi - delta and -(pi - delta); the other eigenvalues
+# have uniform random phases, and the eigenbasis is a Haar unitary.
+@pytest.mark.parametrize("m", [2, 3, 4, 8, 16, 32])
+def test_hermitian_log_of_unitary_at_the_branch_cut(m):
+    eps = np.finfo(float).eps
+    rng = rng_from(m, 41)
+    for j in range(1, m + 1):
+        for delta in (0.0, 1e-14, 1e-10, 1e-6, 1e-3):
+            phases = rng.uniform(-np.pi, np.pi, m)
+            phases[:j] = (np.pi - delta) * (-1.0) ** np.arange(j)
+            q = haar_unitary(m, [rng])[0]
+            u = (q * np.exp(1j * phases)) @ q.conj().T
+            k = paths._hermitian_log_of_unitary(u)
+            assert operator_norm(k - k.conj().T) <= 8 * m * eps * operator_norm(k)
+            assert operator_norm(scipy.linalg.expm(1j * k) - u) <= 8 * m * eps
+
+
+def test_exponential_constructors_ignore_the_seed():
+    # the antipodal pair of rank 2 has its unitary factor at the branch cut
+    a, b = _antipodal_projections(2)
+    for connect in (connect_exp_global, connect_selfadjoint):
+        first, second = (connect(a, b, seed=s).generators for s in (0, 7))
+        assert len(first) == len(second)
+        for c, d in zip(first, second):
+            np.testing.assert_array_equal(c, d)
 
 
 def _refusing_segment_certificates(monkeypatch, refusals):

@@ -309,6 +309,14 @@ _ELEMENT_2 = {"matrix": {"dim": 2, "entries": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0
     (matrix_from_json, {"dim": 1.0, "entries": [[1.0, 0.0]]}, "dim must be an integer >= 1, got 1.0"),
     (matrix_from_json, {"dim": "2", "entries": [[1.0, 0.0]] * 4}, "dim must be an integer >= 1, got '2'"),
     (matrix_from_json, {"dim": True, "entries": [[1.0, 0.0]]}, "dim must be an integer >= 1, got True"),
+    (signature_from_json, {}, "missing field 'ranks'"),
+    (signature_from_json, {"ranks": [1, 1]}, "missing field 'dim'"),
+    (signature_from_json, {"ranks": "ab", "dim": 2}, "field 'ranks' must be a list, got str"),
+    (signature_from_json, {"ranks": [1, 1], "dim": "x"}, "signature dim must be an integer >= 1, got 'x'"),
+    (signature_from_json, [1], "missing field 'ranks'"),
+    (signature_from_json, {"ranks": [1, 0.5], "dim": 2}, "signature ranks must be an integer >= 0, got 0.5"),
+    (signature_from_json, {"ranks": [2, -1], "dim": 1}, "signature ranks must be an integer >= 0, got -1"),
+    (signature_from_json, {"ranks": [1, 1], "dim": 3}, "ranks (1, 1) do not sum to dim 3"),
 ])
 def test_malformed_wire_objects_are_preconditions(read, obj, message):
     with pytest.raises(PreconditionError, match=re.escape(message)):
