@@ -63,7 +63,6 @@ from .matkernel import (
     operator_norm,
     poly_eval_scalar_coeffs,
     poly_from_roots,
-    rank,
 )
 from .paths import (
     ExpSimilarityPath,

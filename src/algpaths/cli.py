@@ -151,7 +151,7 @@ def _load_element(path: str, cfg: ToleranceConfig, roots_flag=None):
 
 
 def _tolerances(ns) -> ToleranceConfig:
-    flags = {"residual_tol": ns.tol, "rank_rel_tol": ns.rank_tol, "invertibility_margin": ns.margin}
+    flags = {"residual_tol": ns.tol, "invertibility_margin": ns.margin}
     return ToleranceConfig(**{field: v for field, v in flags.items() if v is not None})
 
 
@@ -307,7 +307,6 @@ def _add_search(p: argparse.ArgumentParser, **seed):
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--tol", type=_tolerance, default=None, help="residual tolerance override")
-    p.add_argument("--rank-tol", type=_tolerance, default=None, help="relative rank threshold override")
     p.add_argument("--margin", type=_margin, default=None, help="invertibility margin override, in (0, 1)")
     p.add_argument("--out", default=None, help="report file (stdout when omitted)")
     p.add_argument("--config", default=None, help="JSON file with defaults for any flag")

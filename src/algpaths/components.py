@@ -93,27 +93,40 @@ class DistanceScanReport:
     self_adjoint: bool
 
 
-def partition_ranks(part, cfg: ToleranceConfig = ToleranceConfig()) -> list[int]:
-    """Ranks of partition members from one stacked SVD, with a conditioning guard.
+def partition_ranks(part) -> list[int]:
+    """Ranks of partition members, certified from their traces.
 
-    A nonzero idempotent has norm >= 1, so partition members live on the
-    scale of 1; flooring the threshold scale there keeps numerically-zero
-    members (pure round-off, norms ~1e-16) from being ranked by their own
-    dust.  A singular value within a factor ten of the threshold means the
-    rank decision is not trustworthy, and the ranks of a genuine partition
-    must sum to the dimension.
+    An idempotent's rank is its trace.  Each eigenvalue ``mu`` of a member ``e``
+    has ``|mu^2 - mu| <= delta``, for ``delta >= ||e^2 - e||``; for ``delta < 1/4`` it
+    lies within ``r = (1 - sqrt(1 - 4 delta)) / 2 < 1/2`` of 0 or 1, and the Riesz
+    projection onto those near 1 (Kato, ch. I-II) has rank ``k = round(Re tr e)``
+    when ``|Re tr e - k| + m r``, rounding included, stays below 1/2.  Otherwise,
+    or if the ranks miss the dimension, :class:`RankAmbiguous` is raised.
     """
+    e = np.stack(part.members)
     m = part.dim
-    s = np.linalg.svd(np.stack(part.members), compute_uv=False)  # (n, m), one row per member
-    thr = (cfg.rank_rel_tol * np.maximum(s[:, 0], 1.0) * m)[:, None]
-    window = (s > thr / 10.0) & (s < thr * 10.0)
-    if window.any():
-        i = int(np.argmax(window.any(axis=1)))
-        raise RankAmbiguous(
-            f"singular value {s[i][window[i]][0]:.3e} of idempotent {i} is within a factor 10 "
-            f"of the rank threshold {thr[i, 0]:.3e}"
-        )
-    ranks = np.count_nonzero(s > thr, axis=1).tolist()
+    eps = np.finfo(float).eps
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite member fails below
+        defect = _frobenius(e @ e - e)
+        abs_e = np.abs(e)
+        diag = np.diagonal(e, axis1=-2, axis2=-1).real
+        trace = diag.sum(axis=-1)
+        # Rounding, u = eps / 2 (Higham §3.5-3.6): fl(e e) errs by at most sqrt(2)
+        # gamma_{m+2} |e||e| entrywise, the subtraction by u |fl(e e) - e|, a Frobenius
+        # norm by (m^2 + 4) u relative, so ||e^2 - e||_2 <= (1 + (m^2 + 6) u) defect +
+        # 1.5 (m + 2) u || |e||e| ||_F, which delta bounds with room for its own rounding.
+        # The trace errs by gamma_{m-1} sum |Re e_jj|, and r, m r and the two additions
+        # (values below one) by (3 m + 4) u; the slack bounds both.
+        delta = (1.0 + (m + 3) ** 2 * eps) * defect + (m + 2) * eps * _frobenius(abs_e @ abs_e)
+        r = (1.0 - np.sqrt(1.0 - 4.0 * delta)) / 2.0
+        k = np.rint(trace)
+        slack = m * eps * (np.abs(diag).sum(axis=-1) + 4.0)
+        certified = (delta < 0.25) & (np.abs(trace - k) + m * r + slack < 0.5)  # NaN fails
+    if not certified.all():
+        i = int(np.argmin(certified))
+        raise RankAmbiguous(f"idempotent {i} has no certified rank: trace {trace[i]:.6f}, "
+                            f"idempotency defect {defect[i]:.3e}")
+    ranks = k.astype(int).tolist()
     if sum(ranks) != m:
         raise RankAmbiguous(f"idempotent ranks {ranks} do not sum to the dimension {m}")
     return ranks
@@ -122,7 +135,7 @@ def partition_ranks(part, cfg: ToleranceConfig = ToleranceConfig()) -> list[int]
 def resolve(el: AlgebraicElement, cfg: ToleranceConfig = ToleranceConfig()):
     """The spectral resolution of ``el`` and the signature ranked from it."""
     part = spectral_resolution(el, cfg)
-    return part, ComponentSignature(ranks=tuple(partition_ranks(part, cfg)), dim=el.dim)
+    return part, ComponentSignature(ranks=tuple(partition_ranks(part)), dim=el.dim)
 
 
 def signature(el: AlgebraicElement, cfg: ToleranceConfig = ToleranceConfig()) -> ComponentSignature:

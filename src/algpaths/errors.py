@@ -89,7 +89,7 @@ class ResolutionResidualExceeded(CertificationError):
 
 
 class RankAmbiguous(CertificationError):
-    """A singular value sits too close to the rank threshold."""
+    """A partition member's trace and idempotency defect certify no rank, or the ranks miss the dimension."""
 
 
 class SearchExhausted(CertificationError):

@@ -1,9 +1,9 @@
 """Dense complex square-matrix kernel.
 
 Everything downstream (spectral resolutions, connecting paths, component
-probes) is built on the handful of primitives here: the operator norm, a
-thresholded rank, the matrix exponential and near-identity logarithm, and
-exact arithmetic on polynomials with matrix coefficients.  All matrices are
+probes) is built on the handful of primitives here: the operator norm, the
+matrix exponential and near-identity logarithm, and exact arithmetic on
+polynomials with matrix coefficients.  All matrices are
 ``numpy`` arrays of shape ``(m, m)`` with complex128 entries; values are never
 mutated in place.
 """
@@ -23,7 +23,6 @@ __all__ = [
     "operator_norm",
     "operator_norms",
     "operator_norm_bounds",
-    "rank",
     "mat_exp",
     "mat_log_near_identity",
     "poly_from_roots",
@@ -42,20 +41,17 @@ class ToleranceConfig:
     residual_tol
         Base tolerance for every residual certificate; operations scale it by
         the magnitude of their inputs where the arithmetic demands it.
-    rank_rel_tol
-        Relative singular-value cutoff for rank decisions.
     invertibility_margin
         How close to the identity an argument must be before the series
         logarithm is trusted (strictly below 1).
     """
 
     residual_tol: float = 1e-9
-    rank_rel_tol: float = 1e-10
     invertibility_margin: float = 0.99
 
     def __post_init__(self):
-        if not (0 <= self.residual_tol < np.inf and 0 <= self.rank_rel_tol < np.inf):
-            raise ValueError("tolerances must be finite and non-negative")
+        if not 0 <= self.residual_tol < np.inf:
+            raise ValueError("residual_tol must be finite and non-negative")
         if not 0.0 < self.invertibility_margin < 1.0:
             raise ValueError("invertibility_margin must lie in (0, 1)")
 
@@ -147,16 +143,6 @@ def _frobenius(z: np.ndarray) -> np.ndarray:
     re, im = z.real.reshape(flat), z.imag.reshape(flat)
     sq = re[..., None, :] @ re[..., :, None] + im[..., None, :] @ im[..., :, None]
     return np.sqrt(sq[..., 0, 0])
-
-
-def rank(a: np.ndarray, cfg: ToleranceConfig = ToleranceConfig()) -> int:
-    """Number of singular values above ``rank_rel_tol * sigma_max * m``."""
-    a = as_matrix(a)
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    thr = cfg.rank_rel_tol * s[0] * a.shape[0]
-    return int(np.count_nonzero(s > thr))
 
 
 # -- exponential and logarithm ------------------------------------------------

@@ -25,7 +25,6 @@ from functools import cached_property
 from math import comb
 
 import numpy as np
-import scipy.linalg
 
 from .algebraic import (
     AlgebraicElement,
@@ -157,6 +156,7 @@ class ExpSimilarityPath:
         ``_EIGENBASIS_KAPPA``; a defective ``c`` (a singular or ill-conditioned
         ``v``) gets ``v = lam = v_inv = None``.
         """
+        import scipy.linalg  # imported where called: sample, decompose, line, distance skip it
         m = self.base.dim
         out = []
         for gen in self.generators:
@@ -188,6 +188,7 @@ class ExpSimilarityPath:
         """
         c, v, lam, v_inv = self._exponents[k]
         if v is None:
+            import scipy.linalg
             return scipy.linalg.expm(ts[:, None, None] * c)
         e = (v * np.exp(ts[:, None] * lam)[:, None, :]) @ v_inv
         e[ts == 0] = identity_like(c)
@@ -316,6 +317,7 @@ def _hermitian_log_of_unitary(u: np.ndarray) -> np.ndarray:
     to rounding and ``K = q diag(angle(diag t)) q*``.  A phase at -1 becomes
     ``pi`` or ``-pi``, both of which exponentiate to -1.
     """
+    import scipy.linalg
     t, q = scipy.linalg.schur(u, output="complex")
     return (q * np.angle(np.diagonal(t))) @ q.conj().T
 

@@ -1,14 +1,19 @@
 """Command-line interface: reports, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import algpaths
 from algpaths.algebraic import certify, random_element, validate_roots
 from algpaths.components import ComponentSignature
 from algpaths.cli import EXIT_CERTIFICATION, EXIT_PRECONDITION, EXIT_USAGE, main
 from algpaths.paths import ExpSimilarityPath
+from algpaths.seeding import haar_unitary, rng_from
 from algpaths.serialize import path_to_json
 
 
@@ -229,10 +234,53 @@ def test_exp_local_beyond_its_margin_points_to_the_global_constructor(proj_pair,
     assert "use the global constructor" in capsys.readouterr().err
 
 
-def test_rank_decision_near_the_threshold_fails_certification(proj_pair, capsys):
-    a, _ = proj_pair  # diag(1, 0): singular value 1 of its idempotents lies on the threshold 0.5 m = 1
-    assert main(["decompose", "--a", a, "--roots", "0,1", "--rank-tol", "0.5"]) == EXIT_CERTIFICATION
-    assert "rank threshold" in capsys.readouterr().err
+def test_a_rank_without_a_trace_certificate_fails_certification(tmp_path, capsys):
+    # u (diag(0, 0, 1, 1) + 1e9 n) u*: an exact idempotent whose computed
+    # spectral idempotents pass the resolution tolerance with idempotency
+    # defects near 1e3, which certify no rank
+    rng = rng_from(0, 23)
+    x = np.diag([0, 0, 1, 1]).astype(complex)
+    x[:2, 2:] = 1e9 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    u = haar_unitary(4, [rng])[0]
+    a = _write(tmp_path / "shear.json", _matrix(u @ x @ u.conj().T))
+    assert main(["decompose", "--a", a, "--roots", "0,1"]) == EXIT_CERTIFICATION
+    assert "idempotent 0 has no certified rank: trace 2.000000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("roots, seeds", [("1e6,1000001", range(10)), ("1000,1000.0001", [3])])
+def test_decompose_of_elements_over_translated_roots(tmp_path, capsys, roots, seeds):
+    # the SVD rank threshold refused 9 of these 11 certified samples (exit 2)
+    for seed in seeds:
+        el = tmp_path / f"{seed}.json"
+        assert main(["sample", "--roots", roots, "--sig", "2,2", "--seed", str(seed), "--out", str(el)]) == 0
+        assert main(["decompose", "--a", str(el)]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["signature"]["ranks"] == [2, 2]
+
+
+def test_rank_tol_is_not_a_flag(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["decompose", "--a", "x.json", "--roots", "0,1", "--rank-tol", "0.5"])
+    assert err.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --rank-tol 0.5" in capsys.readouterr().err
+
+
+def test_subcommands_without_exponentials_never_load_scipy_linalg(tmp_path):
+    src = os.path.dirname(os.path.dirname(algpaths.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = """if True:
+        import sys
+        from algpaths.cli import main
+        assert "scipy.linalg" not in sys.modules, "import algpaths.cli"
+        for argv in (["sample", "--roots", "0,1,2", "--sig", "1,2,1", "--seed", "1", "--out", "a.json"],
+                     ["decompose", "--a", "a.json", "--out", "d.json"],
+                     ["line", "--a", "a.json", "--out", "l.json"],
+                     ["distance", "--roots", "0,1", "--sig", "1,2", "--sig2", "2,1", "--seed", "0",
+                      "--budget", "4", "--out", "s.json"]):
+            assert main(argv) == 0
+            assert "scipy.linalg" not in sys.modules, argv[0]
+    """
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("obj, roots, message", [
@@ -423,7 +471,7 @@ def test_verify_of_an_overflowing_exponential_path_is_a_certification_failure(tm
     assert "non-finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag, bad", [("--tol", "-1"), ("--tol", "nan"), ("--rank-tol", "inf"),
+@pytest.mark.parametrize("flag, bad", [("--tol", "-1"), ("--tol", "nan"),
                                        ("--margin", "1.5"), ("--margin", "0"),
                                        ("--cond", "0.5"), ("--cond", "nan"), ("--cond", "inf")])
 def test_tolerance_flags_are_checked_by_the_parser(capsys, flag, bad):

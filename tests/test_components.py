@@ -42,7 +42,7 @@ from algpaths.errors import (
     SearchExhausted,
 )
 from algpaths.matkernel import ToleranceConfig, operator_norm
-from algpaths.seeding import rng_from, rngs_from
+from algpaths.seeding import haar_unitary, rng_from, rngs_from
 from algpaths.serialize import scan_report_to_json
 
 R01 = validate_roots([0, 1])
@@ -133,7 +133,7 @@ def _sampled_ranks(rng, n, m):
 @pytest.mark.parametrize("roots, self_adjoint", _RESOLUTION_CASES)
 def test_resolve_is_bit_identical_to_the_loop_reference(roots, self_adjoint):
     roots = validate_roots(roots)
-    for m in (2, 3, 5, 8, 16):
+    for m in (2, 3, 5, 8, 16, 32):
         for k in range(3):
             ranks = _sampled_ranks(rng_from(m, k, 17), roots.n, m)
             el = random_element(ranks, roots, seed=(m, k, 18), self_adjoint=self_adjoint)
@@ -179,13 +179,53 @@ def _partition(*diagonals):
     return PartitionOfUnity(members=members, roots=R01, self_adjoint=False, worst_residual=0.0)
 
 
-@pytest.mark.parametrize("rank", [partition_ranks, resolution_reference.partition_ranks])
-def test_partition_ranks_refuses_a_singular_value_near_the_threshold(rank):
-    # threshold 1e-10 * 1 * 2 = 2e-10, and 1e-10 lies in its window (2e-11, 2e-9)
+def test_partition_ranks_refuses_a_member_with_no_trace_margin():
+    # diag(0.8, 0): defect 0.16 puts each eigenvalue within r = 0.2 of 0 or 1, so
+    # |0.8 - 1| + 2 r = 0.6 leaves no margin below 1/2
+    with pytest.raises(RankAmbiguous, match=r"^idempotent 0 has no certified rank: trace 0\.800000, "
+                                            r"idempotency defect 1\.600e-01$"):
+        partition_ranks(_partition([0.8, 0.0], [0.2, 1.0]))
+
+
+def test_partition_ranks_certifies_a_singular_value_the_threshold_refused():
+    # the SVD rule's window (2e-11, 2e-9) held the singular value 1e-10 of diag(1e-10, 1)
     part = _partition([1.0, 0.0], [1e-10, 1.0])
-    with pytest.raises(RankAmbiguous, match=r"^singular value 1\.000e-10 of idempotent 1 is within "
-                                            r"a factor 10 of the rank threshold 2\.000e-10$"):
-        rank(part)
+    with pytest.raises(RankAmbiguous, match="within a factor 10 of the rank threshold"):
+        resolution_reference.partition_ranks(part)
+    assert partition_ranks(part) == [1, 1]
+
+
+@pytest.mark.parametrize("roots, seeds", [((1e6, 1000001), range(10)), ((1000, 1000.0001), [3])])
+def test_translated_roots_resolve_to_their_signature(roots, seeds):
+    # members (a - l_j) / (l_i - l_j) carry the rounding of a - l_j, about
+    # 1e-10 here, which the SVD rule's threshold window refused for 9 of these 11
+    roots = validate_roots(roots)
+    for seed in seeds:
+        assert resolve(random_element((2, 2), roots, seed=seed))[1].ranks == (2, 2)
+
+
+def _haar_shear(s, seed):
+    """``u (diag(0, 0, 1, 1) + s n) u*`` with ``n`` a random complex upper-right block: an exact idempotent."""
+    rng = rng_from(seed)
+    x = np.diag([0, 0, 1, 1]).astype(complex)
+    x[:2, 2:] = s * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    u = haar_unitary(4, [rng])[0]
+    return u @ x @ u.conj().T
+
+
+@pytest.mark.parametrize("s, ranks", [(1e2, [2, 2]), (1e4, [2, 2]), (1e6, [2, 2]), (1e8, None), (1e9, None)])
+@pytest.mark.parametrize("seed", range(4))
+def test_shear_ranks_are_certified_or_refused(s, ranks, seed):
+    # the resolution tolerance is absolute, about 1e-9 ||a||^2 here, so it accepts
+    # members whose computed idempotency defect is about eps s^2: 1e-3 at s = 1e6
+    # (trace margin 0.47), 5-1e3 from s = 1e8 on, where the SVD rule still read [2, 2]
+    part = spectral_resolution(certify(_haar_shear(s, (seed, 23)), R01))
+    if ranks is not None:
+        assert partition_ranks(part) == resolution_reference.partition_ranks(part) == ranks
+    else:
+        with pytest.raises(RankAmbiguous, match=r"^idempotent 0 has no certified rank: trace 2\.000000, "
+                                                r"idempotency defect \d"):
+            partition_ranks(part)
 
 
 @pytest.mark.parametrize("rank", [partition_ranks, resolution_reference.partition_ranks])

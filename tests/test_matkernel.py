@@ -1,4 +1,4 @@
-"""Kernel primitives: norms, rank, exp/log, matrix-coefficient polynomials."""
+"""Kernel primitives: norms, exp/log, matrix-coefficient polynomials."""
 
 import math
 
@@ -22,7 +22,6 @@ from algpaths.matkernel import (
     operator_norms,
     poly_eval_scalar_coeffs,
     poly_from_roots,
-    rank,
 )
 from algpaths.seeding import haar_unitary, rng_from
 
@@ -45,32 +44,6 @@ def test_operator_norm_shear():
     assert abs(expected - (1.0 + math.sqrt(5.0)) / 2.0) < 1e-15
     got = operator_norm(np.array([[1, 1], [0, 1]]))
     assert abs(got - 1.6180339887498949) < 1e-12
-
-
-def test_rank_zero_matrix():
-    assert rank(np.zeros((4, 4))) == 0
-
-
-def test_rank_diagonal():
-    assert rank(np.diag([1.0, 1.0, 0.0])) == 2
-
-
-def test_rank_threshold_formula():
-    # threshold = rank_rel_tol * sigma_max * m = 1e-10 * 1 * 2 > 1e-14
-    cfg = ToleranceConfig()
-    assert cfg.rank_rel_tol * 1.0 * 2 > 1e-14
-    assert rank(np.diag([1.0, 1e-14]), cfg) == 1
-
-
-def test_rank_splits_idempotent_dimensions():
-    # rank(P) + rank(1 - P) = m for idempotents
-    rng = rng_from(11)
-    for m in (2, 4, 6):
-        s = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-        s += 3 * np.eye(m)
-        d = np.diag([1.0] * (m // 2) + [0.0] * (m - m // 2)).astype(complex)
-        p = s @ d @ np.linalg.inv(s)
-        assert rank(p) + rank(np.eye(m) - p) == m
 
 
 def test_mat_exp_zero():
@@ -301,7 +274,5 @@ def test_tolerance_config_validation():
     for bad in (float("inf"), float("nan")):
         with pytest.raises(ValueError, match="finite"):
             ToleranceConfig(residual_tol=bad)
-        with pytest.raises(ValueError, match="finite"):
-            ToleranceConfig(rank_rel_tol=bad)
     with pytest.raises(ValueError):
         ToleranceConfig(invertibility_margin=1.0)

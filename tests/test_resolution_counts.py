@@ -2,8 +2,8 @@
 
 ``spectral_resolution`` is wrapped with a counter in every ``algpaths``
 module that binds it, so a resolution counts whichever module calls it.
-One resolution takes two SVDs: one stacked over every partition invariant,
-one over every member's rank.
+One resolution takes one SVD, stacked over every partition invariant; the
+members' ranks come from their traces.
 """
 
 import dataclasses
@@ -76,7 +76,7 @@ def test_constructors_resolve_each_endpoint_once(build, resolutions):
 
 @pytest.mark.parametrize("roots", [(3,), (0, 1), (0, 1, 2), (0, 1, 2.5, -1.5)])
 @pytest.mark.parametrize("self_adjoint", [False, True])
-def test_resolve_takes_two_svds(roots, self_adjoint, monkeypatch):
+def test_resolve_takes_one_svd(roots, self_adjoint, monkeypatch):
     roots = validate_roots(roots)
     ranks = tuple(range(1, roots.n + 1))
     el = random_element(ranks, roots, seed=6, self_adjoint=True)
@@ -93,7 +93,7 @@ def test_resolve_takes_two_svds(roots, self_adjoint, monkeypatch):
     part, sig = resolve(el)
     n, m = roots.n, el.dim
     invariants = 2 * n + n * (n - 1) + 2 + (n if self_adjoint else 0)
-    assert calls == [(1 + invariants, m, m), (n, m, m)]
+    assert calls == [(1 + invariants, m, m)]
     assert part.self_adjoint == self_adjoint and sig.ranks == ranks
 
 
