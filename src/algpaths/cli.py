@@ -117,10 +117,6 @@ def _tolerance(text: str) -> float:
     return _float_flag(text, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
 
 
-def _margin(text: str) -> float:
-    return _float_flag(text, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
-
-
 def _cond(text: str) -> float:
     return _float_flag(text, lambda v: 1.0 <= v < math.inf, "a finite number >= 1")
 
@@ -151,8 +147,7 @@ def _load_element(path: str, cfg: ToleranceConfig, roots_flag=None):
 
 
 def _tolerances(ns) -> ToleranceConfig:
-    flags = {"residual_tol": ns.tol, "invertibility_margin": ns.margin}
-    return ToleranceConfig(**{field: v for field, v in flags.items() if v is not None})
+    return ToleranceConfig() if ns.tol is None else ToleranceConfig(residual_tol=ns.tol)
 
 
 _VOLATILE_FLAGS = {"func", "out", "config"}  # not part of the experiment
@@ -307,7 +302,6 @@ def _add_search(p: argparse.ArgumentParser, **seed):
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--tol", type=_tolerance, default=None, help="residual tolerance override")
-    p.add_argument("--margin", type=_margin, default=None, help="invertibility margin override, in (0, 1)")
     p.add_argument("--out", default=None, help="report file (stdout when omitted)")
     p.add_argument("--config", default=None, help="JSON file with defaults for any flag")
 
@@ -394,7 +388,10 @@ def _apply_config_file(parser, ns, argv):
     extra = []
     for key, value in _load_json(ns.config).items():
         attr = key.replace("-", "_")
-        if attr not in vars(ns) or attr == "command" or value is None or value is False:
+        if attr not in vars(ns) or attr == "func":
+            parser.error(f"--config key {key!r} names no flag of {ns.command}")
+        # a report's config names its command, so such a file loads as it is
+        if attr == "command" or value is None or value is False:
             continue
         flag = "--" + attr.replace("_", "-")
         extra.append(flag if value is True else f"{flag}={value}")

@@ -283,7 +283,7 @@ def _reach_floor(rows, dist, delta, x, y, left: int) -> tuple[np.ndarray, np.nda
     return rows, dist[rows] - left * q[near] * np.exp(power[near]) * s - margin
 
 
-def _scan_block(ks, seed, sig1, sig2, roots, self_adjoint, cond_bound, cfg):
+def _scan_block(ks, seed, sig1, sig2, roots, self_adjoint, cfg):
     """Restarts ``ks`` of a distance scan, advanced together in lockstep.
 
     Restart ``k`` samples its pair from the seeds ``(seed, k, 0)`` and
@@ -312,7 +312,7 @@ def _scan_block(ks, seed, sig1, sig2, roots, self_adjoint, cond_bound, cfg):
     m, n = sig1.dim, len(ks)
 
     def sample(sig, side):
-        a, _, _ = random_elements(sig, roots, [(seed, k, side) for k in ks], self_adjoint, cond_bound, cfg)
+        a, _, _ = random_elements(sig, roots, [(seed, k, side) for k in ks], self_adjoint, cfg=cfg)
         # the descent runs on C-ordered endpoints; the general sampler returns
         # each matrix transposed in memory
         return np.ascontiguousarray(a)
@@ -383,7 +383,6 @@ def distance_scan(
     seed: int,
     self_adjoint: bool = False,
     cfg: ToleranceConfig = ToleranceConfig(),
-    cond_bound: float = 20.0,
     workers: int = 1,
 ) -> DistanceScanReport:
     """Randomized probe of the distance between two components.
@@ -420,7 +419,7 @@ def distance_scan(
     size = min(_scan_block_size(sig1.dim), -(-budget // workers))
     blocks = [range(s, min(s + size, budget)) for s in range(0, budget, size)]
     task = partial(_scan_block, seed=seed, sig1=sig1, sig2=sig2, roots=roots,
-                   self_adjoint=self_adjoint, cond_bound=cond_bound, cfg=cfg)
+                   self_adjoint=self_adjoint, cfg=cfg)
 
     def best(results):
         rows = (row for ks, (d, x, y) in zip(blocks, results) for row in zip(d, ks, x, y))

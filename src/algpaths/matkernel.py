@@ -36,24 +36,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Single knob set for the whole certification chain.
+    """The tolerance of the whole certification chain.
 
     residual_tol
         Base tolerance for every residual certificate; operations scale it by
         the magnitude of their inputs where the arithmetic demands it.
-    invertibility_margin
-        How close to the identity an argument must be before the series
-        logarithm is trusted (strictly below 1).
     """
 
     residual_tol: float = 1e-9
-    invertibility_margin: float = 0.99
 
     def __post_init__(self):
         if not 0 <= self.residual_tol < np.inf:
             raise ValueError("residual_tol must be finite and non-negative")
-        if not 0.0 < self.invertibility_margin < 1.0:
-            raise ValueError("invertibility_margin must lie in (0, 1)")
 
 
 def as_matrix(a) -> np.ndarray:
@@ -157,23 +151,25 @@ def mat_exp(x: np.ndarray) -> np.ndarray:
 
 
 _LOG_SERIES_MAX_TERMS = 20000
+# The largest ||w - 1|| the series logarithm accepts.  It is tied to the term
+# cap: the stopping test's bound 0.99^k / (k + 1) on the next term falls below
+# eps by k = 2,800, well inside the 20,000 terms.
+_LOG_SERIES_MARGIN = 0.99
 
 
-def mat_log_near_identity(w: np.ndarray, cfg: ToleranceConfig = ToleranceConfig()) -> np.ndarray:
+def mat_log_near_identity(w: np.ndarray) -> np.ndarray:
     """Principal logarithm of a matrix close to the identity.
 
     Sums ``log(1 + X) = X - X^2/2 + X^3/3 - ...`` for ``X = w - 1``.  The
-    series needs ``||X|| < 1``; the configured margin keeps a safety strip
+    series needs ``||X|| < 1``; the margin ``||X|| < 0.99`` keeps a strip
     away from the boundary, where convergence slows and accuracy degrades.
     Raises :class:`NotNearIdentity` when the argument is too far out.
     """
     w = as_matrix(w)
     x = w - identity_like(w)
     dist = operator_norm(x)
-    if dist >= cfg.invertibility_margin:
-        raise NotNearIdentity(
-            f"||w - 1|| = {dist:.6f} >= margin {cfg.invertibility_margin}"
-        )
+    if dist >= _LOG_SERIES_MARGIN:
+        raise NotNearIdentity(f"||w - 1|| = {dist:.6f} >= margin {_LOG_SERIES_MARGIN}")
     if dist == 0.0:
         return np.zeros_like(w)
 

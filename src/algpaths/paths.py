@@ -381,17 +381,14 @@ def connect_exp_local(
     """Single-generator conjugation path between nearby elements.
 
     The similarity ``w = sum f_i e_i`` intertwines the two partitions
-    (``w e_j = f_j w``), hence conjugates ``a`` onto ``b``.  When ``w`` is
-    within the configured margin of the identity its series logarithm ``c``
-    exists and ``x(t) = e^{tc} a e^{-tc}`` walks from ``a`` to ``b``.
+    (``w e_j = f_j w``), hence conjugates ``a`` onto ``b``.  When
+    ``||w - 1|| < 0.99`` its series logarithm ``c`` exists and
+    ``x(t) = e^{tc} a e^{-tc}`` walks from ``a`` to ``b``; a pair further
+    apart raises :class:`NotLocallyClose`.
     """
     ea, fb, _ = _require_same_component(a, b, cfg)
-    return _local_from_partitions(a, b, _matching_similarity(ea, fb), cfg)
-
-
-def _local_from_partitions(a, b, w, cfg) -> ExpSimilarityPath:
     try:
-        c = mat_log_near_identity(w, cfg)
+        c = mat_log_near_identity(_matching_similarity(ea, fb))
     except NotNearIdentity as exc:
         raise NotLocallyClose(f"{exc}; use the global constructor") from None
     return _gated_path(a, b, (c,), cfg)
@@ -405,34 +402,40 @@ def connect_exp_global(
 ) -> ExpSimilarityPath:
     """Conjugation path with two exponential factors, any distance.
 
-    Factors the connecting similarity through a polar split ``w = u h``: the
-    positive part contributes a Hermitian generator ``log h``, the unitary
-    part a skew one ``i K``.  When the partition matcher is singular (it can
-    be, e.g. for antipodal idempotent pairs) the similarity is rebuilt from
-    stacked spectral bases, which conjugates partition onto partition just as
-    well.  A matcher near the identity gives the one-generator local path.
-    ``seed`` has no effect.
+    Factors the connecting similarity (:func:`_connecting_similarity`)
+    through a polar split ``w = u h``: the positive part contributes a
+    Hermitian generator ``log h``, the unitary part a skew one ``i K``.
+    The path always has these two generators, also for a pair close enough
+    for :func:`connect_exp_local`.  ``seed`` has no effect.
     """
     ea, fb, ranks = _require_same_component(a, b, cfg)
-    w = _matching_similarity(ea, fb)
-    if operator_norm(w - identity_like(w)) < cfg.invertibility_margin:
-        return _local_from_partitions(a, b, w, cfg)
-    log_h, u = _polar_factors(_connecting_similarity(w, ea, fb, ranks))
+    log_h, u = _polar_factors(_connecting_similarity(ea, fb, ranks))
     return _gated_path(a, b, (log_h, 1j * _hermitian_log_of_unitary(u)), cfg)
 
 
-def _connecting_similarity(w, ea, fb, ranks):
-    """The matcher ``w`` if it is invertible, else ``sf se^{-1}`` from the stacked spectral bases."""
+def _connecting_similarity(ea, fb, ranks):
+    """An invertible ``w`` with ``w e_j w^{-1} = f_j`` for every member ``j``.
+
+    The matcher ``w = sum f_j e_j`` when it is invertible.  It can be
+    singular (for antipodal or oblique swap pairs); then ``w = sf se^{-1}``,
+    where ``se_j`` and ``sf_j`` are orthonormal bases of the ranges of ``e_j``
+    and ``f_j`` and each ``sf_j`` is first turned by the orthogonal Procrustes
+    rotation ``U_j V_j*`` of ``sf_j* se_j = U_j S_j V_j*``, which brings it
+    closest to ``se_j`` in the Frobenius norm.
+    """
+    w = _matching_similarity(ea, fb)
     svals = np.linalg.svd(w, compute_uv=False)
     if svals[-1] > 1e-6 * max(1.0, svals[0]):
         return w
-    se = np.hstack([_range_basis(e, r) for e, r in zip(ea.members, ranks)])
-    sf = np.hstack([_range_basis(f, r) for f, r in zip(fb.members, ranks)])
-    for stack in (se, sf):
-        s = np.linalg.svd(stack, compute_uv=False)
-        if s[-1] <= 1e-8 * s[0]:
-            raise FactorizationFailed("no invertible similarity: singular matcher, rank-deficient spectral bases")
-    return sf @ np.linalg.inv(se)
+    se, sf = [], []
+    for e, f, r in zip(ea.members, fb.members, ranks):
+        if r:
+            se_j, sf_j = _range_basis(e, r), _range_basis(f, r)
+            u, _, vh = np.linalg.svd(sf_j.conj().T @ se_j)
+            se.append(se_j)
+            sf.append(sf_j @ u @ vh)
+    se, sf = np.hstack(se), np.hstack(sf)
+    return np.linalg.solve(se.T, sf.T).T
 
 
 def connect_selfadjoint(

@@ -59,6 +59,11 @@ def test_validate_roots_rejects_non_finite_roots(bad):
         validate_roots([bad, 1])
 
 
+def test_validate_roots_rejects_an_empty_list():
+    with pytest.raises(ValueError, match="need at least one root"):
+        validate_roots([])
+
+
 def test_validate_roots_complex_triple():
     # pairwise distances: |1 - i| = sqrt(2), |1 - (-1)| = 2, |i + 1| = sqrt(2)
     rs = validate_roots([1, 1j, -1])
@@ -204,6 +209,8 @@ def test_sampler_rejects_bad_signatures():
         random_element((1, 2, 3), R01, seed=0)  # three ranks, two roots
     with pytest.raises(BadSignature):
         random_element((1, 1), validate_roots([1j, -1j]), seed=0, self_adjoint=True)
+    with pytest.raises(BadSignature, match="total dimension must be positive"):
+        random_elements((0, 0), R01, [0, 1])
 
 
 @settings(deadline=None, max_examples=60)

@@ -220,6 +220,30 @@ def test_config_values_get_their_flags_type_and_check(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["config"]["threads"] == 1
 
 
+def test_config_keys_that_name_no_flag_are_a_usage_error(tmp_path, capsys):
+    args = ["sample", "--roots", "0,1", "--sig", "1,1", "--seed", "0"]
+    for keys, named in (({"rank_tol": 0.5, "tolx": 3}, "rank_tol"), ({"margin": 0.5}, "margin"),
+                        ({"func": "x"}, "func")):
+        cfgfile = _write(tmp_path / "cfg.json", keys)
+        with pytest.raises(SystemExit) as err:
+            main(args + ["--config", cfgfile])
+        assert err.value.code == EXIT_USAGE
+        assert f"--config key {named!r} names no flag of sample" in capsys.readouterr().err
+    # None and false leave a flag unset; a report's config, command included, loads as it is
+    assert main(args) == 0
+    report = json.loads(capsys.readouterr().out)
+    cfgfile = _write(tmp_path / "cfg.json", {**report["config"], "tol": None, "self_adjoint": False})
+    assert main(args + ["--config", cfgfile]) == 0
+    assert json.loads(capsys.readouterr().out) == report
+
+
+def test_the_margin_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["sample", "--roots", "0,1", "--sig", "1,1", "--seed", "0", "--margin", "0.5"])
+    assert err.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --margin 0.5" in capsys.readouterr().err
+
+
 def test_exit_code_precondition(tmp_path):
     a = _write(tmp_path / "a.json", _matrix([[1, 0], [0, 0]]))
     b = _write(tmp_path / "b.json", _matrix([[1, 0], [0, 1]]))
@@ -227,11 +251,13 @@ def test_exit_code_precondition(tmp_path):
     assert code == EXIT_PRECONDITION
 
 
-def test_exp_local_beyond_its_margin_points_to_the_global_constructor(proj_pair, capsys):
-    a, b = proj_pair  # ||w - 1|| = 0.5
-    assert main(["connect", "--a", a, "--b", b, "--roots", "0,1", "--method", "exp-local",
-                 "--margin", "0.1"]) == EXIT_PRECONDITION
-    assert "use the global constructor" in capsys.readouterr().err
+def test_exp_local_beyond_its_margin_points_to_the_global_constructor(tmp_path, capsys):
+    a = _write(tmp_path / "a.json", _matrix([[1, 0], [0, 0]]))
+    b = _write(tmp_path / "b.json", _matrix([[1, 2], [0, 0]]))  # w = [[1, -2], [0, 1]]
+    args = ["connect", "--a", a, "--b", b, "--roots", "0,1", "--method"]
+    assert main(args + ["exp-local"]) == EXIT_PRECONDITION
+    assert "||w - 1|| = 2.000000 >= margin 0.99; use the global constructor" in capsys.readouterr().err
+    assert main(args + ["exp-global"]) == 0
 
 
 def test_a_rank_without_a_trace_certificate_fails_certification(tmp_path, capsys):
@@ -471,9 +497,9 @@ def test_verify_of_an_overflowing_exponential_path_is_a_certification_failure(tm
     assert "non-finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag, bad", [("--tol", "-1"), ("--tol", "nan"),
-                                       ("--margin", "1.5"), ("--margin", "0"),
-                                       ("--cond", "0.5"), ("--cond", "nan"), ("--cond", "inf")])
+@pytest.mark.parametrize("flag, bad", [("--tol", "-1"), ("--tol", "nan"), ("--tol", "abc"),
+                                       ("--cond", "0.5"), ("--cond", "nan"), ("--cond", "inf"),
+                                       ("--cond", "x")])
 def test_tolerance_flags_are_checked_by_the_parser(capsys, flag, bad):
     with pytest.raises(SystemExit) as err:
         main(["sample", "--roots", "0,1", "--sig", "1,1", "--seed", "0", flag, bad])

@@ -437,6 +437,8 @@ def test_distance_scan_preconditions():
         distance_scan(sig, sig, R01, budget=5, seed=0)
     with pytest.raises(BadSignature):
         distance_scan(sig, ComponentSignature((2, 2), 4), R01, budget=5, seed=0)
+    with pytest.raises(BadSignature, match=r"^signature \(1, 2, 0\) does not fit 2 roots$"):
+        distance_scan(ComponentSignature((1, 2, 0), 3), sig, R01, budget=5, seed=0)
     other = ComponentSignature((2, 1), 3)
     with pytest.raises(BadSignature):
         distance_scan(sig, other, R01, budget=0, seed=0)
@@ -562,7 +564,7 @@ SCAN_SHAPES = [
 
 def _block(ks, sig1, sig2, roots, self_adjoint, seed=11):
     return _scan_block(ks, seed=seed, sig1=sig1, sig2=sig2, roots=roots,
-                       self_adjoint=self_adjoint, cond_bound=20.0, cfg=ToleranceConfig())
+                       self_adjoint=self_adjoint, cfg=ToleranceConfig())
 
 
 @pytest.mark.parametrize("ranks1, ranks2, roots, self_adjoint", SCAN_SHAPES,
@@ -615,7 +617,7 @@ def _block_and_svd_rows(n, sig1, sig2, roots, seed, monkeypatch):
     The pairs are sampled outside the count; ``monkeypatch`` is undone afterwards.
     """
     pairs = dict(zip((sig1, sig2), _pairs(sig1, sig2, roots, False, n, seed=seed)))
-    monkeypatch.setattr(components, "random_elements", lambda sig, *args: (pairs[sig], None, None))
+    monkeypatch.setattr(components, "random_elements", lambda sig, *args, **kw: (pairs[sig], None, None))
     rows = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: rows.append(len(a)) or svd(a, **kw))
@@ -726,7 +728,7 @@ def test_scan_block_on_the_floor_takes_one_svd_and_draws_nothing(ranks1, ranks2,
     want = _block(range(20), sig1, sig2, roots, self_adjoint)
     # sample outside the count: hand the block the pairs it samples itself
     pairs = dict(zip((sig1, sig2), _pairs(sig1, sig2, roots, self_adjoint, 20, seed=11)))
-    monkeypatch.setattr(components, "random_elements", lambda sig, *args: (pairs[sig], None, None))
+    monkeypatch.setattr(components, "random_elements", lambda sig, *args, **kw: (pairs[sig], None, None))
     built, draws, calls = [], [], []
     _watch_streams(monkeypatch, built, lambda key: draws)
     for name in ("svd", "solve"):
@@ -746,8 +748,8 @@ def test_scan_block_mixing_restarts_on_and_above_the_floor_matches_the_reference
     models = {sig1: np.diag([0.0, 1.0, 1.0]), sig2: np.diag([0.0, 0.0, 1.0])}
     sample = components.random_elements
 
-    def sampled(sig, *args):
-        a, res, sa = sample(sig, *args)
+    def sampled(sig, *args, **kw):
+        a, res, sa = sample(sig, *args, **kw)
         a = a.copy()
         a[[1, 3]] = models[sig]
         return a, res, sa

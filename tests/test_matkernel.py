@@ -89,6 +89,11 @@ def test_mat_log_diagonal_scalar_oracle():
 def test_mat_log_rejects_far_arguments():
     with pytest.raises(NotNearIdentity):
         mat_log_near_identity(np.diag([2.2, 1.0]))
+    # the series is trusted up to ||w - 1|| < 0.99
+    np.testing.assert_allclose(mat_log_near_identity(np.diag([1.98, 1.0])), np.diag([math.log(1.98), 0.0]),
+                               atol=1e-14)
+    with pytest.raises(NotNearIdentity, match=r"^\|\|w - 1\|\| = 0\.990000 >= margin 0\.99$"):
+        mat_log_near_identity(np.diag([1.99, 1.0]))
 
 
 @settings(deadline=None, max_examples=40)
@@ -274,5 +279,3 @@ def test_tolerance_config_validation():
     for bad in (float("inf"), float("nan")):
         with pytest.raises(ValueError, match="finite"):
             ToleranceConfig(residual_tol=bad)
-    with pytest.raises(ValueError):
-        ToleranceConfig(invertibility_margin=1.0)

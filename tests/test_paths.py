@@ -7,7 +7,7 @@ import scipy.optimize
 
 from algpaths.algebraic import AlgebraicElement, certify, random_element, validate_roots
 from algpaths import algebraic, paths
-from algpaths.components import signature
+from algpaths.components import resolve_pair, signature
 from algpaths.errors import (
     CertificationFailed,
     FactorizationFailed,
@@ -103,13 +103,14 @@ def test_exp_global_antipodal_two_generators():
     assert cert.worst_membership <= 1e-9
 
 
-def test_exp_global_reduces_to_local_for_close_pairs():
+def test_exp_global_keeps_two_generators_for_close_pairs():
+    # a pair close enough for the local constructor still gets the polar pair
     roots = validate_roots([0, 1, 2])
     a, b = _conjugate_pair(roots, (1, 2, 1), 17)
-    local = connect_exp_local(a, b)
-    global_ = connect_exp_global(a, b)
-    assert len(global_.generators) == 1
-    np.testing.assert_array_equal(global_.generators[0], local.generators[0])
+    assert len(connect_exp_local(a, b).generators) == 1
+    path = connect_exp_global(a, b)
+    assert len(path.generators) == 2
+    assert verify_path(path, expected_endpoint=b.a).endpoint_error <= 1e-12
 
 
 def test_exp_global_random_pairs_certify():
@@ -175,6 +176,12 @@ def test_selfadjoint_requires_hermitian_inputs():
     a = certify(np.array([[0, 1], [0, 1]], dtype=complex), R01)
     b = certify(E, R01)
     with pytest.raises(NotSelfAdjoint):
+        connect_selfadjoint(a, b)
+    # Hermitian elements over roots that are not all real
+    roots = validate_roots([0, 1, 1j])
+    a, b = certify(F_SWAP, roots), certify(E, roots)
+    assert a.self_adjoint and b.self_adjoint
+    with pytest.raises(NotSelfAdjoint, match="need an all-real root system"):
         connect_selfadjoint(a, b)
 
 
@@ -255,6 +262,13 @@ def test_antipodal_projections_need_no_fallback(k):
     verify_path(path)
 
 
+def test_exp_global_swap_pair_over_an_absent_root():
+    # the matcher is zero, and the member of the root 2 has rank 0 and no range basis
+    roots = validate_roots([0, 2, 1])
+    a, b = certify(E, roots), certify(F_SWAP, roots)
+    assert verify_path(connect_exp_global(a, b), expected_endpoint=b.a).endpoint_error <= 1e-12
+
+
 def _oblique_swap(eps, k, identity_first=True):
     """``1_k kron S diag(1, 0) S^-1`` and ``1_k kron S diag(0, 1) S^-1`` over the roots {0, 1}.
 
@@ -284,14 +298,20 @@ def test_oblique_swap_pairs_split_the_unitary_off_the_cut(eps, k):
     verify_path(poly)
 
 
-# At eps = 1e-9 the matcher is singular and each stacked basis is
-# rank-deficient, so there is no similarity to factor at all; the polygonal
-# path needs none.
+# The matcher of a swap pair is zero.  Down to eps = 1e-9, where the
+# stacked range bases are singular to working precision, the Procrustes-aligned
+# bases give a unitary similarity, and both constructors certify.
+@pytest.mark.parametrize("identity_first", [True, False])
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_oblique_swap_pairs_without_an_invertible_similarity(k):
-    a, b = _oblique_swap(1e-9, k)
-    with pytest.raises(FactorizationFailed, match="no invertible similarity"):
-        connect_exp_global(a, b)
+@pytest.mark.parametrize("eps", [1e-8, 1e-9])
+def test_oblique_swap_pairs_with_a_singular_matcher_certify(eps, k, identity_first):
+    a, b = _oblique_swap(eps, k, identity_first)
+    ea, fb, ranks, _ = resolve_pair(a, b, ToleranceConfig())
+    assert operator_norm(paths._matching_similarity(ea, fb)) <= 1e-15
+    assert np.linalg.cond(paths._connecting_similarity(ea, fb, ranks)) <= 1 + 1e-6
+    path = connect_exp_global(a, b)
+    assert len(path.generators) == 2
+    verify_path(path, expected_endpoint=b.a)
     poly = connect_polygonal(a, b)
     assert poly.breakpoints[0] is a and poly.breakpoints[-1] is b
     verify_path(poly)
@@ -312,14 +332,12 @@ def test_polygonal_oblique_swap_pairs_never_build_an_exponential_path(eps, k, id
     verify_path(poly)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=CertificationFailed,
-    reason="ROADMAP item 9: every similarity candidate of this pair misses b by conditioning",
-)
 def test_exp_global_oblique_swap_pair_in_the_other_kronecker_order():
+    # unaligned range bases give this pair a similarity of condition 4e8,
+    # whose path misses b by 3.8e-4
     a, b = _oblique_swap(1e-4, 3, identity_first=False)
-    verify_path(connect_exp_global(a, b), expected_endpoint=b.a)
+    cert = verify_path(connect_exp_global(a, b), expected_endpoint=b.a)
+    assert cert.endpoint_error <= 1e-10
 
 
 def test_polygonal_midpoint_follows_the_seed():

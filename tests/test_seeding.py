@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from algpaths.seeding import rng_from, rngs_from
+from algpaths.seeding import conditioned_invertible, rng_from, rngs_from
 
 
 def _oracle(seed) -> np.random.Generator:
@@ -79,3 +79,8 @@ def test_batched_generators_cannot_spawn():
     for got in rngs_from([(1, 2), 3]):
         with pytest.raises(TypeError):
             got.spawn(1)
+
+
+def test_conditioned_invertible_refuses_a_bound_below_one():
+    with pytest.raises(ValueError, match="cond_bound must be at least 1"):
+        conditioned_invertible(3, 0.5, rngs_from([0]))
