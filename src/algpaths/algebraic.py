@@ -102,7 +102,7 @@ def validate_roots(roots) -> RootSystem:
     """
     rs = tuple(complex(r) for r in roots)
     if len(rs) == 0:
-        raise ValueError("need at least one root")
+        raise PreconditionError("need at least one root")
     if not all(cmath.isfinite(r) for r in rs):
         raise PreconditionError(f"roots must be finite, got {rs}")
     scale = 1.0 + max(abs(r) for r in rs)
@@ -347,6 +347,8 @@ def random_elements(
     Every element is certified; the first failing one in seed order raises
     :class:`NotAlgebraic`.
     """
+    if not 1.0 <= cond_bound < math.inf:  # NaN fails too
+        raise PreconditionError(f"cond_bound must be a finite number >= 1, got {cond_bound}")
     ranks = tuple(int(r) for r in getattr(sig, "ranks", sig))
     if len(ranks) != roots.n or any(r < 0 for r in ranks):
         raise BadSignature(f"rank vector {ranks} does not fit {roots.n} roots")

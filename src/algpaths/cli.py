@@ -382,23 +382,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(parser, ns, argv):
-    if not getattr(ns, "config", None):
-        return ns
+# finds --config PATH, --config=PATH or an abbreviation before the one parse of argv;
+# each starts with --c, so a command line with no such token skips it
+_CONFIG_FLAG = _Parser(prog="algpaths", add_help=False)
+_CONFIG_FLAG.add_argument("--config")
+
+
+def _parse(parser, argv):
+    """Parse ``argv``, the flags stored in its ``--config`` file right after the subcommand.
+
+    A stored value gets its flag's type and checks, and an explicit flag, which comes later, wins.
+    """
+    path = _CONFIG_FLAG.parse_known_args(argv)[0].config if any(a.startswith("--c") for a in argv) else None
+    stored = _load_json(path) if path else {}
     extra = []
-    for key, value in _load_json(ns.config).items():
+    for key, value in stored.items():
+        # a report's config names its command, so such a file loads as it is
+        if key == "command" or value is None or value is False:
+            continue
+        flag = "--" + key.replace("_", "-")
+        extra.append(flag if value is True else f"{flag}={value}")
+    ns, unknown = parser.parse_known_args(argv[:1] + extra + argv[1:])
+    for key in stored:
         attr = key.replace("-", "_")
         if attr not in vars(ns) or attr == "func":
             parser.error(f"--config key {key!r} names no flag of {ns.command}")
-        # a report's config names its command, so such a file loads as it is
-        if attr == "command" or value is None or value is False:
-            continue
-        flag = "--" + attr.replace("_", "-")
-        extra.append(flag if value is True else f"{flag}={value}")
-    # stored values go in front of the subcommand's own flags and are parsed like
-    # them: each gets its flag's type and checks, and an explicit flag wins
-    i = argv.index(ns.command) + 1
-    return parser.parse_args(argv[:i] + extra + argv[i:])
+    if unknown:
+        parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    return ns
 
 
 @functools.cache
@@ -409,10 +420,8 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _parser()
-    ns = parser.parse_args(argv)
     try:
-        ns = _apply_config_file(parser, ns, argv)
+        ns = _parse(_parser(), argv)
         result, code = ns.func(ns, _tolerances(ns))
     except PreconditionError as exc:
         print(f"algpaths: precondition: {exc}", file=sys.stderr)

@@ -39,7 +39,6 @@ from .algebraic import (
 )
 from .components import resolve_pair
 from .errors import (
-    CertificationError,
     CertificationFailed,
     FactorizationFailed,
     MagnitudeOverflow,
@@ -255,8 +254,8 @@ class MinDegreeResult:
     """Outcome of a minimum-degree polynomial path search.
 
     ``residual_by_degree`` maps each attempted degree to the best certificate
-    value reached; ``path`` is the first certified path, or None if every
-    degree failed.
+    of the restarts run, infinite when none moved by ``min_motion``; ``path``
+    is the first certified path, or None if every degree failed.
     """
 
     path: PolynomialPath | None
@@ -494,10 +493,6 @@ def connect_polygonal(
     of those is degenerate too, :class:`SubspaceSplitFailed` is raised.
     """
     ea, fb, ranks = _require_same_component(a, b, cfg)
-    return _polygonal_from_partitions(a, b, ea, fb, ranks, cfg, seed)
-
-
-def _polygonal_from_partitions(a, b, ea, fb, ranks, cfg, seed) -> PolygonalPath:
     if operator_norm(a.a - b.a) <= cfg.residual_tol * (1.0 + operator_norm(a.a)):
         return PolygonalPath(breakpoints=(a,), certificates=())
     try:
@@ -697,16 +692,24 @@ def _ramp_coeffs(a, b, d):
     return coeffs
 
 
-def _polygonal_fit_coeffs(poly_path, a, b, d):
-    """Least-squares degree-d fit of a polygonal path, endpoints pinned."""
-    m = a.shape[0]
-    delta = b - a
-    ts = np.linspace(0.0, 1.0, max(9, 2 * d + 3))
-    targets = np.stack([poly_path.value(t) - a - (t**d) * delta for t in ts])
-    basis = np.stack([[t**l - t**d for l in range(1, d)] for t in ts])  # (S, d-1)
-    sol, *_ = np.linalg.lstsq(basis, targets.reshape(len(ts), -1), rcond=None)
-    interior = sol.reshape(d - 1, m, m)
-    return np.concatenate([a[None], interior, (delta - interior.sum(axis=0))[None]])
+def _degree_candidates(a, b, roots, d, budget, seed, self_adjoint, min_motion):
+    """Candidates of degree ``d``, each computed when the search asks for it.
+
+    The straight segment at ``d = 1``; above, LM from the ramp, then from ``budget - 1`` seeded perturbations of it.
+    """
+    if d == 1:
+        yield np.stack([a, b - a])
+        return
+    problem = _DegreeProblem(a, b, roots, d, self_adjoint, min_motion)
+    ramp = problem.params_from_coeffs(_ramp_coeffs(a, b, d))
+    sigma = 0.25 * (1.0 + operator_norm(b - a))
+    for k in range(budget):
+        theta0 = ramp
+        if k:
+            z = rng_from(seed, d, k - 1).standard_normal((d - 1, 2, *a.shape))  # complex Gaussian
+            theta0 = ramp + sigma * problem.project(z[:, 0] + 1j * z[:, 1])
+        _, coeffs = _levenberg_marquardt(problem, theta0)
+        yield 0.5 * (coeffs + coeffs.conj().swapaxes(-1, -2)) if self_adjoint else coeffs
 
 
 def min_degree_search(
@@ -724,65 +727,30 @@ def min_degree_search(
     For each degree the endpoint constraints pin the extreme coefficients and
     the free interior ones are optimized to annihilate every coefficient of
     the composed polynomial — computed exactly by convolution, so a certified
-    zero really is an identity in ``t``, not a pointwise fit.  Restarts run
-    from a deterministic ramp, a fit of the polygonal path, and seeded random
-    perturbations.  With ``self_adjoint`` the coefficients are kept Hermitian
-    so the whole path stays self-adjoint; ``min_motion`` adds a non-constancy
-    penalty used when probing for the *absence* of non-constant paths.
-
-    Returns the first certified path plus the best residual per degree, or
-    just the residual curve when every degree fails.
+    zero really is an identity in ``t``, not a pointwise fit.  Each degree
+    above 1 runs up to ``budget`` restarts, from a deterministic ramp and then
+    from seeded perturbations of it, and stops at the first certified one.
+    With ``self_adjoint`` the coefficients are kept Hermitian so the whole
+    path stays self-adjoint; ``min_motion`` adds a non-constancy penalty and
+    skips a candidate that moves less, for probing the *absence* of
+    non-constant paths.  Returns the first certified path plus the best
+    certificate per degree, or just that curve when every degree fails.
     """
-    ea, fb, ranks = _require_same_component(a, b, cfg)
+    _require_same_component(a, b, cfg)
     if self_adjoint:
         _require_self_adjoint(a, b)
 
-    roots = a.roots
     residual_by_degree: dict[int, float] = {}
-
-    # the polygonal path only seeds one restart; the search runs without it
-    try:
-        poly_seed = _polygonal_from_partitions(a, b, ea, fb, ranks, cfg, seed)
-    except CertificationError:
-        poly_seed = None
-
     for d in range(1, d_max + 1):
-        candidates = []
-        if d == 1:
-            candidates.append(np.stack([a.a, b.a - a.a]))
-        else:
-            problem = _DegreeProblem(a.a, b.a, roots, d, self_adjoint, min_motion)
-            starts = [_ramp_coeffs(a.a, b.a, d)]
-            if poly_seed is not None:
-                starts.append(_polygonal_fit_coeffs(poly_seed, a.a, b.a, d))
-            thetas = [problem.params_from_coeffs(c) for c in starts]
-            sigma = 0.25 * (1.0 + operator_norm(b.a - a.a))
-            for r in range(max(0, budget - len(starts))):
-                # the last start's interior coefficients plus sigma times a complex Gaussian
-                z = rng_from(seed, d, r).standard_normal((d - 1, 2, a.dim, a.dim))
-                thetas.append(thetas[len(starts) - 1] + sigma * problem.project(z[:, 0] + 1j * z[:, 1]))
-            for theta0 in thetas[:budget]:
-                _, coeffs = _levenberg_marquardt(problem, theta0)
-                if self_adjoint:
-                    coeffs = 0.5 * (coeffs + coeffs.conj().swapaxes(-1, -2))
-                candidates.append(coeffs)
-
-        if self_adjoint and min_motion > 0.0:
-            candidates = [c for c in candidates if _motion(c) >= min_motion]
-        if not candidates:
-            residual_by_degree[d] = float(np.inf)
-            continue
-        stack = np.stack(candidates)
-        ok, worst, _ = _vanishing_certificates(stack, operator_norms(stack).sum(axis=-1), roots, cfg)
-        best = int(np.argmin(worst))  # the first smallest certificate
-        residual_by_degree[d] = float(worst[best])
-        if ok[best]:
-            path = PolynomialPath(
-                x=MatrixPolynomial(candidates[best], normalized=False),
-                certificate=float(worst[best]),
-                self_adjoint=self_adjoint,
-            )
-            return MinDegreeResult(path=path, residual_by_degree=residual_by_degree)
+        residual_by_degree[d] = np.inf  # stays when every candidate moves too little
+        for coeffs in _degree_candidates(a.a, b.a, a.roots, d, budget, seed, self_adjoint, min_motion):
+            if min_motion > 0.0 and _motion(coeffs) < min_motion:
+                continue
+            ok, worst, _ = _vanishing_certificates(coeffs[None], operator_norms(coeffs).sum(), a.roots, cfg)
+            residual_by_degree[d] = min(residual_by_degree[d], float(worst[0]))
+            if ok[0]:
+                path = PolynomialPath(MatrixPolynomial(coeffs, normalized=False), float(worst[0]), self_adjoint)
+                return MinDegreeResult(path=path, residual_by_degree=residual_by_degree)
     return MinDegreeResult(path=None, residual_by_degree=residual_by_degree)
 
 

@@ -60,7 +60,7 @@ def test_validate_roots_rejects_non_finite_roots(bad):
 
 
 def test_validate_roots_rejects_an_empty_list():
-    with pytest.raises(ValueError, match="need at least one root"):
+    with pytest.raises(PreconditionError, match="need at least one root"):
         validate_roots([])
 
 
@@ -187,6 +187,17 @@ def test_sampler_self_adjoint_rank_one_projection():
     assert operator_norm(p - p.conj().T) <= 1e-15
     assert operator_norm(p @ p - p) <= 1e-14
     assert abs(np.trace(p) - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("cond_bound", [0.5, float("nan"), float("inf")])
+@pytest.mark.parametrize("self_adjoint", [False, True])
+def test_sampler_refuses_a_condition_bound_below_one_before_drawing(monkeypatch, cond_bound, self_adjoint):
+    def no_draw(seeds):
+        raise AssertionError("a generator was made")
+
+    monkeypatch.setattr(algebraic, "rngs_from", no_draw)
+    with pytest.raises(PreconditionError, match="cond_bound must be a finite number >= 1"):
+        random_element((1, 1), R01, seed=0, self_adjoint=self_adjoint, cond_bound=cond_bound)
 
 
 def test_sampler_outputs_recertify():

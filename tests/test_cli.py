@@ -86,6 +86,15 @@ def test_connect_exponential_methods_then_verify(tmp_path, capsys, method, self_
     assert verified["kind"] == "exponential" and (verified["worst_hermiticity"] is not None) is self_adjoint
 
 
+def test_mindeg_min_motion_holds_in_general_mode(tmp_path, capsys):
+    # the degree-1 segment from diag(1, 0) to itself does not move
+    e10 = _write(tmp_path / "e10.json", _matrix([[1, 0], [0, 0]]))
+    assert main(["mindeg", "--a", e10, "--b", e10, "--roots", "0,1", "--seed", "0", "--dmax", "3",
+                 "--budget", "8", "--min-motion", "0.1"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["degree"] == 2 and result["residual_by_degree"]["1"] == float("inf")
+
+
 def test_mindeg_reports_degree(tmp_path, proj_pair, capsys):
     a, b = proj_pair
     assert main(["mindeg", "--a", a, "--b", b, "--roots", "0,1", "--seed", "0",
@@ -201,6 +210,15 @@ def test_config_file_supplies_defaults(tmp_path, capsys):
     assert main(["sample", "--config", str(cfgfile2), "--roots", "0,1", "--sig", "1,1",
                  "--seed", "5"]) == 0
     assert capsys.readouterr().out == baseline
+
+
+def test_config_file_supplies_required_flags(tmp_path, capsys):
+    assert main(["sample", "--roots", "0,1", "--sig", "1,1", "--seed", "5"]) == 0
+    explicit = capsys.readouterr().out
+    cfgfile = _write(tmp_path / "cfg.json", {"roots": "0,1", "sig": "1,1", "seed": 5})
+    for argv in (["sample", "--config", cfgfile], ["sample", f"--config={cfgfile}"], ["sample", "--conf", cfgfile]):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == explicit
 
 
 def test_config_values_get_their_flags_type_and_check(tmp_path, capsys):

@@ -497,41 +497,85 @@ def test_mindeg_reports_residual_curve():
     assert found.residual_by_degree[1] >= found.residual_by_degree[2] * 0.1  # curve recorded
 
 
-def test_mindeg_search_runs_without_polygonal_seed(monkeypatch):
-    def split_fails(*args, **kwargs):
-        raise SubspaceSplitFailed("no split")
+def _count_lm(monkeypatch):
+    """Record the degree of each Levenberg–Marquardt run and the coefficients it returns."""
+    runs = []
+    lm = paths._levenberg_marquardt
 
-    fits = []
-    monkeypatch.setattr(paths, "_polygonal_from_partitions", split_fails)
-    monkeypatch.setattr(paths, "_polygonal_fit_coeffs", lambda *args: fits.append(args))
-    a = random_element((1, 1), R01, seed=(0, 21), self_adjoint=True)
-    b = random_element((1, 1), R01, seed=(0, 22), self_adjoint=True)
-    found = min_degree_search(a, b, d_max=2, budget=3, seed=0)
-    assert 2 in found.residual_by_degree  # the degree-2 restarts ran
-    assert fits == []  # without a polygonal seed to fit
+    def spy(problem, theta0):
+        theta, coeffs = lm(problem, theta0)
+        runs.append((problem.d, coeffs))
+        return theta, coeffs
 
-
-def test_mindeg_lets_a_polygonal_precondition_error_through(monkeypatch):
-    # only a certification failure of the polygonal seed is absorbed
-    def bad_input(*args, **kwargs):
-        raise PreconditionError("bad polygonal input")
-
-    monkeypatch.setattr(paths, "_polygonal_from_partitions", bad_input)
-    a = random_element((1, 1), R01, seed=(0, 21), self_adjoint=True)
-    b = random_element((1, 1), R01, seed=(0, 22), self_adjoint=True)
-    with pytest.raises(PreconditionError, match="bad polygonal input"):
-        min_degree_search(a, b, d_max=2, budget=3, seed=0)
+    monkeypatch.setattr(paths, "_levenberg_marquardt", spy)
+    return runs
 
 
-def test_mindeg_does_not_swallow_foreign_errors(monkeypatch):
-    def broken(*args, **kwargs):
-        raise RuntimeError("bug in the polygonal constructor")
+def test_mindeg_returns_the_first_certified_restart(monkeypatch):
+    # criterion 4's pairs: the ramp's own restart certifies at degree 2, and
+    # none of the other seven runs
+    runs = _count_lm(monkeypatch)
+    cases = [(2, 1), (3, 1), (3, 2), (4, 2), (4, 1), (5, 2), (5, 3), (6, 3), (6, 2), (6, 1), (4, 3), (5, 1)]
+    for k, (m, r) in enumerate(cases):
+        a = random_element((m - r, r), R01, seed=(4000, k, 1), self_adjoint=True)
+        b = random_element((m - r, r), R01, seed=(4000, k, 2), self_adjoint=True)
+        runs.clear()
+        found = min_degree_search(a, b, d_max=3, budget=8, seed=k)
+        assert found.degree == 2
+        assert [d for d, _ in runs] == [2]
 
-    monkeypatch.setattr(paths, "_polygonal_from_partitions", broken)
-    a = random_element((1, 1), R01, seed=(0, 21), self_adjoint=True)
-    b = random_element((1, 1), R01, seed=(0, 22), self_adjoint=True)
-    with pytest.raises(RuntimeError, match="bug in the polygonal"):
-        min_degree_search(a, b, d_max=2, budget=3, seed=0)
+
+def test_mindeg_negative_probe_runs_every_restart(monkeypatch):
+    runs = _count_lm(monkeypatch)
+    a, b = certify(E, R01), certify(F_SWAP, R01)
+    found = min_degree_search(a, b, d_max=3, budget=8, seed=0, self_adjoint=True, min_motion=0.1)
+    assert not found.succeeded
+    assert [d for d, _ in runs] == [2] * 8 + [3] * 8
+
+
+def test_mindeg_builds_no_polygonal_detour(monkeypatch):
+    # the antipodal pair's polygonal path goes through a seeded element; the
+    # degree search resolves its two endpoints and nothing else
+    def refuse(*args, **kwargs):
+        raise AssertionError("the degree search built an element of its own")
+
+    monkeypatch.setattr(paths, "random_element", refuse)
+    monkeypatch.setattr(paths, "spectral_resolution", refuse)
+    a, b = certify(E, R01), certify(F_SWAP, R01)
+    found = min_degree_search(a, b, d_max=3, budget=8, seed=0)
+    assert found.succeeded
+    verify_path(found.path, R01)
+    assert not min_degree_search(a, b, d_max=2, budget=3, seed=0, self_adjoint=True, min_motion=0.1).succeeded
+
+
+@pytest.mark.parametrize("budget", [1, 4])
+def test_mindeg_failing_degree_records_its_smallest_certificate(monkeypatch, budget):
+    # at degrees 2 and 3 the ramp's restart ends higher than some perturbed ones
+    runs = _count_lm(monkeypatch)
+    a, b = certify(E, R01), certify(F_SWAP, R01)
+    found = min_degree_search(a, b, d_max=3, budget=budget, seed=0, self_adjoint=True, min_motion=0.1)
+    assert not found.succeeded
+    p = R01.poly_coeffs()
+    for d in (2, 3):
+        certs = []
+        for _, coeffs in [run for run in runs if run[0] == d]:
+            coeffs = 0.5 * (coeffs + coeffs.conj().swapaxes(-1, -2))
+            if paths._motion(coeffs) >= 0.1:
+                q = paths.matpoly_compose_p(p, MatrixPolynomial(coeffs, normalized=False)).coeffs
+                certs.append(max(np.linalg.norm(c, 2) for c in q))
+        assert len(certs) >= 1 and sum(run[0] == d for run in runs) == budget
+        assert found.residual_by_degree[d] == pytest.approx(min(certs), rel=1e-12)
+
+
+def test_mindeg_min_motion_holds_in_general_mode():
+    # a constant pair: the degree-1 segment does not move, so the search must
+    # go on to a non-constant path
+    el = random_element((1, 1), R01, seed=3)
+    found = min_degree_search(el, el, d_max=2, budget=2, seed=0, min_motion=0.1)
+    assert found.degree == 2
+    assert found.residual_by_degree[1] == np.inf
+    assert paths._motion(found.path.x.coeffs) >= 0.1
+    verify_path(found.path, R01)
 
 
 # -- degree search Jacobian ----------------------------------------------------------
