@@ -269,7 +269,8 @@ def spectral_resolution(el: AlgebraicElement, cfg: ToleranceConfig = ToleranceCo
     stacked SVD takes ``||a||`` and every defect (idempotency and commutation
     of each member, pairwise annihilation, sum to one, reconstruction, then
     Hermiticity in self-adjoint mode), and the first defect in that order
-    above the scaled tolerance raises :class:`ResolutionResidualExceeded`.
+    above the scaled tolerance, or an idempotency defect of 1/4 or more, from
+    which no rank could be read, raises :class:`ResolutionResidualExceeded`.
     """
     a = el.a
     eye = identity_like(a)
@@ -303,13 +304,14 @@ def spectral_resolution(el: AlgebraicElement, cfg: ToleranceConfig = ToleranceCo
     norms = operator_norms(np.stack(defects))
     residuals = norms[1:]
     tol = _resolution_tolerance(float(norms[0]), el.roots, cfg)
+    # rows 0, 2, ... are the idempotency defects; partition_ranks reads no rank from 1/4 on
     bad = residuals > tol
+    bad[: 2 * len(members) : 2] |= residuals[: 2 * len(members) : 2] >= 0.25
     if bad.any():
         k = int(np.argmax(bad))
-        raise ResolutionResidualExceeded(
-            f"{labels[k]} residual {residuals[k]:.3e} exceeds {tol:.3e} "
-            f"(min_gap {el.roots.min_gap:.3e})"
-        )
+        why = (f"exceeds {tol:.3e} (min_gap {el.roots.min_gap:.3e})" if residuals[k] > tol
+               else f"is not below 1/4: member {k // 2} is not an idempotent")
+        raise ResolutionResidualExceeded(f"{labels[k]} residual {residuals[k]:.3e} {why}")
     return PartitionOfUnity(
         members=tuple(members), roots=el.roots, self_adjoint=el.self_adjoint,
         worst_residual=float(residuals.max()),

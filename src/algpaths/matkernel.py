@@ -22,7 +22,6 @@ __all__ = [
     "identity_like",
     "operator_norm",
     "operator_norms",
-    "operator_norm_bounds",
     "mat_exp",
     "mat_log_near_identity",
     "poly_from_roots",
@@ -80,49 +79,6 @@ def operator_norms(stack: np.ndarray) -> np.ndarray:
     if not np.isfinite(stack).all():
         raise MagnitudeOverflow("matrices with non-finite entries have no operator norm")
     return np.linalg.svd(stack, compute_uv=False)[..., 0]
-
-
-def operator_norm_bounds(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bracket ``lo <= sigma_1 <= hi`` on every matrix of a stack ``(..., m, m)``, without an SVD.
-
-    ``sigma_1`` is the value :func:`operator_norms` computes, rounding
-    included.  Each matrix ``R`` is divided by its largest entry modulus
-    ``c``, so ``A = R / c`` has ``1 <= sigma_1(A) <= m`` and ``sigma^8``
-    neither under- nor overflows (a Frobenius scaling would square entries
-    above 1e154 first).  With ``G = A*A``, ``hi = c ||G^2||_F^{1/4}``, which
-    is ``c (sum sigma_i^8)^{1/8}``, at most ``m^{1/8} sigma_1``; ``lo`` is
-    ``c ||A v|| / ||v||`` for ``v = G^2 g``, ``g`` the largest column of
-    ``G``: a Rayleigh quotient of ``G`` after two power steps.  A zero
-    matrix gives ``(0, 0)``, a non-finite one ``(0, inf)``.
-    """
-    stack = np.asarray(stack)
-    m = stack.shape[-1]
-    c = np.abs(stack).max(axis=(-2, -1))
-    finite = np.isfinite(c)
-    if not finite.all():
-        stack = np.where(finite[..., None, None], stack, 0.0)
-    c = np.where(finite & (c > 0), c, 1.0)
-    a = stack / c[..., None, None]
-    g = a.conj().swapaxes(-1, -2) @ a
-    g2 = g @ g
-    # (G^2)_jj = ||G e_j||^2 picks the largest column of G
-    j = np.diagonal(g2, axis1=-2, axis2=-1).real.argmax(axis=-1)
-    v = g2 @ np.take_along_axis(g, j[..., None, None], axis=-1)
-    norm_v = _frobenius(v)
-    lo = _frobenius(a @ v) / np.where(norm_v > 0, norm_v, 1.0)
-    hi = np.sqrt(np.sqrt(_frobenius(g2)))
-    # Slack.  With u = eps / 2 and ||A||_F^2 <= m sigma_1(A)^2, a computed
-    # product of m-term complex inner products errs by at most about
-    # 2 m u ||X||_F ||Y||_F (Higham, Thm 3.5 with the complex gamma), so the
-    # computed G, G^2 and A v are off by at most about 2 m^2 u sigma_1^2,
-    # 6 m^2 u sigma_1^4 and 2 m^{3/2} u sigma_1 ||v||; after the roots, lo and
-    # hi sit within 2 m^2 u (relative) of an exact bracket.  LAPACK's sigma_1
-    # errs by p(m) u sigma_1 with p modest; taking p(m) <= 2 m^2 bounds each
-    # side's total by 4 m^2 u = 2 m^2 eps.  16 m^2 eps is eight times that
-    # (3.6e-12 at m = 32) and also covers the scaling's two roundings.
-    slack = 16 * m * m * np.finfo(float).eps
-    with np.errstate(over="ignore"):  # an entry near the float maximum may push hi to inf
-        return c * lo * (1.0 - slack), np.where(finite, c * hi * (1.0 + slack), np.inf)
 
 
 def _frobenius(z: np.ndarray) -> np.ndarray:

@@ -53,12 +53,12 @@ from .errors import (
 from .matkernel import (
     MatrixPolynomial,
     ToleranceConfig,
+    _frobenius,
     identity_like,
     mat_log_near_identity,
     matpoly_compose_p,
     matpoly_mul,
     operator_norm,
-    operator_norm_bounds,
     operator_norms,
 )
 from .seeding import rng_from
@@ -239,7 +239,12 @@ class PolynomialPath:
 
 @dataclass(frozen=True)
 class PathCertificate:
-    """Result of re-certifying a path."""
+    """Result of re-certifying a path.
+
+    Polynomial and polygonal paths report coefficient operator norms; exponential paths the largest
+    Frobenius norms of ``p(x)`` and ``x - x*`` over the grid, which bound the operator norms above
+    (``worst_hermiticity`` also takes the generators' operator norms ``||c - c*||``).
+    """
 
     kind: str
     worst_membership: float
@@ -768,9 +773,12 @@ def verify_path(
 
     Polynomial and polygonal paths are checked by exact coefficient
     certification of the composed polynomial; exponential paths by endpoint
-    and sampled-membership checks (membership is exact by conjugation, the
-    samples guard the floating-point drift of the exponentials).
+    and membership checks at ``samples >= 1`` evenly spaced ``t`` (membership
+    is exact by conjugation, the samples guard the floating-point drift of the
+    exponentials), on Frobenius norms, then on operator norms where those fail.
     """
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1:
+        raise PreconditionError(f"samples must be an integer >= 1, got {samples!r}")
     if isinstance(path, PolynomialPath):
         if roots is None:
             raise PreconditionError("polynomial paths need the root system for verification")
@@ -780,7 +788,7 @@ def verify_path(
         return _verify_polygonal(path, rs, cfg)
     if isinstance(path, ExpSimilarityPath):
         rs = roots if roots is not None else path.base.roots
-        return _verify_exponential(path, rs, cfg, expected_endpoint, samples)
+        return _verify_exponential(path, rs, cfg, expected_endpoint, int(samples))
     raise TypeError(f"not a path: {type(path)!r}")
 
 
@@ -840,6 +848,23 @@ def _verify_polygonal(path: PolygonalPath, roots, cfg) -> PathCertificate:
     )
 
 
+def _sample_bounds(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``lo <= sigma_1 <= hi`` on each matrix of a stack ``(..., m, m)``, ``sigma_1`` as LAPACK computes it:
+    ``||R||_F / sqrt(m) <= sigma_1(R) <= ||R||_F`` on :func:`_frobenius`, widened by the rounding; a
+    norm that overflows gives ``(0, inf)``."""
+    m = stack.shape[-1]
+    # With u = eps / 2, the computed norm (two m^2-term dot products of squares, their sum and
+    # a root) is within (m^2 / 2 + 2) u of the exact one (Higham, Thm 3.5), and LAPACK's sigma_1
+    # within p(m) u with p modest; taking p(m) <= 2 m^2, each side errs by under 2 m^2 eps, an
+    # eighth of the slack.  Each of the at most 4 m^2 products and sums that underflow loses at
+    # most the smallest normal number (also where subnormals flush to zero), hence the floor.
+    slack, floor = 16 * m * m * np.finfo(float).eps, 2 * m * np.sqrt(np.finfo(float).tiny)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fro = _frobenius(stack)
+        lo = np.where(np.isfinite(fro), np.maximum(0.0, (1.0 - slack) * fro - floor) / np.sqrt(m), 0.0)
+        return lo, np.where(np.isfinite(fro), (1.0 + slack) * fro + floor, np.inf)
+
+
 def _sample_tolerances(norm_x, roots, cfg, self_adjoint: bool) -> np.ndarray:
     """Tolerances of ``||p(x)||`` and, in self-adjoint mode, of ``||x - x*||``, one row each.
 
@@ -854,14 +879,12 @@ def _sample_tolerances(norm_x, roots, cfg, self_adjoint: bool) -> np.ndarray:
 
 def _verify_exponential(path: ExpSimilarityPath, roots, cfg, expected_endpoint, samples):
     self_adjoint = path.self_adjoint_mode
-    worst = [0.0] * (1 + self_adjoint)  # the largest ||p(x)||, then ||x - x*|| in self-adjoint mode
+    worst = [0.0] * (1 + self_adjoint)  # the largest ||p(x)||_F, then ||x - x*||_F in self-adjoint mode
     if self_adjoint:
         for i, c in enumerate(path.generators):
             h = operator_norm(c - c.conj().T)
             if h > cfg.residual_tol * (1.0 + operator_norm(c)):
-                raise CertificationFailed(
-                    f"generator {i} is not Hermitian: {h:.3e}", coefficient=i, value=h
-                )
+                raise CertificationFailed(f"generator {i} is not Hermitian: {h:.3e}", coefficient=i, value=h)
             worst[1] = max(worst[1], h)
     grid = np.linspace(0.0, 1.0, samples)
     step = max(1, _GRID_BLOCK_BYTES // (16 * path.base.dim**2))  # complex128 samples
@@ -872,41 +895,30 @@ def _verify_exponential(path: ExpSimilarityPath, roots, cfg, expected_endpoint, 
         parts = [x, defining_poly_value(x, roots)]
         if self_adjoint:
             parts.append(x - x.conj().swapaxes(-1, -2))
-        lo, hi = (np.stack(b) for b in zip(*map(operator_norm_bounds, parts)))
+        parts = np.stack(parts)
+        lo, hi = _sample_bounds(parts)
         try:
             roots.magnitude(hi[0])
         except MagnitudeOverflow:
             roots.magnitude(operator_norms(x))  # the exact norms overflow too, or every sample is in range
-        # A sample passes on its brackets when the upper bound of each defect
-        # clears the tolerance of the lower bound of ||x||.  The SVD runs only
-        # on the other samples, which get the exact checks, and on the rows
-        # that may hold a new worst defect: every other row's upper bound lies
-        # below some row's lower bound, or at or below the worst so far.
-        undecided = ~np.all(hi[1:] <= _sample_tolerances(lo[0], roots, cfg, self_adjoint), axis=0)
-        rows = [np.flatnonzero(undecided)]
-        rows += [np.flatnonzero(undecided | ((h >= l.max()) & (h > w)))
-                 for l, h, w in zip(lo[1:], hi[1:], worst)]
-        stacked = np.concatenate([part[r] for part, r in zip(parts, rows)])
-        exact = np.linalg.svd(stacked, compute_uv=False)[:, 0] if len(stacked) else np.empty(0)
-        norm_x, *defects = np.split(exact, np.cumsum([r.size for r in rows[:-1]]))
-        worst = [float(np.max(d, initial=w)) for d, w in zip(defects, worst)]
-        if rows[0].size:
-            defects = np.stack([d[np.searchsorted(r, rows[0])] for d, r in zip(defects, rows[1:])])
-            bad = ~(defects <= _sample_tolerances(norm_x, roots, cfg, self_adjoint))
+        # A sample passes when the upper bound of each defect clears the tolerance of the lower bound of
+        # ||x||; the others get the exact checks.  A Frobenius norm that overflows reports the exact one.
+        rows = np.flatnonzero(~np.all(hi[1:] <= _sample_tolerances(lo[0], roots, cfg, self_adjoint), axis=0))
+        with np.errstate(over="ignore"):
+            reported = _frobenius(parts[1:])
+        if rows.size:
+            exact = np.linalg.svd(parts[:, rows], compute_uv=False)[..., 0]
+            reported[:, rows] = np.where(np.isfinite(reported[:, rows]), reported[:, rows], exact[1:])
+            bad = ~(exact[1:] <= _sample_tolerances(exact[0], roots, cfg, self_adjoint))
             if bad.any():
                 i = int(np.argmax(bad.any(axis=0)))  # the first failing sample in t order
-                t = float(ts[rows[0][i]])
+                t = float(ts[rows[i]])
                 if bad[0, i]:
-                    raise CertificationFailed(
-                        f"membership fails at t = {t:.4f}: residual {defects[0, i]:.3e}",
-                        sample_t=t,
-                        value=float(defects[0, i]),
-                    )
-                raise CertificationFailed(
-                    f"path leaves the self-adjoint set at t = {t:.4f}: {defects[1, i]:.3e}",
-                    sample_t=t,
-                    value=float(defects[1, i]),
-                )
+                    raise CertificationFailed(f"membership fails at t = {t:.4f}: residual {exact[1, i]:.3e}",
+                                              sample_t=t, value=float(exact[1, i]))
+                raise CertificationFailed(f"path leaves the self-adjoint set at t = {t:.4f}: {exact[2, i]:.3e}",
+                                          sample_t=t, value=float(exact[2, i]))
+        worst = [max(w, float(r.max())) for w, r in zip(worst, reported)]
     endpoint_error = None
     if expected_endpoint is not None:
         end = x[-1] if samples > 1 else path.value(1.0)  # the grid ends at t = 1

@@ -216,16 +216,18 @@ def _haar_shear(s, seed):
 @pytest.mark.parametrize("s, ranks", [(1e2, [2, 2]), (1e4, [2, 2]), (1e6, [2, 2]), (1e8, None), (1e9, None)])
 @pytest.mark.parametrize("seed", range(4))
 def test_shear_ranks_are_certified_or_refused(s, ranks, seed):
-    # the resolution tolerance is absolute, about 1e-9 ||a||^2 here, so it accepts
-    # members whose computed idempotency defect is about eps s^2: 1e-3 at s = 1e6
-    # (trace margin 0.47), 5-1e3 from s = 1e8 on, where the SVD rule still read [2, 2]
-    part = spectral_resolution(certify(_haar_shear(s, (seed, 23)), R01))
+    # the resolution tolerance is absolute, about 1e-9 ||a||^2 here, and the computed
+    # idempotency defect is about eps s^2: 1e-3 at s = 1e6 (trace margin 0.47) passes
+    # and ranks, while 5-1e3 from s = 1e8 on, where the SVD rule still read [2, 2],
+    # is refused by the resolution, since no rank can be read from such a member
+    el = certify(_haar_shear(s, (seed, 23)), R01)
     if ranks is not None:
+        part = spectral_resolution(el)
         assert partition_ranks(part) == resolution_reference.partition_ranks(part) == ranks
     else:
-        with pytest.raises(RankAmbiguous, match=r"^idempotent 0 has no certified rank: trace 2\.000000, "
-                                                r"idempotency defect \d"):
-            partition_ranks(part)
+        with pytest.raises(ResolutionResidualExceeded, match=r"^idempotency\[0\] residual \d\.\d{3}e\+0[0-3] "
+                                                             r"is not below 1/4: member 0 is not an idempotent$"):
+            spectral_resolution(el)
 
 
 @pytest.mark.parametrize("rank", [partition_ranks, resolution_reference.partition_ranks])

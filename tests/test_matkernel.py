@@ -18,7 +18,6 @@ from algpaths.matkernel import (
     matpoly_is_zero,
     matpoly_mul,
     operator_norm,
-    operator_norm_bounds,
     operator_norms,
     poly_eval_scalar_coeffs,
     poly_from_roots,
@@ -119,50 +118,11 @@ def test_operator_norm_submultiplicative_and_unitarily_invariant(seed):
     assert abs(operator_norm(u @ a @ v) - operator_norm(a)) <= 1e-10 * operator_norm(a)
 
 
-def _bracket_stacks(m, seed):
-    """Zero, rank-one, scaled-unitary (flat spectrum), Hermitian and random
-    matrices of size ``m``, each family at scales 1, 1e150 and 1e-150."""
-    rng = rng_from(seed, m)
-    z = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)  # noqa: E731
-    u, v = z(6, m, 1), z(6, m, 1)
-    h = z(6, m, m)
-    families = [
-        np.zeros((2, m, m), dtype=complex),
-        u @ v.conj().swapaxes(-1, -2),
-        3.0 * haar_unitary(m, [rng_from(seed, m, j) for j in range(4)]),
-        h + h.conj().swapaxes(-1, -2),
-        z(8, m, m),
-    ]
-    return [f * s for f in families for s in (1.0, 1e150, 1e-150)]
-
-
-@pytest.mark.parametrize("m", [1, 2, 3, 8, 16, 32])
-def test_operator_norm_bounds_bracket_the_computed_norm(m):
-    for stack in _bracket_stacks(m, seed=97):
-        lo, hi = operator_norm_bounds(stack)
-        sigma = np.linalg.svd(stack, compute_uv=False)[..., 0]
-        assert np.all(lo <= sigma) and np.all(sigma <= hi)
-        assert np.all(hi <= 1.6 * sigma)  # at most m^{1/8} sigma_1, plus the slack
-        assert np.all((lo == 0) == (sigma == 0)) and np.all((hi == 0) == (sigma == 0))
-
-
-def test_operator_norm_bounds_of_non_finite_matrices():
-    stack = np.zeros((4, 3, 3), dtype=complex)
-    stack[0, 0, 0] = np.nan
-    stack[1, 2, 1] = np.inf
-    stack[2, 1, 2] = complex(0.0, -np.inf)
-    stack[3] = np.eye(3)
-    lo, hi = operator_norm_bounds(stack)
-    np.testing.assert_array_equal(lo[:3], 0.0)
-    np.testing.assert_array_equal(hi[:3], np.inf)
-    assert lo[3] <= 1.0 <= hi[3]
-
-
 @pytest.mark.parametrize("m", [2, 16, 32])
 def test_svd_of_a_row_subset_is_the_subset_of_the_stacked_svd(m):
-    # the bracketed verifier hands np.linalg.svd only some rows of a block and
-    # reports those values as the block's own: the premise of its byte-identical
-    # reports is that LAPACK works matrix by matrix
+    # the bracketed verifier hands np.linalg.svd only the undecided rows of a
+    # block and judges them on those values: the premise of its verdicts
+    # matching the all-row oracle bit for bit is that LAPACK works matrix by matrix
     rng = rng_from(101, m)
     stack = rng.standard_normal((40, m, m)) + 1j * rng.standard_normal((40, m, m))
     whole = np.linalg.svd(stack, compute_uv=False)[:, 0]

@@ -231,6 +231,26 @@ def test_polygonal_antipodal_needs_midpoints():
     verify_path(path)
 
 
+def test_polygonal_value_walks_its_segments():
+    roots = validate_roots([0, 1, 2])
+    a = random_element((1, 2, 1), roots, seed=1)
+    b = random_element((1, 2, 1), roots, seed=2)
+    path = connect_polygonal(a, b)
+    k = path.segments
+    assert k == 3
+    pts = [bp.a for bp in path.breakpoints]
+    scale = 1e-15 * max(operator_norm(p) for p in pts)
+    for j in range(k + 1):  # breakpoint j at t = j / k
+        np.testing.assert_allclose(path.value(j / k), pts[j], rtol=0, atol=scale)
+    for j in range(k):  # the segment average at its midpoint
+        np.testing.assert_allclose(path.value((j + 0.5) / k), 0.5 * (pts[j] + pts[j + 1]), rtol=0, atol=scale)
+    for t in (0.2, 0.5, 0.9):  # interior values lie in the solution set
+        certify(path.value(t), roots)
+    # a path of no segment is its one breakpoint at every t
+    still = connect_polygonal(a, a)
+    assert still.segments == 0 and all(np.array_equal(still.value(t), a.a) for t in (0.0, 0.4, 1.0))
+
+
 def _antipodal_projections(k):
     """``diag(1_k, 0_k)`` and ``diag(0_k, 1_k)`` over the roots {0, 1}."""
     one, zero = np.ones(k), np.zeros(k)
@@ -450,6 +470,21 @@ def test_mindeg_same_range_pair_is_degree_one():
     found = min_degree_search(a, b, d_max=3, budget=4, seed=0)
     assert found.degree == 1
     assert found.path.certificate <= 1e-12
+
+
+def test_polynomial_value_sums_its_coefficients():
+    a = random_element((1, 1), R01, seed=1)
+    b = random_element((1, 1), R01, seed=2)
+    path = min_degree_search(a, b, d_max=3, budget=4, seed=0).path
+    c = path.x.coeffs
+    assert path.x.degree >= 2
+    np.testing.assert_array_equal(path.value(0.0), path.start)
+    np.testing.assert_array_equal(path.start, a.a)
+    np.testing.assert_allclose(path.value(1.0), path.end, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(path.end, b.a, rtol=0, atol=1e-12)
+    for t in (0.25, 0.5, 0.75):
+        np.testing.assert_allclose(path.value(t), sum(ck * t**k for k, ck in enumerate(c)), rtol=0, atol=1e-14)
+        certify(path.value(t), R01)
 
 
 def test_mindeg_projection_pairs_within_degree_three():
@@ -1213,9 +1248,16 @@ def test_verify_rejects_paths_whose_magnitude_overflows():
 
 # -- bracketed sample checks against the SVD oracle -----------------------------------
 
-# The sample checks as they were before the operator-norm brackets: every
-# sample's ||x||, ||p(x)|| and ||x - x*|| from a stacked SVD.  The bracketed
-# verifier must give the same certificate, or the same failure, bit for bit.
+# The sample checks without the brackets: every sample's ||x||, ||p(x)|| and
+# ||x - x*|| from a stacked SVD, and the certificate's worst values from each
+# sample's np.linalg.norm (its operator norm where that is not finite).  The
+# bracketed verifier must give the same certificate, or the same failure, bit
+# for bit.
+
+
+def _reported(defects, exact):
+    fro = np.array([np.linalg.norm(d) for d in defects])
+    return float(np.where(np.isfinite(fro), fro, exact).max())
 
 
 def _oracle_verify_exponential(path, roots, cfg, expected_endpoint, samples):
@@ -1248,9 +1290,9 @@ def _oracle_verify_exponential(path, roots, cfg, expected_endpoint, samples):
                                           sample_t=t, value=float(res[i]))
             raise CertificationFailed(f"path leaves the self-adjoint set at t = {t:.4f}: {herm[i]:.3e}",
                                       sample_t=t, value=float(herm[i]))
-        worst_mem = max(worst_mem, float(res.max()))
+        worst_mem = max(worst_mem, _reported(value, res))
         if path.self_adjoint_mode:
-            worst_herm = max(worst_herm, float(herm.max()))
+            worst_herm = max(worst_herm, _reported(x - x.conj().swapaxes(-1, -2), herm))
     endpoint_error = None
     if expected_endpoint is not None:
         end = x[-1] if samples > 1 else path.value(1.0)
@@ -1374,8 +1416,8 @@ def test_verify_exponential_overflow_matches_the_svd_oracle(samples, self_adjoin
 
 
 def _loose_bounds(stack):
-    """A valid bracket far looser than the kernel's: the computed norm times a
-    random factor in [1/4, 1] below and in [1, 4] above."""
+    """A valid bracket far looser than the Frobenius one: the computed norm times
+    a random factor in [1/4, 1] below and in [1, 4] above."""
     finite = np.isfinite(stack).all(axis=(-2, -1))
     sigma = np.zeros(stack.shape[:-2])
     sigma[finite] = np.linalg.svd(stack[finite], compute_uv=False)[:, 0]
@@ -1388,9 +1430,9 @@ def _loose_bounds(stack):
 @pytest.mark.parametrize("m, samples", [(2, 100), (16, 2), (16, 100)])
 def test_verify_exponential_needs_only_a_valid_bracket(m, samples, self_adjoint, monkeypatch):
     # the reports may not depend on how tight the bracket is: with a loose one,
-    # more samples reach the exact checks and more rows may hold the maximum,
-    # and the outcome is still the oracle's, bit for bit
-    monkeypatch.setattr(paths, "operator_norm_bounds", _loose_bounds)
+    # more samples reach the exact checks, and the outcome is still the
+    # oracle's, bit for bit
+    monkeypatch.setattr(paths, "_sample_bounds", _loose_bounds)
     _assert_sweep_matches_the_oracle(m, samples, self_adjoint)
     for path in _overflowing_paths(self_adjoint)[0]:
         _assert_matches_the_oracle(path, path.base.roots, ToleranceConfig(), samples)
@@ -1417,7 +1459,7 @@ def test_verify_exponential_scale_bracket_straddling_the_float_maximum():
     s = np.sqrt(big / 2) * (1 - 16 * np.finfo(float).eps)
     roots = validate_roots([0, s])
     base = AlgebraicElement(a=s * E, roots=roots, residual=0.0, self_adjoint=True)
-    lo, hi = paths.operator_norm_bounds(base.a[None])
+    lo, hi = paths._sample_bounds(base.a[None])
     with pytest.raises(MagnitudeOverflow):
         roots.magnitude(hi)
     assert np.isfinite(roots.magnitude(operator_norm(base.a)))
@@ -1426,3 +1468,71 @@ def test_verify_exponential_scale_bracket_straddling_the_float_maximum():
                                        self_adjoint_mode=self_adjoint)
         cert = _assert_matches_the_oracle(path, roots, ToleranceConfig(), 100, base.a)
         assert "worst_membership=0.0" in cert
+
+
+def _bracket_stacks(m, seed):
+    """Zero, rank-one, scaled-unitary (flat spectrum), Hermitian and random
+    matrices of size ``m``, each family at scales 1, 1e150, 1e-150 and 1e-170,
+    where every square underflows."""
+    rng = rng_from(seed, m)
+    z = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)  # noqa: E731
+    u, v = z(6, m, 1), z(6, m, 1)
+    h = z(6, m, m)
+    families = [
+        np.zeros((2, m, m), dtype=complex),
+        u @ v.conj().swapaxes(-1, -2),
+        3.0 * haar_unitary(m, [rng_from(seed, m, j) for j in range(4)]),
+        h + h.conj().swapaxes(-1, -2),
+        z(8, m, m),
+    ]
+    return [f * s for f in families for s in (1.0, 1e150, 1e-150, 1e-170)]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 16, 32])
+def test_sample_bounds_bracket_the_computed_norm(m):
+    floor = 2 * m * np.sqrt(np.finfo(float).tiny)
+    for stack in _bracket_stacks(m, seed=97):
+        lo, hi = paths._sample_bounds(stack)
+        sigma = np.linalg.svd(stack, compute_uv=False)[..., 0]
+        assert np.all(lo <= sigma) and np.all(sigma <= hi)
+        # at most sqrt(m) apart, plus the slack and the underflow floor
+        assert np.all(hi <= np.sqrt(m) * sigma * (1 + 1e-10) + floor)
+        assert np.all(lo >= sigma / np.sqrt(m) * (1 - 1e-10) - floor)
+
+
+def test_sample_bounds_of_non_finite_matrices():
+    stack = np.zeros((5, 3, 3), dtype=complex)
+    stack[0, 0, 0] = np.nan
+    stack[1, 2, 1] = np.inf
+    stack[2, 1, 2] = complex(0.0, -np.inf)
+    stack[3, 0, 1] = 1e200  # finite, but its square overflows
+    stack[4] = np.eye(3)
+    lo, hi = paths._sample_bounds(stack)
+    np.testing.assert_array_equal(lo[:4], 0.0)
+    np.testing.assert_array_equal(hi[:4], np.inf)
+    assert lo[4] <= 1.0 <= hi[4]
+
+
+@pytest.mark.parametrize("self_adjoint", [False, True], ids=["general", "self-adjoint"])
+def test_a_passing_grid_takes_no_svd(self_adjoint, monkeypatch):
+    # every sample passes on its Frobenius bracket: the only SVDs left are the
+    # operator norms of the generators' Hermiticity check and of the endpoint
+    path, roots = _exp_path(8, 2, self_adjoint, seed=41)
+    end = path.value(1.0)
+    shapes, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: shapes.append(np.shape(a)) or svd(a, *args, **kw))
+    cert = verify_path(path, roots, expected_endpoint=end, samples=257)  # five blocks of 64 samples
+    assert shapes == [(8, 8)] * (2 + 2 * len(path.generators) * self_adjoint)
+    assert cert.samples == 257 and cert.worst_membership > 0.0
+
+
+@pytest.mark.parametrize("samples", [0, -1, 2.5, True])
+def test_verify_path_needs_a_positive_integer_sample_count(samples):
+    # samples=0 used to certify an exponential path without evaluating it, and
+    # a negative count ended in a bare numpy ValueError
+    base = certify(E, R01)
+    path = paths.ExpSimilarityPath(base=base, generators=(np.array([[0, 800], [800, 0]], dtype=complex),))
+    with pytest.raises(PreconditionError, match=rf"^samples must be an integer >= 1, got {samples!r}$"):
+        verify_path(path, samples=samples)
+    with pytest.raises(MagnitudeOverflow):
+        verify_path(path, samples=np.int64(2))
