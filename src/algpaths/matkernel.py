@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MagnitudeOverflow, NotNearIdentity
+from .errors import MagnitudeOverflow, NotNearIdentity, PreconditionError
 
 __all__ = [
     "ToleranceConfig",
@@ -50,12 +50,15 @@ class ToleranceConfig:
 
 
 def as_matrix(a) -> np.ndarray:
-    """Coerce to a square complex matrix, rejecting non-finite entries."""
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    """Coerce to a square complex matrix of size at least 1 with finite entries, else :class:`PreconditionError`."""
+    try:
+        a = np.asarray(a, dtype=complex)
+    except (TypeError, ValueError):  # ragged rows, or entries that are not numbers
+        raise PreconditionError("expected a square matrix of numbers") from None
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise PreconditionError(f"expected a square matrix of size at least 1, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
+        raise PreconditionError("matrix entries must be finite")
     return a
 
 

@@ -107,40 +107,22 @@ class ExpSimilarityPath:
     generators: tuple[np.ndarray, ...]
     self_adjoint_mode: bool = False
 
-    def transporter(self, t: float) -> np.ndarray:
-        return self._transport(np.array([float(t)]))[0]
-
     def value(self, t: float) -> np.ndarray:
         return self.values(np.array([float(t)]))[0]
 
     def values(self, ts: np.ndarray) -> np.ndarray:
         """``x(t)`` on a grid of parameter values, stacked as ``(N, m, m)``.
 
-        Each generator costs one stacked exponential (two in general mode, for
-        ``g`` and ``g^{-1}``), see :meth:`_exp_stack`; ``t = 0`` gives the base
-        exactly.
+        ``x <- e^{t c_k} x e^{-t c_k}`` for each generator in turn, starting from
+        the base, in both modes: two stacked exponentials per generator, see
+        :meth:`_exp_stack`.  ``t = 0`` gives the base exactly.
         """
         ts = np.asarray(ts, dtype=float)
-        g = self._transport(ts)
-        if self.self_adjoint_mode:
-            ginv = g.conj().swapaxes(-1, -2)
-        else:
-            ginv = self._identities(ts)
-            for k in range(len(self.generators)):
-                ginv = ginv @ self._exp_stack(k, -ts)
-        x = g @ self.base.a @ ginv
+        x = np.repeat(self.base.a[None], len(ts), axis=0)
+        for k in range(len(self.generators)):
+            x = self._exp_stack(k, ts) @ x @ self._exp_stack(k, -ts)
         x[ts == 0] = self.base.a
         return x
-
-    def _identities(self, ts: np.ndarray) -> np.ndarray:
-        # stacked, so a path with no generators (the constant path) still gives (N, m, m)
-        return np.repeat(identity_like(self.base.a)[None], len(ts), axis=0)
-
-    def _transport(self, ts: np.ndarray) -> np.ndarray:
-        g = self._identities(ts)
-        for k in range(len(self.generators)):
-            g = self._exp_stack(k, ts) @ g
-        return g
 
     @cached_property
     def _exponents(self) -> tuple:
@@ -301,17 +283,14 @@ def _matching_similarity(ea: PartitionOfUnity, fb: PartitionOfUnity) -> np.ndarr
 
 
 def _polar_factors(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(log h, u)`` of the polar split ``w = u h``, ``u`` unitary and ``h`` positive."""
+    """``(log h, u)`` of the polar split ``w = u h``, ``u`` unitary and ``h`` positive.
+
+    From ``w = U diag(s) V*``: ``u = U V*`` and ``log h = V diag(log s) V*``.
+    """
     uu, s, vh = np.linalg.svd(w)
-    return _log_positive((vh.conj().T * s) @ vh), uu @ vh
-
-
-def _log_positive(h: np.ndarray) -> np.ndarray:
-    """Principal logarithm of a Hermitian positive-definite matrix."""
-    vals, vecs = np.linalg.eigh(0.5 * (h + h.conj().T))
-    if vals[0] <= 0.0:
-        raise FactorizationFailed(f"positive factor has eigenvalue {vals[0]:.3e}")
-    return (vecs * np.log(vals)) @ vecs.conj().T
+    if s[-1] <= 0.0:
+        raise FactorizationFailed(f"connecting similarity has singular value {s[-1]:.3e}")
+    return (vh.conj().T * np.log(s)) @ vh, uu @ vh
 
 
 def _hermitian_log_of_unitary(u: np.ndarray) -> np.ndarray:

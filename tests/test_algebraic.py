@@ -93,6 +93,18 @@ def test_certify_rejects_nilpotent():
         certify(np.array([[0, 1], [0, 0]]), R01)
 
 
+@pytest.mark.parametrize("bad, message", [
+    (np.zeros((0, 0)), r"size at least 1, got shape \(0, 0\)"),
+    (np.zeros((2, 3)), r"square matrix of size at least 1, got shape \(2, 3\)"),
+    (np.array([[1.0, np.nan], [0.0, 0.0]]), "entries must be finite"),
+    ([[1, 2], [3]], "square matrix of numbers"),
+], ids=["empty", "not-square", "nan", "ragged"])
+def test_malformed_matrices_are_preconditions(bad, message):
+    # they reached library callers as IndexError and numpy ValueErrors
+    with pytest.raises(PreconditionError, match=message):
+        certify(bad, R01)
+
+
 def test_q_reduction_drops_complex_roots():
     rs = validate_roots([0, 1, 1j])
     assert q_reduction(rs).roots == (0, 1)

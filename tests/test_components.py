@@ -4,6 +4,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import resolution_reference
 import sampler_reference as reference
@@ -228,6 +230,19 @@ def test_shear_ranks_are_certified_or_refused(s, ranks, seed):
         with pytest.raises(ResolutionResidualExceeded, match=r"^idempotency\[0\] residual \d\.\d{3}e\+0[0-3] "
                                                              r"is not below 1/4: member 0 is not an idempotent$"):
             spectral_resolution(el)
+
+
+@settings(max_examples=60, deadline=None)
+@given(log_s=st.floats(2.0, 9.0), seed=st.integers(0, 2**32 - 1))
+def test_shear_ranks_over_s_and_the_frame_are_certified_or_refused(log_s, seed):
+    # [2, 2] up to s = 1e6; from about 10^6.x on the resolution may refuse, with a typed error only
+    s = 10.0**log_s
+    try:
+        ranks = resolve(certify(_haar_shear(s, (seed, 23)), R01))[1].ranks
+    except (RankAmbiguous, ResolutionResidualExceeded):
+        assert s > 1e6
+    else:
+        assert ranks == (2, 2)
 
 
 @pytest.mark.parametrize("rank", [partition_ranks, resolution_reference.partition_ranks])

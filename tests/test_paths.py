@@ -367,11 +367,22 @@ def test_polygonal_midpoint_follows_the_seed():
     assert operator_norm(mid[0] - mid[2]) > 1e-3
 
 
-def test_log_positive_refuses_a_non_positive_eigenvalue():
-    # the polar factor of an invertible matrix is positive definite, so no
-    # constructor hands this one an indefinite matrix
-    with pytest.raises(FactorizationFailed, match=r"eigenvalue -1\.000e\+00"):
-        paths._log_positive(np.diag([1.0, -1.0]).astype(complex))
+def test_polar_factors_refuse_a_singular_similarity():
+    # the connecting similarity is invertible, so no constructor hands this
+    # one a singular matrix
+    with pytest.raises(FactorizationFailed, match=r"singular value 0\.000e\+00"):
+        paths._polar_factors(np.diag([1.0, 0.0]).astype(complex))
+
+
+@pytest.mark.parametrize("m", [2, 5, 16])
+def test_polar_factors_split_an_invertible_similarity(m):
+    rng = rng_from(59, m)
+    w = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    log_h, u = paths._polar_factors(w)
+    h = scipy.linalg.expm(log_h)
+    np.testing.assert_allclose(log_h, log_h.conj().T, rtol=0, atol=1e-14 * operator_norm(log_h))
+    assert operator_norm(u.conj().T @ u - np.eye(m)) <= 1e-14 * m
+    assert operator_norm(u @ h - w) <= 1e-13 * operator_norm(w)
 
 
 # Eigenvalue -1 of every multiplicity j, and clusters of j eigenvalues that
@@ -960,7 +971,6 @@ def test_exp_grid_matches_per_sample_reference(m, k, self_adjoint):
         assert operator_norm(path.value(t) - x) <= 1e-13 * operator_norm(x)
     assert xs[0].tobytes() == path.base.a.tobytes()  # bit for bit, signed zeros too
     assert path.value(0.0).tobytes() == path.base.a.tobytes()
-    np.testing.assert_array_equal(path.transporter(0.0), np.eye(m))
 
     cert = verify_path(path, roots, expected_endpoint=ref[-1][1], samples=40)
     scale = max(s[3] for s in ref)
@@ -972,6 +982,23 @@ def test_exp_grid_matches_per_sample_reference(m, k, self_adjoint):
         assert abs(cert.worst_hermiticity - herm_ref) <= 1e-13 * (1.0 + max(s[5] for s in ref))
     else:
         assert cert.worst_hermiticity is None
+
+
+@pytest.mark.parametrize("delta", [1e-12, 1e-10])
+def test_selfadjoint_path_with_a_nearly_hermitian_generator_stays_a_conjugation(delta):
+    # the verifier accepts a generator whose Hermiticity defect is below
+    # residual_tol (1 + ||c||); the path is still e^{ict} a e^{-ict}, so its
+    # membership stays at rounding, while taking e^{-ict} as (e^{ict})* let it
+    # grow with the defect (to 1.8e-12 and 1.8e-10 at seed 0)
+    for seed in range(5):
+        path, roots = _exp_path(6, 1, True, seed=seed)
+        z = rng_from(seed, 6, 2).standard_normal((2, 6, 6))
+        n = z[0] + 1j * z[1]
+        c = path.generators[0] + delta * n / operator_norm(n)
+        path = paths.ExpSimilarityPath(base=path.base, generators=(c,), self_adjoint_mode=True)
+        cert = verify_path(path, roots)
+        assert cert.worst_membership < 1e-13
+        assert cert.worst_hermiticity >= delta / 10
 
 
 @pytest.mark.parametrize("self_adjoint", [False, True], ids=["general", "self-adjoint"])
@@ -1119,7 +1146,6 @@ def test_exponential_routes_agree_with_expm_at_the_normality_cutoff(side):
         for t, e in zip(sign * ts, got):
             ref = scipy.linalg.expm(t * c)
             assert operator_norm(e - ref) <= 1e-13 * operator_norm(ref)
-    np.testing.assert_array_equal(path.transporter(0.0), np.eye(m))
 
 
 def _kappa_1(c):
@@ -1163,7 +1189,6 @@ def test_exponential_routes_agree_with_expm_at_the_eigenbasis_cutoff(side):
             exp_t[0, 1] = r * (np.exp(t * lam[0]) - np.exp(t * lam[1])) / (lam[0] - lam[1])
             ref = q @ exp_t @ q.conj().T
             assert operator_norm(e - ref) <= kappa * m * np.finfo(float).eps / 2 * operator_norm(ref)
-    np.testing.assert_array_equal(path.transporter(0.0), np.eye(m))
     verify_path(path, expected_endpoint=path.value(1.0))
 
 
