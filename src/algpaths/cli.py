@@ -244,7 +244,7 @@ def _cmd_distance(ns, cfg):
     roots = validate_roots(_parse_roots(ns.roots))
     ranks1, ranks2 = _parse_sig(ns.sig), _parse_sig(ns.sig2)
     sig1 = ComponentSignature(ranks=ranks1, dim=sum(ranks1))
-    sig2 = ComponentSignature(ranks=ranks2, dim=sum(ranks1))
+    sig2 = ComponentSignature(ranks=ranks2, dim=sum(ranks2))
     report = distance_scan(sig1, sig2, roots, budget=ns.budget, seed=ns.seed,
                            self_adjoint=ns.self_adjoint, cfg=cfg, workers=ns.threads)
     if ns.format == "json":

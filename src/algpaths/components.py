@@ -283,7 +283,7 @@ def _reach_floor(rows, dist, delta, x, y, left: int) -> tuple[np.ndarray, np.nda
     return rows, dist[rows] - left * q[near] * np.exp(power[near]) * s - margin
 
 
-def _scan_block(ks, seed, sig1, sig2, roots, self_adjoint, cfg):
+def _scan_block(ks, seed, sig1, sig2, roots, self_adjoint, cfg, incumbent=np.inf):
     """Restarts ``ks`` of a distance scan, advanced together in lockstep.
 
     Restart ``k`` samples its pair from the seeds ``(seed, k, 0)`` and
@@ -297,14 +297,17 @@ def _scan_block(ks, seed, sig1, sig2, roots, self_adjoint, cfg):
     distance and stops once the step collapses, at entry when it starts on
     the proven floor :func:`_distance_floor`, or as soon as a proven lower
     bound on every distance its remaining steps can reach
-    (:func:`_reach_floor`) lies above the block's best distance so far.
-    Perturbations are drawn ``_SCAN_CHUNK`` steps at a time, by the restarts
-    still live, into one ``(B, _SCAN_CHUNK, m, m)`` buffer; the generator's
-    stream does not depend on how its draws are chunked.  The stacked linear algebra works matrix by
-    matrix, so every row is bit for bit a state of its restart's own descent,
-    and the block's ``(distance, index)`` minimum, which is never pruned, is
-    the same however the restarts are grouped into blocks.  A pruned
-    restart's row is where it stopped, not where the unpruned descent ends.
+    (:func:`_reach_floor`) lies above the best distance so far: the block's
+    own, or ``incumbent`` when that is smaller (a serial scan passes the best
+    distance of the blocks it has already run).  Perturbations are drawn
+    ``_SCAN_CHUNK`` steps at a time, by the restarts still live, into one
+    ``(B, _SCAN_CHUNK, m, m)`` buffer; the generator's stream does not depend
+    on how its draws are chunked.  The stacked linear algebra works matrix by
+    matrix, so every row is bit for bit a state of its restart's own descent.
+    The scan's ``(distance, index)`` minimum is never pruned, so the restart
+    a scan reports is the same however the restarts are grouped into blocks.
+    A pruned restart's row is where it stopped, not where the unpruned
+    descent ends.
 
     Returns the distances ``(B,)`` and the endpoints ``x`` and ``y``
     ``(B, m, m)``, row ``j`` belonging to restart ``ks[j]``.
@@ -367,11 +370,17 @@ def _scan_block(ks, seed, sig1, sig2, roots, self_adjoint, cfg):
         dist[live[better]] = cand[better]
         (x if it % 2 == 0 else y)[live[better]] = moved[better]
         delta[live[~better]] *= 0.5
-        # a restart whose bound lies above the block's current minimum, never
-        # below its final one, cannot be the scan's (distance, index) minimum
-        rows, reach = _reach_floor(live, dist, delta, x, y, _SCAN_ITERS - it - 1)
-        if rows.size:
-            delta[rows[reach > dist.min()]] = 0.0
+        # Every threshold is a distance some restart has reached, so it is at
+        # least the final distance of the scan's (distance, index) winner; the
+        # winner's bound lies below its own final distance, so it is never
+        # pruned, and a pruned restart stops above the threshold, so it cannot
+        # tie with the winner.  A row at or below the threshold has its bound
+        # below its distance and cannot be pruned, so it skips the bound.
+        best = min(dist.min(), incumbent)
+        above = live[dist[live] > best]
+        if above.size:
+            rows, reach = _reach_floor(above, dist, delta, x, y, _SCAN_ITERS - it - 1)
+            delta[rows[reach > best]] = 0.0
     return dist, x, y
 
 
@@ -399,9 +408,10 @@ def distance_scan(
     on stacked arrays, one :func:`random_elements` call per signature, and
     every sampled element is certified.  ``workers > 1`` splits the restarts
     into at least that many blocks and maps them over that many processes.
-    A block stops a restart once it provably cannot reach the block's best
-    distance; the best restart comes out bit-identical, so the report does
-    not change.
+    A block stops a restart once it provably cannot reach the best distance
+    so far: in a serial scan the best of all restarts run so far, in a pool
+    the best of the block's own.  The reported restart is never stopped and
+    comes out bit-identical, so the report does not change.
     """
     if sig1 == sig2:
         raise BadSignature("distance scan needs two distinct signatures")
@@ -425,13 +435,22 @@ def distance_scan(
         rows = (row for ks, (d, x, y) in zip(blocks, results) for row in zip(d, ks, x, y))
         return min(rows, key=lambda row: (row[0], row[1]))
 
+    def serial():
+        # each block prunes against the best distance of every block run before it
+        incumbent = np.inf
+        for ks in blocks:
+            d, x, y = task(ks, incumbent=incumbent)
+            incumbent = min(incumbent, d.min())
+            yield d, x, y
+
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        # pooled blocks run at the same time, so each prunes against its own best
         with ProcessPoolExecutor(max_workers=workers) as pool:
             dist, _, xa, ya = best(pool.map(task, blocks))
     else:
-        dist, _, xa, ya = best(map(task, blocks))
+        dist, _, xa, ya = best(serial())
     wx = certify(xa, roots, cfg)
     wy = certify(ya, roots, cfg)
     return DistanceScanReport(

@@ -151,6 +151,14 @@ def test_distance_csv_goes_to_stdout_and_writes_complex_roots(capsys):
     assert row.split(",")[2] == "1.0:0.0+1.0j:-1.0"
 
 
+def test_distance_signatures_of_different_dimensions_are_a_precondition(capsys):
+    # each signature takes the dimension its own ranks sum to, so the scan's
+    # own check names the mismatch, not a rank sum against the other's dimension
+    assert main(["distance", "--roots", "0,1", "--sig", "1,2", "--sig2", "2,2", "--seed", "0",
+                 "--budget", "5"]) == EXIT_PRECONDITION
+    assert capsys.readouterr().err == "algpaths: precondition: signatures live in different dimensions\n"
+
+
 def test_threads_must_be_a_positive_integer(monkeypatch, capsys):
     args = ["distance", "--roots", "0,1", "--sig", "1,1", "--sig2", "0,2", "--seed", "3",
             "--budget", "2"]

@@ -516,17 +516,20 @@ def _reference_trails(ks, sig1, sig2, roots, self_adjoint, inner_iters=200, seed
     return trails
 
 
-def _assert_block_follows_the_reference(block, ks, trails):
+def _assert_block_follows_the_reference(block, ks, trails, incumbent=np.inf):
     """Check a block's rows against the reference descents; return the restarts it pruned.
 
     Row ``j`` is bit for bit a state that restart ``ks[j]``'s reference
-    descent passes through: its end for the block's (distance, index) winner
-    and for every restart the block did not prune.  A pruned restart stopped
+    descent passes through: its end for every restart the block did not
+    prune, which includes the block's (distance, index) winner unless the
+    block ran against a smaller ``incumbent``.  A pruned restart stopped
     early, which is sound only if the reference ends strictly above the
-    block's best; it ends at most at the distance the block returned.
+    smaller of the block's best and ``incumbent``; it ends at most at the
+    distance the block returned.
     """
     dist, x, y = block
     best = min(range(len(ks)), key=lambda j: (dist[j], ks[j]))
+    threshold = min(dist[best], incumbent)
     pruned = []
     for j, k in enumerate(ks):
         # a descent's distance falls strictly at every move, so it names the state
@@ -537,8 +540,7 @@ def _assert_block_follows_the_reference(block, ks, trails):
         end = trails[k][-1][0]
         if dist[j] != end:
             pruned.append(k)
-            assert j != best
-            assert end > dist[best] and dist[j] >= end
+            assert end > threshold and dist[j] >= end
     return pruned
 
 
@@ -579,9 +581,9 @@ SCAN_SHAPES = [
 ]
 
 
-def _block(ks, sig1, sig2, roots, self_adjoint, seed=11):
+def _block(ks, sig1, sig2, roots, self_adjoint, seed=11, incumbent=np.inf):
     return _scan_block(ks, seed=seed, sig1=sig1, sig2=sig2, roots=roots,
-                       self_adjoint=self_adjoint, cfg=ToleranceConfig())
+                       self_adjoint=self_adjoint, cfg=ToleranceConfig(), incumbent=incumbent)
 
 
 @pytest.mark.parametrize("ranks1, ranks2, roots, self_adjoint", SCAN_SHAPES,
@@ -628,7 +630,7 @@ def test_scan_chunks_that_do_not_divide_the_steps_are_bit_identical(ranks1, rank
         _assert_block_follows_the_reference(_block(ks, sig1, sig2, roots, self_adjoint), ks, trails)
 
 
-def _block_and_svd_rows(n, sig1, sig2, roots, seed, monkeypatch):
+def _block_and_svd_rows(n, sig1, sig2, roots, seed, monkeypatch, incumbent=np.inf):
     """A general block of restarts ``0..n-1`` and the rows of each SVD it takes.
 
     The pairs are sampled outside the count; ``monkeypatch`` is undone afterwards.
@@ -638,7 +640,7 @@ def _block_and_svd_rows(n, sig1, sig2, roots, seed, monkeypatch):
     rows = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: rows.append(len(a)) or svd(a, **kw))
-    block = _block(range(n), sig1, sig2, roots, False, seed=seed)
+    block = _block(range(n), sig1, sig2, roots, False, seed=seed, incumbent=incumbent)
     monkeypatch.undo()
     return block, rows
 
@@ -852,7 +854,8 @@ def test_scan_pool_gets_a_block_per_worker(workers, sizes, monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     # central (1,1)/(0,2): every restart stops at entry; general (1,2)/(2,1):
-    # the restarts descend, and each block prunes against its own best
+    # the restarts descend, and each pooled block prunes against its own best,
+    # where a serial scan's blocks prune against the best of all blocks before
     for ranks1, ranks2 in (((1, 1), (0, 2)), ((1, 2), (2, 1))):
         sig1, sig2 = _sigs(ranks1, ranks2)
         mapped = []
@@ -863,9 +866,10 @@ def test_scan_pool_gets_a_block_per_worker(workers, sizes, monkeypatch):
 
 
 def test_scan_restart_ignores_block_boundaries_and_budget():
-    # a block prunes against its own best, so where a pruned restart stops
-    # depends on its company; every row stays a state of its own descent, and
-    # the restarts split over blocks elect the whole block's winner
+    # a block run on its own, as a pool runs each block, prunes against its
+    # own best, so where a pruned restart stops depends on its company; every
+    # row stays a state of its own descent, and the restarts split over
+    # blocks elect the whole block's winner
     sig1, sig2 = ComponentSignature((1, 2), 3), ComponentSignature((2, 1), 3)
     trails = _reference_trails(range(9), sig1, sig2, R01, False)
 
@@ -881,6 +885,132 @@ def test_scan_restart_ignores_block_boundaries_and_budget():
     assert split[:2] == whole[:2]
     np.testing.assert_array_equal(split[2], whole[2])
     np.testing.assert_array_equal(split[3], whole[3])
+
+
+@pytest.mark.parametrize("ranks1, ranks2, roots", [((1, 2), (2, 1), (0, 1)), ((1, 1, 2), (0, 2, 2), (0, 1, 2))],
+                         ids=["m3", "m4-three-roots"])
+def test_serial_blocks_prune_against_the_best_of_the_blocks_before(ranks1, ranks2, roots, monkeypatch):
+    # 30 restarts in serial blocks of 8: each block after the first runs
+    # against the smallest distance of the blocks before it, stops restarts
+    # its own best would have let run, and the report stays that of one
+    # block and of a pool, whose blocks prune against their own best only
+    sig1, sig2 = _sigs(ranks1, ranks2)
+    roots = validate_roots(list(roots))
+    m, budget = sig1.dim, 30
+    one_block = scan_report_to_json(distance_scan(sig1, sig2, roots, budget=budget, seed=11))
+    monkeypatch.setattr(components, "_SCAN_BLOCK_BYTES", 8 * components._SCAN_CHUNK * m * m * 16)
+    pooled = scan_report_to_json(distance_scan(sig1, sig2, roots, budget=budget, seed=11, workers=2))
+
+    svd, block = np.linalg.svd, components._scan_block
+    runs, rows = [], []
+
+    def run(ks, **kw):
+        # the block and the rows of every SVD it takes, sampling included
+        rows.clear()
+        result = block(ks, **kw)
+        runs.append((ks, kw["incumbent"], result, sum(rows)))
+        return result
+
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: rows.append(len(a)) or svd(a, **kw))
+    monkeypatch.setattr(components, "_scan_block", run)
+    serial = scan_report_to_json(distance_scan(sig1, sig2, roots, budget=budget, seed=11))
+    monkeypatch.setattr(components, "_scan_block", block)
+    assert serial == one_block == pooled
+    assert [len(ks) for ks, *_ in runs] == [8, 8, 8, 6]
+    bests = np.minimum.accumulate([dist.min() for _, _, (dist, _, _), _ in runs])
+    assert [incumbent for _, incumbent, _, _ in runs] == [np.inf, *bests[:-1]]
+
+    trails = _reference_trails(range(budget), sig1, sig2, roots, False)
+    fewer = []
+    for ks, incumbent, result, taken in runs:
+        _assert_block_follows_the_reference(result, ks, trails, incumbent)
+        rows.clear()
+        _block(ks, sig1, sig2, roots, False)
+        assert taken <= sum(rows)
+        fewer.append(taken < sum(rows))
+    # the first block has no incumbent; a later one stops restarts sooner
+    assert not fewer[0] and any(fewer[1:])
+
+
+@pytest.mark.parametrize("against", ["own-best", "incumbent"])
+def test_reach_floor_is_handed_only_rows_above_the_best_so_far(against, monkeypatch):
+    # a row at or below the threshold can never be pruned, so the bound is
+    # not taken for it, and the long tail of a lone live row takes none
+    sig1, sig2 = _sigs((1, 1, 2), (0, 2, 2))
+    roots = validate_roots([0, 1, 2])
+    n = 40
+    incumbent = np.inf if against == "own-best" else _block(range(n, 2 * n), sig1, sig2, roots, False)[0].min()
+    handed = []
+    reach_floor = components._reach_floor
+
+    def spy(rows, dist, delta, x, y, left):
+        assert rows.size and np.all(dist[rows] > min(dist.min(), incumbent))
+        handed.append(rows.size)
+        return reach_floor(rows, dist, delta, x, y, left)
+
+    monkeypatch.setattr(components, "_reach_floor", spy)
+    block, rows = _block_and_svd_rows(n, sig1, sig2, roots, 11, monkeypatch, incumbent)
+    live = rows[1:]  # the live rows of each step, after the SVD of the starting distances
+    assert handed and len(handed) < len(live) and sum(handed) < sum(live)
+    assert live[-1] == 1  # the tail
+    _assert_block_follows_the_reference(block, range(n), _reference_trails(range(n), sig1, sig2, roots, False),
+                                        incumbent)
+
+
+class _DiagonalDraws:
+    """Perturbations ``diag(-1, -1, 2) + 0.1 noise``, real, the noise from ``rng``.
+
+    Serves the scan's chunked draws and the reference's one matrix at a time
+    alike: each real part is followed by a zero imaginary part.
+    """
+
+    def __init__(self, rng):
+        self.rng, self.drawn = rng, 0
+
+    def standard_normal(self, shape):
+        out = np.zeros((int(np.prod(shape)) // 9, 3, 3))
+        for part in out:
+            if self.drawn % 2 == 0:
+                part[...] = np.diag([-1.0, -1.0, 2.0] + 0.1 * self.rng.standard_normal(3))
+            self.drawn += 1
+        return out.reshape(shape)
+
+
+def test_scan_block_follows_a_descent_through_all_its_steps(monkeypatch):
+    # Sampled descents freeze within about 110 steps: each failed move halves
+    # the step, 38 halvings end a restart, and a random direction improves
+    # about half the time.  Restart 1 here moves at every one of its
+    # 200 steps: its pair is upper triangular, x = diag(1, 1, 0) + n and
+    # y = diag(0, 0, 1) - n with n = 10 in the first two rows of the last
+    # column, and its perturbations are diagonal, so every conjugation
+    # scales n down on one side and ||x - y||, which is first order in n,
+    # falls toward the floor 1.  Every chunk of the buffer, the last one
+    # included, is checked bit for bit against its reference descent.
+    sig1, sig2 = _sigs((1, 2), (2, 1))
+    n = np.zeros((3, 3), dtype=complex)
+    n[:2, 2] = 10.0
+    pair = {sig1: np.diag([1.0, 1.0, 0.0]) + n, sig2: np.diag([0.0, 0.0, 1.0]) - n}
+    sample = components.random_elements
+
+    def sampled(sig, *args, **kw):
+        a, res, sa = sample(sig, *args, **kw)
+        a = a.copy()
+        a[1] = pair[sig]
+        return a, res, sa
+
+    def streams(keys):
+        return [_DiagonalDraws(rng) if key == (11, 1, 2) else rng for key, rng in zip(keys, rngs_from(keys))]
+
+    monkeypatch.setattr(components, "random_elements", sampled)
+    monkeypatch.setattr(components, "rngs_from", streams)
+    block = _block(range(3), sig1, sig2, R01, False)
+    trails = _reference_trails((0, 2), sig1, sig2, R01, False)
+    trails[1] = []
+    _reference_descend(pair[sig1], pair[sig2], _DiagonalDraws(rng_from(11, 1, 2)), False, trail=trails[1])
+    assert len(trails[1]) == components._SCAN_ITERS + 1
+    assert all(after[0] < before[0] for before, after in zip(trails[1], trails[1][1:]))
+    assert _assert_block_follows_the_reference(block, range(3), trails) == [0, 2]
+    assert np.argmin(block[0]) == 1 and 1.0 < block[0][1] < 1.0 + 1e-11
 
 
 @pytest.mark.parametrize("ranks1, ranks2, self_adjoint, sampled",
