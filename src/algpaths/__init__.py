@@ -12,10 +12,8 @@ from .algebraic import (
     PartitionOfUnity,
     RootSystem,
     certify,
-    q_reduction,
     random_element,
     random_elements,
-    recombine,
     spectral_resolution,
     validate_roots,
 )
@@ -36,7 +34,6 @@ from .errors import (
     CertificationError,
     CertificationFailed,
     DimMismatch,
-    EmptyRealPart,
     FactorizationFailed,
     MagnitudeOverflow,
     MultipleRoots,

@@ -20,14 +20,21 @@ import numpy as np
 
 from .errors import (
     BadSignature,
-    EmptyRealPart,
     MagnitudeOverflow,
     MultipleRoots,
     NotAlgebraic,
     PreconditionError,
     ResolutionResidualExceeded,
 )
-from .matkernel import ToleranceConfig, as_matrix, identity_like, operator_norms, poly_from_roots
+from .matkernel import (
+    MatrixPolynomial,
+    ToleranceConfig,
+    as_matrix,
+    identity_like,
+    matpoly_compose_p,
+    operator_norms,
+    poly_from_roots,
+)
 from .seeding import conditioned_invertible, haar_unitary, rngs_from
 
 __all__ = [
@@ -36,9 +43,7 @@ __all__ = [
     "PartitionOfUnity",
     "validate_roots",
     "certify",
-    "q_reduction",
     "spectral_resolution",
-    "recombine",
     "random_element",
     "random_elements",
 ]
@@ -92,6 +97,25 @@ class RootSystem:
         return hash(self.roots)
 
 
+def _vanishing_certificates(coeffs, bounds, roots: RootSystem, cfg: ToleranceConfig):
+    """Certify that ``p(x_j(t))`` vanishes identically for a stack of polynomials.
+
+    ``coeffs`` stacks each ``x_j`` as ``(N, d + 1, m, m)``; ``bounds[j]`` bounds
+    ``||x_j(t)||`` (``sum_k ||c_k||`` for a polynomial, ``||a|| + ||b||`` for
+    the line ``a + t b``).  The tolerance is ``residual_tol * (1 + magnitude)``,
+    with the :meth:`RootSystem.magnitude` of that bound taken before composing,
+    which could overflow.  One stacked SVD takes every coefficient norm.
+    Returns the verdicts, the worst norms and the index of each worst
+    coefficient, all ``(N,)``.
+    """
+    tol = cfg.residual_tol * (1.0 + roots.magnitude(bounds))
+    p_coeffs = roots.poly_coeffs()
+    q = np.stack([matpoly_compose_p(p_coeffs, MatrixPolynomial(c)).coeffs for c in coeffs])
+    norms = operator_norms(q)
+    worst = norms.max(axis=1)
+    return worst <= tol, worst, norms.argmax(axis=1)
+
+
 def validate_roots(roots) -> RootSystem:
     """Build a :class:`RootSystem`, rejecting repeated and non-finite roots.
 
@@ -117,20 +141,6 @@ def validate_roots(roots) -> RootSystem:
             min_gap = min(min_gap, gap)
     all_real = all(r.imag == 0.0 for r in rs)
     return RootSystem(roots=rs, min_gap=min_gap, all_real=all_real)
-
-
-def q_reduction(roots: RootSystem) -> RootSystem:
-    """Sub-system of the real roots, for processing self-adjoint elements.
-
-    A self-adjoint element annihilated by the full polynomial is already
-    annihilated by the factor collecting the real roots, so the complex ones
-    can be dropped.  With no real root at all a self-adjoint element cannot
-    exist (already impossible for 1x1 matrices), hence the error.
-    """
-    real = [r for r in roots.roots if r.imag == 0.0]
-    if not real:
-        raise EmptyRealPart("no real root: no self-adjoint element can satisfy the equation")
-    return validate_roots(real)
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,14 +326,6 @@ def spectral_resolution(el: AlgebraicElement, cfg: ToleranceConfig = ToleranceCo
         members=tuple(members), roots=el.roots, self_adjoint=el.self_adjoint,
         worst_residual=float(residuals.max()),
     )
-
-
-def recombine(part: PartitionOfUnity, cfg: ToleranceConfig = ToleranceConfig()) -> AlgebraicElement:
-    """Reassemble the element ``sum_i l_i e_i`` and re-certify it."""
-    acc = np.zeros_like(part.members[0])
-    for r, e in zip(part.roots.roots, part.members):
-        acc = acc + r * e
-    return certify(acc, part.roots, cfg)
 
 
 def random_elements(

@@ -137,7 +137,12 @@ def _load_element(path: str, cfg: ToleranceConfig, roots_flag=None):
     if "tool" in obj and isinstance(obj.get("result"), dict):  # full report files are fine too
         obj = obj["result"]
     if "matrix" in obj:
-        return ser.element_from_json(obj, cfg)
+        el = ser.element_from_json(obj, cfg)
+        given = el.roots if roots_flag is None else validate_roots(_parse_roots(roots_flag))
+        if given != el.roots:  # the same roots in the same order
+            raise PreconditionError(f"{path} holds an element over the roots {el.roots.roots}, "
+                                    f"but --roots gives {given.roots}")
+        return el
     # raw matrix file: the root system must come from the command line
     if "entries" not in obj:
         raise PreconditionError(f"{path} holds neither an element nor a matrix")
@@ -194,8 +199,8 @@ def _search(ns, a, b, cfg):
 # (the benchmark's tracing) is the one called
 _CONSTRUCTORS = {
     "exp-local": lambda a, b, cfg, seed: connect_exp_local(a, b, cfg),
-    "exp-global": lambda a, b, cfg, seed: connect_exp_global(a, b, cfg, seed=seed),
-    "selfadjoint": lambda a, b, cfg, seed: connect_selfadjoint(a, b, cfg, seed=seed),
+    "exp-global": lambda a, b, cfg, seed: connect_exp_global(a, b, cfg),
+    "selfadjoint": lambda a, b, cfg, seed: connect_selfadjoint(a, b, cfg),
     "polygonal": lambda a, b, cfg, seed: connect_polygonal(a, b, cfg, seed=seed),
 }
 

@@ -17,16 +17,16 @@ from functools import partial
 
 import numpy as np
 
-from .algebraic import AlgebraicElement, RootSystem, certify, random_elements, spectral_resolution
-from .errors import BadSignature, CentralElement, DimMismatch, RankAmbiguous, RootMismatch, SearchExhausted
-from .matkernel import (
-    MatrixPolynomial,
-    ToleranceConfig,
-    _frobenius,
-    matpoly_compose_p,
-    matpoly_is_zero,
-    operator_norm,
+from .algebraic import (
+    AlgebraicElement,
+    RootSystem,
+    _vanishing_certificates,
+    certify,
+    random_elements,
+    spectral_resolution,
 )
+from .errors import BadSignature, CentralElement, DimMismatch, RankAmbiguous, RootMismatch, SearchExhausted
+from .matkernel import ToleranceConfig, _frobenius, operator_norm
 from .seeding import rngs_from
 
 __all__ = [
@@ -189,7 +189,6 @@ def line_direction(el: AlgebraicElement, cfg: ToleranceConfig = ToleranceConfig(
     norm_a = operator_norm(a)
     members = part.members
     norms = [operator_norm(e) for e in members]
-    p_coeffs = el.roots.poly_coeffs()
 
     for i in range(len(members)):
         for j in range(len(members)):
@@ -203,11 +202,9 @@ def line_direction(el: AlgebraicElement, cfg: ToleranceConfig = ToleranceConfig(
                     nb = operator_norm(b)
                     if nb <= cfg.residual_tol * norms[i] * norms[j]:
                         continue
-                    line = MatrixPolynomial.line(a, b)
-                    q = matpoly_compose_p(p_coeffs, line)
-                    ok, worst = matpoly_is_zero(q, cfg, scale=el.roots.magnitude(norm_a + nb))
-                    if ok:
-                        return LineWitness(base=el, direction=b, certificate=worst)
+                    ok, worst, _ = _vanishing_certificates(np.stack([a, b])[None], norm_a + nb, el.roots, cfg)
+                    if ok[0]:
+                        return LineWitness(base=el, direction=b, certificate=float(worst[0]))
     raise SearchExhausted("no candidate direction certified; partition invariants are suspect")
 
 

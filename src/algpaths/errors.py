@@ -25,10 +25,6 @@ class MultipleRoots(PreconditionError):
     """Two requested roots coincide (or nearly coincide)."""
 
 
-class EmptyRealPart(PreconditionError):
-    """A self-adjoint reduction was requested but no root is real."""
-
-
 class BadSignature(PreconditionError):
     """A rank vector is inconsistent with the root system or dimension."""
 

@@ -180,21 +180,17 @@ class MatrixPolynomial:
     """Polynomial in a scalar parameter with square-matrix coefficients.
 
     ``coeffs`` has shape ``(degree + 1, m, m)``; index k holds the coefficient
-    of ``t**k``.  ``normalized`` asserts a nonzero leading coefficient; stated
-    degrees of compositions are only upper bounds, so they carry
-    ``normalized=False``.
+    of ``t**k``.  The leading coefficient may vanish, so ``degree`` is an upper
+    bound: compositions state ``deg(p) * deg(x)`` whatever cancels.
     """
 
     coeffs: np.ndarray
-    normalized: bool = True
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=complex)
         if c.ndim != 3 or c.shape[1] != c.shape[2]:
             raise ValueError(f"expected coefficients of shape (d+1, m, m), got {c.shape}")
         object.__setattr__(self, "coeffs", c)
-        if self.normalized and self.degree > 0 and not np.any(self.coeffs[-1]):
-            raise ValueError("leading coefficient is zero; flag the polynomial non-normalized")
 
     @property
     def degree(self) -> int:
@@ -211,21 +207,6 @@ class MatrixPolynomial:
             acc = acc * t + self.coeffs[k]
         return acc
 
-    @staticmethod
-    def constant(a: np.ndarray) -> "MatrixPolynomial":
-        return MatrixPolynomial(as_matrix(a)[None, :, :])
-
-    @staticmethod
-    def line(a: np.ndarray, b: np.ndarray) -> "MatrixPolynomial":
-        """The pencil ``a + t b``."""
-        return MatrixPolynomial(np.stack([as_matrix(a), as_matrix(b)]), normalized=False)
-
-    @staticmethod
-    def segment(a: np.ndarray, b: np.ndarray) -> "MatrixPolynomial":
-        """The straight segment ``(1 - t) a + t b``."""
-        a = as_matrix(a)
-        return MatrixPolynomial(np.stack([a, as_matrix(b) - a]), normalized=False)
-
 
 def matpoly_mul(x: MatrixPolynomial, y: MatrixPolynomial) -> MatrixPolynomial:
     """Coefficient convolution; left factors stay on the left."""
@@ -235,7 +216,7 @@ def matpoly_mul(x: MatrixPolynomial, y: MatrixPolynomial) -> MatrixPolynomial:
     for i, xi in enumerate(x.coeffs):
         # one einsum per left coefficient: out[i + j] += xi @ yj for all j
         out[i : i + y.degree + 1] += np.einsum("ab,jbc->jac", xi, y.coeffs)
-    return MatrixPolynomial(out, normalized=False)
+    return MatrixPolynomial(out)
 
 
 def matpoly_compose_p(p_coeffs, x: MatrixPolynomial) -> MatrixPolynomial:
@@ -250,12 +231,12 @@ def matpoly_compose_p(p_coeffs, x: MatrixPolynomial) -> MatrixPolynomial:
     m = x.dim
     eye = np.eye(m, dtype=complex)
     if not coeffs:
-        return MatrixPolynomial(np.zeros((1, m, m), dtype=complex), normalized=False)
+        return MatrixPolynomial(np.zeros((1, m, m), dtype=complex))
     acc = (coeffs[-1] * eye)[None, :, :]
     for c in reversed(coeffs[:-1]):
-        acc = matpoly_mul(MatrixPolynomial(acc, normalized=False), x).coeffs  # a fresh array
+        acc = matpoly_mul(MatrixPolynomial(acc), x).coeffs  # a fresh array
         acc[0] += c * eye
-    return MatrixPolynomial(acc, normalized=False)
+    return MatrixPolynomial(acc)
 
 
 def matpoly_is_zero(

@@ -32,6 +32,7 @@ from .algebraic import (
     RootSystem,
     _certify_stack,
     _hermiticity_tolerance,
+    _vanishing_certificates,
     certify,
     defining_poly_value,
     random_element,
@@ -327,24 +328,6 @@ def _endpoint_error(end: np.ndarray, target: np.ndarray, cfg: ToleranceConfig) -
     return err
 
 
-def _vanishing_certificates(coeffs, bounds, roots: RootSystem, cfg: ToleranceConfig):
-    """Certify that ``p(x_j(t))`` vanishes identically for a batch of polynomials.
-
-    ``coeffs`` stacks each ``x_j`` as ``(N, d + 1, m, m)``; ``bounds[j]`` bounds
-    ``||x_j(t)||`` (``sum_k ||c_k||`` for a polynomial).  Its magnitude, taken
-    before composing, which could overflow, scales the tolerance
-    ``residual_tol * (1 + scale)``.  One stacked SVD takes every coefficient
-    norm.  Returns the verdicts, the worst norms and the index of each worst
-    coefficient, all ``(N,)``.
-    """
-    scales = np.maximum(1.0, roots.magnitude(bounds))
-    p_coeffs = roots.poly_coeffs()
-    q = np.stack([matpoly_compose_p(p_coeffs, MatrixPolynomial(c, normalized=False)).coeffs for c in coeffs])
-    norms = operator_norms(q)
-    worst = norms.max(axis=1)
-    return worst <= cfg.residual_tol * (1.0 + scales), worst, norms.argmax(axis=1)
-
-
 def _segment_certificates(points: np.ndarray, roots: RootSystem, cfg: ToleranceConfig):
     """:func:`_vanishing_certificates` of the segments through a stack of points.
 
@@ -378,10 +361,7 @@ def connect_exp_local(
 
 
 def connect_exp_global(
-    a: AlgebraicElement,
-    b: AlgebraicElement,
-    cfg: ToleranceConfig = ToleranceConfig(),
-    seed: int = 0,
+    a: AlgebraicElement, b: AlgebraicElement, cfg: ToleranceConfig = ToleranceConfig()
 ) -> ExpSimilarityPath:
     """Conjugation path with two exponential factors, any distance.
 
@@ -389,7 +369,7 @@ def connect_exp_global(
     through a polar split ``w = u h``: the positive part contributes a
     Hermitian generator ``log h``, the unitary part a skew one ``i K``.
     The path always has these two generators, also for a pair close enough
-    for :func:`connect_exp_local`.  ``seed`` has no effect.
+    for :func:`connect_exp_local`.
     """
     ea, fb, ranks = _require_same_component(a, b, cfg)
     log_h, u = _polar_factors(_connecting_similarity(ea, fb, ranks))
@@ -422,17 +402,14 @@ def _connecting_similarity(ea, fb, ranks):
 
 
 def connect_selfadjoint(
-    a: AlgebraicElement,
-    b: AlgebraicElement,
-    cfg: ToleranceConfig = ToleranceConfig(),
-    seed: int = 0,
+    a: AlgebraicElement, b: AlgebraicElement, cfg: ToleranceConfig = ToleranceConfig()
 ) -> ExpSimilarityPath:
     """Unitary conjugation path between self-adjoint elements, one generator.
 
     Orthonormal bases of matching eigenspaces assemble a unitary ``u`` with
     ``u a u* = b``; its Hermitian logarithm ``c`` (phases in ``[-pi, pi]``)
     drives ``x(t) = e^{ict} a e^{-ict}``, which is self-adjoint and in the
-    solution set for every ``t``.  ``seed`` has no effect.
+    solution set for every ``t``.
     """
     _require_self_adjoint(a, b)
     if not a.roots.all_real:
@@ -546,12 +523,12 @@ def _jacobian_blocks(p_coeffs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     ``vec(A E B) = (A kron B^T) vec(E)``.  Each pair of power tables gives
     all its Kronecker products ``x^i_u kron (x^j_v)^T`` in one outer product.
     """
-    x = MatrixPolynomial(coeffs, normalized=False)
+    x = MatrixPolynomial(coeffs)
     m = x.dim
     n = len(p_coeffs) - 1
     powers = [np.eye(m, dtype=complex)[None, :, :]]
     for _ in range(n - 1):
-        powers.append(matpoly_mul(MatrixPolynomial(powers[-1], normalized=False), x).coeffs)
+        powers.append(matpoly_mul(MatrixPolynomial(powers[-1]), x).coeffs)
 
     blocks = np.zeros(((n - 1) * x.degree + 1, m * m, m * m), dtype=complex)
     for k in range(1, n + 1):
@@ -599,7 +576,7 @@ class _DegreeProblem:
 
     def residual(self, theta):
         coeffs = self.coeffs_from_params(theta)
-        x = MatrixPolynomial(coeffs, normalized=False)
+        x = MatrixPolynomial(coeffs)
         flat = matpoly_compose_p(self.p_coeffs, x).coeffs.reshape(-1)
         r = np.concatenate([flat.real, flat.imag])
         if self.min_motion > 0.0:
@@ -733,7 +710,7 @@ def min_degree_search(
             ok, worst, _ = _vanishing_certificates(coeffs[None], operator_norms(coeffs).sum(), a.roots, cfg)
             residual_by_degree[d] = min(residual_by_degree[d], float(worst[0]))
             if ok[0]:
-                path = PolynomialPath(MatrixPolynomial(coeffs, normalized=False), float(worst[0]), self_adjoint)
+                path = PolynomialPath(MatrixPolynomial(coeffs), float(worst[0]), self_adjoint)
                 return MinDegreeResult(path=path, residual_by_degree=residual_by_degree)
     return MinDegreeResult(path=None, residual_by_degree=residual_by_degree)
 

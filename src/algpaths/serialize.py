@@ -6,10 +6,9 @@ every entry bit for bit (reports keep the shortest exact repr).
 Deserialized elements and paths are re-certified by their consumers, so a
 tampered file fails loudly rather than silently.  A malformed file raises
 :class:`PreconditionError` here: a missing field or a wrong container, a
-``dim`` that is not an integer ``>= 1``, a signature rank that is not an
-integer ``>= 0``, a matrix with the wrong number of entries or a non-finite
-one, pairs that are not ``[re, im]`` numbers (bools and integers count as
-numbers), an empty root list, and an unknown path kind.
+``dim`` that is not an integer ``>= 1``, a matrix with the wrong number of
+entries or a non-finite one, pairs that are not ``[re, im]`` numbers (bools
+and integers count as numbers), an empty root list, and an unknown path kind.
 
 Reports are written by :func:`canonical_dumps`, byte for byte the text of
 ``json.dumps(obj, sort_keys=True, indent=2) + "\n"``.
@@ -38,7 +37,6 @@ __all__ = [
     "element_from_json",
     "partition_to_json",
     "signature_to_json",
-    "signature_from_json",
     "line_witness_to_json",
     "scan_report_to_json",
     "path_to_json",
@@ -155,14 +153,10 @@ def _number(value, what: str) -> float:
         raise PreconditionError(f"{what} must be a number, got {value!r}") from None
 
 
-def _integer(value, what: str, least: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:  # a JSON integer, not 2.5, "2" or true
-        raise PreconditionError(f"{what} must be an integer >= {least}, got {value!r}")
-    return value
-
-
 def matrix_from_json(obj: dict) -> np.ndarray:
-    m = _integer(_field(obj, "dim"), "matrix dim", 1)
+    m = _field(obj, "dim")
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:  # a JSON integer, not 2.5, "2" or true
+        raise PreconditionError(f"matrix dim must be an integer >= 1, got {m!r}")
     flat = np.array(_complex_pairs(_field(obj, "entries"), "matrix entries"))
     if flat.size != m * m:
         raise PreconditionError(f"a {m}x{m} matrix needs {m * m} entries, got {flat.size}")
@@ -204,11 +198,6 @@ def partition_to_json(part: PartitionOfUnity) -> dict:
 
 def signature_to_json(sig: ComponentSignature) -> dict:
     return {"ranks": list(sig.ranks), "dim": int(sig.dim)}
-
-
-def signature_from_json(obj: dict) -> ComponentSignature:
-    ranks = tuple(_integer(r, "signature ranks", 0) for r in _list(obj, "ranks"))
-    return ComponentSignature(ranks=ranks, dim=_integer(_field(obj, "dim"), "signature dim", 1))
 
 
 def line_witness_to_json(w: LineWitness) -> dict:
@@ -283,7 +272,7 @@ def path_from_json(obj: dict, cfg: ToleranceConfig = ToleranceConfig()):
     if kind == "polynomial":
         coeffs = _one_size([matrix_from_json(c) for c in _list(obj, "coeffs")], "coeffs")
         return PolynomialPath(
-            x=MatrixPolynomial(np.stack(coeffs), normalized=False),
+            x=MatrixPolynomial(np.stack(coeffs)),
             certificate=_number(_field(obj, "certificate"), "certificate"),
             self_adjoint=bool(_field(obj, "self_adjoint")),
         )

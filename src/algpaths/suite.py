@@ -134,7 +134,7 @@ def run_suite(seed=0, samples=50, budget=400, cfg=ToleranceConfig(), stream=None
             sig = _sig_for(rng, roots.roots, m)
             a = random_element(sig, roots, seed=(seed, 3, k, 0), cfg=cfg)
             b = random_element(sig, roots, seed=(seed, 3, k, 1), cfg=cfg)
-            path = connect_exp_global(a, b, cfg, seed=seed + k)
+            path = connect_exp_global(a, b, cfg)
             cert = verify_path(path, cfg=cfg, expected_endpoint=b.a)
             worst = max(worst, cert.endpoint_error, cert.worst_membership)
         return worst <= 1e-9, f"{n_pairs} paths, worst residual {worst:.2e}", {
@@ -172,7 +172,7 @@ def run_suite(seed=0, samples=50, budget=400, cfg=ToleranceConfig(), stream=None
             sig = _sig_for(rng, roots.roots, m)
             a = random_element(sig, roots, seed=(seed, 5, k, 0), self_adjoint=True, cfg=cfg)
             b = random_element(sig, roots, seed=(seed, 5, k, 1), self_adjoint=True, cfg=cfg)
-            path = connect_selfadjoint(a, b, cfg, seed=seed + k)
+            path = connect_selfadjoint(a, b, cfg)
             cert = verify_path(path, cfg=cfg, expected_endpoint=b.a)
             worst = max(worst, cert.worst_membership, cert.worst_hermiticity, cert.endpoint_error)
         return worst <= 1e-9, f"{n_pairs} paths, worst residual {worst:.2e}", {
@@ -283,7 +283,7 @@ def run_suite(seed=0, samples=50, budget=400, cfg=ToleranceConfig(), stream=None
             worst_rt = max(worst_rt, operator_norm(back - x))
             d = int(rng.integers(1, 4))
             coeffs = rng.standard_normal((d + 1, 3, 3)) + 1j * rng.standard_normal((d + 1, 3, 3))
-            xp = MatrixPolynomial(coeffs, normalized=False)
+            xp = MatrixPolynomial(coeffs)
             p = [complex(z) for z in rng.standard_normal(4)]
             q = matpoly_compose_p(p, xp)
             t = float(rng.uniform(0, 1))

@@ -142,7 +142,7 @@ def test_criterion_2_exponential_paths():
         ranks = _random_signature(rng, roots.n, m)
         a = random_element(ranks, roots, seed=(2100, k, 1))
         b = random_element(ranks, roots, seed=(2100, k, 2))
-        path = connect_exp_global(a, b, seed=k)
+        path = connect_exp_global(a, b)
         cert = verify_path(path, expected_endpoint=b.a, samples=100)
         worst_global = max(worst_global, cert.endpoint_error, cert.worst_membership)
     assert worst_global <= 1e-9
@@ -200,7 +200,7 @@ def test_criterion_5_selfadjoint_paths():
         ranks = _random_signature(rng, roots.n, m)
         a = random_element(ranks, roots, seed=(5000, k, 1), self_adjoint=True)
         b = random_element(ranks, roots, seed=(5000, k, 2), self_adjoint=True)
-        path = connect_selfadjoint(a, b, seed=k)
+        path = connect_selfadjoint(a, b)
         for c in path.generators:
             worst_gen = max(worst_gen, operator_norm(c - c.conj().T))
         cert = verify_path(path, expected_endpoint=b.a, samples=100)
@@ -312,7 +312,7 @@ def test_criterion_10_kernel_health_and_determinism(tmp_path):
         m = int(rng.integers(2, 9))
         d = int(rng.integers(1, 5))
         coeffs = rng.standard_normal((d + 1, m, m)) + 1j * rng.standard_normal((d + 1, m, m))
-        x = MatrixPolynomial(coeffs, normalized=False)
+        x = MatrixPolynomial(coeffs)
         p = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         q = matpoly_compose_p(p, x)
         t = float(rng.uniform(0.0, 1.0))

@@ -14,10 +14,8 @@ from algpaths.algebraic import (
     _certify_stack,
     certify,
     eval_defining_poly,
-    q_reduction,
     random_element,
     random_elements,
-    recombine,
     spectral_resolution,
     validate_roots,
 )
@@ -25,7 +23,6 @@ from algpaths.components import signature
 from algpaths.errors import (
     BadSignature,
     CertificationError,
-    EmptyRealPart,
     MagnitudeOverflow,
     MultipleRoots,
     NotAlgebraic,
@@ -105,21 +102,6 @@ def test_malformed_matrices_are_preconditions(bad, message):
         certify(bad, R01)
 
 
-def test_q_reduction_drops_complex_roots():
-    rs = validate_roots([0, 1, 1j])
-    assert q_reduction(rs).roots == (0, 1)
-
-
-def test_q_reduction_identity_on_real_systems():
-    assert q_reduction(R01).roots == R01.roots
-
-
-def test_q_reduction_fails_without_real_roots():
-    # a = a* forces a real spectrum; already impossible for 1x1 matrices
-    with pytest.raises(EmptyRealPart):
-        q_reduction(validate_roots([1j, -1j]))
-
-
 def test_resolution_two_point_interpolation():
     # e1 = (a + 1)/2, e2 = (1 - a)/2 at a = diag(1, -1)
     el = certify(np.diag([1.0, -1.0]), validate_roots([1, -1]))
@@ -166,21 +148,21 @@ def test_recombine_diagonal():
     roots = validate_roots([5, 7])
     el = certify(np.diag([5.0, 7.0]), roots)
     part = spectral_resolution(el)
-    back = recombine(part)
-    np.testing.assert_allclose(back.a, np.diag([5.0, 7.0]), atol=1e-14)
+    back = sum(r * e for r, e in zip(roots.roots, part.members))
+    np.testing.assert_allclose(back, np.diag([5.0, 7.0]), atol=1e-14)
 
 
 def test_recombine_central():
     roots = validate_roots([2.0, 9.0])
     el = certify(2.0 * np.eye(2), roots)
-    back = recombine(spectral_resolution(el))
-    np.testing.assert_allclose(back.a, 2.0 * np.eye(2), atol=1e-15)
+    back = sum(r * e for r, e in zip(roots.roots, spectral_resolution(el).members))
+    np.testing.assert_allclose(back, 2.0 * np.eye(2), atol=1e-15)
 
 
 def test_resolution_recombine_roundtrip():
     el = certify(UPPER, R01)
     part = spectral_resolution(el)
-    back = recombine(part)
+    back = certify(sum(r * e for r, e in zip(R01.roots, part.members)), R01)
     assert operator_norm(back.a - el.a) <= 1e-14
     part2 = spectral_resolution(back)
     for e1, e2 in zip(part.members, part2.members):
@@ -385,6 +367,18 @@ def test_magnitude_is_the_written_out_product():
         assert roots.magnitude(norm) == want
     norms = np.array([0.0, 0.3, 7.25, 1e50])
     assert roots.magnitude(norms).tobytes() == np.array([roots.magnitude(x) for x in norms]).tobytes()
+
+
+def test_vanishing_certificates_judge_by_the_magnitude_below_one():
+    # over {0, 1e-3} the constant x = 1.5e-6 diag(1, 0) has ||p(x)|| = 1.5e-6 (1e-3 - 1.5e-6),
+    # about 1.5e-9, and magnitude 1.5e-6 (1.5e-6 + 1e-3) < 1: above residual_tol (1 + magnitude),
+    # but below the 2 residual_tol that a magnitude floored at one would allow
+    roots = validate_roots([0, 1e-3])
+    cfg = ToleranceConfig()
+    x = 1.5e-6 * np.diag([1.0, 0.0]).astype(complex)
+    ok, worst, index = algebraic._vanishing_certificates(x[None, None], operator_norm(x), roots, cfg)
+    assert cfg.residual_tol * (1.0 + roots.magnitude(operator_norm(x))) < worst[0] < 2.0 * cfg.residual_tol
+    assert not ok[0] and index[0] == 0
 
 
 @pytest.mark.parametrize("norm", [1e200, math.inf, math.nan, np.array([1.0, 1e160])])

@@ -192,6 +192,25 @@ def test_reports_are_byte_identical_for_fixed_seed(tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("argv", [
+    ["decompose"],
+    ["line"],
+    ["connect", "--b", "{el}", "--method", "polygonal"],
+    ["mindeg", "--b", "{el}", "--seed", "0", "--dmax", "1"],
+], ids=["decompose", "line", "connect", "mindeg"])
+def test_roots_next_to_an_element_file_must_be_its_roots(tmp_path, capsys, argv):
+    # the element's own roots were used while the report echoed the flag's
+    el = str(tmp_path / "el.json")
+    assert main(["sample", "--roots", "0,1", "--sig", "1,1", "--seed", "0", "--out", el]) == 0
+    argv = [arg.format(el=el) for arg in argv[:1] + ["--a", "{el}"] + argv[1:]]
+    for roots in ("3,4", "1,0"):  # other roots, and the same ones in another order
+        assert main(argv + ["--roots", roots]) == EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert "holds an element over the roots (0j, (1+0j))" in err and "--roots gives" in err
+    assert main(argv + ["--roots", "0,1"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["roots"] == "0,1"
+
+
 def test_line_command(tmp_path, capsys):
     a = _write(tmp_path / "m.json", _matrix([[0, 0], [0, 1]]))
     assert main(["line", "--a", a, "--roots", "0,1"]) == 0
@@ -202,7 +221,8 @@ def test_line_command(tmp_path, capsys):
 def test_line_command_with_no_certified_candidate_fails_certification(tmp_path, capsys, monkeypatch):
     from algpaths import components
 
-    monkeypatch.setattr(components, "matpoly_is_zero", lambda q, cfg, scale: (False, 1.0))
+    monkeypatch.setattr(components, "_vanishing_certificates",
+                        lambda coeffs, bounds, roots, cfg: (np.array([False]), np.array([1.0]), np.array([0])))
     a = _write(tmp_path / "m.json", _matrix([[0, 0], [0, 1]]))
     assert main(["line", "--a", a, "--roots", "0,1"]) == EXIT_CERTIFICATION
     captured = capsys.readouterr()

@@ -303,24 +303,31 @@ def test_line_direction_rejects_scalars():
 
 
 def test_line_direction_random_elements_certify_and_are_unbounded():
-    roots = validate_roots([0, 1, 2])
-    for s in range(10):
-        rng = rng_from(s, 6)
-        m = int(rng.integers(3, 5))
-        ranks = (1, m - 2, 1)
-        el = random_element(ranks, roots, seed=(s, 7))
-        w = line_direction(el)
-        assert w.certificate <= 1e-9
-        nb = operator_norm(w.direction)
-        na = operator_norm(el.a)
-        assert nb > 0
-        for lam in (1e3, 1e6):
-            certify(el.a + lam * w.direction, roots)  # membership far out
-            assert operator_norm(el.a + lam * w.direction) >= lam * nb - na
+    # {0, 0.1} puts some witnesses below magnitude 1, where the vanishing
+    # tolerance is residual_tol (1 + magnitude) and no longer 2 residual_tol
+    low = []  # magnitudes of the {0, 0.1} witnesses
+    for roots in (validate_roots([0, 1, 2]), validate_roots([0, 0.1])):
+        for s in range(10):
+            rng = rng_from(s, 6)
+            m = int(rng.integers(3, 5))
+            ranks = (1, m - 2, 1) if roots.n == 3 else (1, m - 1)
+            el = random_element(ranks, roots, seed=(s, 7))
+            w = line_direction(el)
+            assert w.certificate <= 1e-9
+            nb = operator_norm(w.direction)
+            na = operator_norm(el.a)
+            assert nb > 0
+            if roots.n == 2:
+                low.append(roots.magnitude(na + nb))
+            for lam in (1e3, 1e6):
+                certify(el.a + lam * w.direction, roots)  # membership far out
+                assert operator_norm(el.a + lam * w.direction) >= lam * nb - na
+    assert min(low) < 1.0
 
 
 def test_line_direction_raises_when_no_candidate_certifies(monkeypatch):
-    monkeypatch.setattr(components, "matpoly_is_zero", lambda q, cfg, scale: (False, 1.0))
+    monkeypatch.setattr(components, "_vanishing_certificates",
+                        lambda coeffs, bounds, roots, cfg: (np.array([False]), np.array([1.0]), np.array([0])))
     with pytest.raises(SearchExhausted, match="no candidate direction certified"):
         line_direction(certify(np.diag([0.0, 1.0]), R01))
 

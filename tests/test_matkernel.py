@@ -154,7 +154,7 @@ def test_poly_eval_plus_minus_one():
 
 
 def test_compose_constant_idempotent_is_zero():
-    x = MatrixPolynomial.constant(np.diag([1.0, 0.0]))
+    x = MatrixPolynomial(np.diag([1.0, 0.0])[None])
     q = matpoly_compose_p([0, -1, 1], x)
     ok, worst = matpoly_is_zero(q)
     assert ok and worst == 0.0
@@ -163,7 +163,7 @@ def test_compose_constant_idempotent_is_zero():
 def test_compose_shifted_idempotent_line_is_zero():
     # Hand expansion: (E22 + t E12)^2 = E22 + t E12 because E22 E12 = 0,
     # E12 E22 = E12 and E12^2 = 0, so the composition vanishes identically.
-    x = MatrixPolynomial.line(E22, E12)
+    x = MatrixPolynomial(np.stack([E22, E12]))  # E22 + t E12
     q = matpoly_compose_p([0, -1, 1], x)
     ok, worst = matpoly_is_zero(q)
     assert ok
@@ -173,7 +173,8 @@ def test_compose_shifted_idempotent_line_is_zero():
 def test_compose_straight_segment_between_orthogonal_idempotents():
     # Hand expansion for x(t) = (1-t) diag(1,0) + t diag(0,1):
     # x^2 - x = (t^2 - t) I, so coefficients at t and t^2 equal -I and I.
-    x = MatrixPolynomial.segment(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+    a, b = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    x = MatrixPolynomial(np.stack([a, b - a]))
     q = matpoly_compose_p([0, -1, 1], x)
     ok, worst = matpoly_is_zero(q)
     assert not ok
@@ -184,7 +185,7 @@ def test_compose_straight_segment_between_orthogonal_idempotents():
 
 
 def test_matpoly_is_zero_reports_certificate():
-    zero = MatrixPolynomial(np.zeros((3, 2, 2)), normalized=False)
+    zero = MatrixPolynomial(np.zeros((3, 2, 2)))
     assert matpoly_is_zero(zero) == (True, 0.0)
 
 
@@ -195,7 +196,7 @@ def test_matpoly_is_zero_rejects_non_finite_coefficients(bad):
     coeffs = np.zeros((2, 2, 2), dtype=complex)
     coeffs[1, 0, 0] = bad
     with pytest.raises(MagnitudeOverflow):
-        matpoly_is_zero(MatrixPolynomial(coeffs, normalized=False))
+        matpoly_is_zero(MatrixPolynomial(coeffs))
 
 
 @settings(deadline=None, max_examples=40)
@@ -206,7 +207,7 @@ def test_compose_agrees_with_pointwise_evaluation(seed):
     d = int(rng.integers(1, 5))
     n = int(rng.integers(1, 4))
     coeffs = rng.standard_normal((d + 1, m, m)) + 1j * rng.standard_normal((d + 1, m, m))
-    x = MatrixPolynomial(coeffs, normalized=False)
+    x = MatrixPolynomial(coeffs)
     p = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
     q = matpoly_compose_p(p, x)
     assert q.degree <= n * d
@@ -219,17 +220,10 @@ def test_compose_agrees_with_pointwise_evaluation(seed):
 def test_matpoly_mul_keeps_order():
     a = np.array([[0, 1], [0, 0]], dtype=complex)
     b = np.array([[0, 0], [1, 0]], dtype=complex)
-    left = matpoly_mul(MatrixPolynomial.constant(a), MatrixPolynomial.constant(b))
-    right = matpoly_mul(MatrixPolynomial.constant(b), MatrixPolynomial.constant(a))
+    left = matpoly_mul(MatrixPolynomial(a[None]), MatrixPolynomial(b[None]))
+    right = matpoly_mul(MatrixPolynomial(b[None]), MatrixPolynomial(a[None]))
     np.testing.assert_allclose(left.coeffs[0], a @ b, atol=0)
     np.testing.assert_allclose(right.coeffs[0], b @ a, atol=0)
-
-
-def test_matrix_polynomial_validates_leading_coefficient():
-    coeffs = np.zeros((2, 2, 2), dtype=complex)
-    with pytest.raises(ValueError):
-        MatrixPolynomial(coeffs)  # zero leading coefficient must be flagged
-    MatrixPolynomial(coeffs, normalized=False)
 
 
 def test_tolerance_config_validation():
