@@ -24,6 +24,8 @@ from .components import ComponentSignature, distance_scan, line_direction, resol
 from .errors import CertificationError, PreconditionError
 from .matkernel import ToleranceConfig, operator_norm
 from .paths import (
+    ExpSimilarityPath,
+    PolynomialPath,
     connect_exp_global,
     connect_exp_local,
     connect_polygonal,
@@ -138,10 +140,7 @@ def _load_element(path: str, cfg: ToleranceConfig, roots_flag=None):
         obj = obj["result"]
     if "matrix" in obj:
         el = ser.element_from_json(obj, cfg)
-        given = el.roots if roots_flag is None else validate_roots(_parse_roots(roots_flag))
-        if given != el.roots:  # the same roots in the same order
-            raise PreconditionError(f"{path} holds an element over the roots {el.roots.roots}, "
-                                    f"but --roots gives {given.roots}")
+        _require_own_roots(path, "an element", el.roots, roots_flag)
         return el
     # raw matrix file: the root system must come from the command line
     if "entries" not in obj:
@@ -149,6 +148,13 @@ def _load_element(path: str, cfg: ToleranceConfig, roots_flag=None):
     if roots_flag is None:
         raise PreconditionError(f"{path} holds a bare matrix; pass --roots to certify it")
     return certify(ser.matrix_from_json(obj), validate_roots(_parse_roots(roots_flag)), cfg)
+
+
+def _require_own_roots(path: str, what: str, own, roots_flag):
+    """``--roots`` next to a file that carries its roots must give them, in the same order."""
+    given = own if roots_flag is None else validate_roots(_parse_roots(roots_flag))
+    if given != own:
+        raise PreconditionError(f"{path} holds {what} over the roots {own.roots}, but --roots gives {given.roots}")
 
 
 def _tolerances(ns) -> ToleranceConfig:
@@ -228,6 +234,9 @@ def _cmd_verify(ns, cfg):
         obj = obj["result"]["path"]
     path = ser.path_from_json(obj, cfg)
     roots = validate_roots(_parse_roots(ns.roots)) if ns.roots else None
+    if not isinstance(path, PolynomialPath):  # polynomial paths carry no roots
+        own = path.base.roots if isinstance(path, ExpSimilarityPath) else path.breakpoints[0].roots
+        _require_own_roots(ns.path, "a path", own, ns.roots)
     cert = verify_path(path, roots, cfg)
     return {
         "kind": cert.kind,

@@ -79,8 +79,8 @@ __all__ = [
 ]
 
 _GRID_BLOCK_BYTES = 64 * 1024  # per stacked (N, m, m) array of a sample grid
-# The largest kappa_1(v) = ||v||_1 ||v^{-1}||_1 of a non-normal generator's
-# eigenbasis that ExpSimilarityPath exponentiates through it.  The computed
+# The largest kappa_1(v) = ||v||_1 ||v^{-1}||_1 of the eig eigenbasis of a
+# generator that ExpSimilarityPath exponentiates through it.  The computed
 # v diag(e^{t lam}) v^{-1} is within about kappa m u of e^{tc}, relative to
 # ||e^{tc}|| (u = eps / 2): eig's backward error, the computed inverse and the
 # two products each contribute a small multiple of m u ||v|| ||v^{-1}||
@@ -129,33 +129,37 @@ class ExpSimilarityPath:
     def _exponents(self) -> tuple:
         """``(c, v, lam, v_inv)`` per generator, ``c = v diag(lam) v_inv``.
 
-        ``c`` is the generator (``i c_k`` in self-adjoint mode), first put in
-        complex Schur form ``c = Q T Q*``.  When ``c`` is normal to working
-        precision, ``||triu(T, 1)||_F <= 8 m eps ||c||_F`` with ``eps`` the machine
-        epsilon, ``v = Q`` is its unitary eigenbasis, ``v_inv = Q*`` and ``lam``
-        the diagonal of ``T``.  Otherwise ``np.linalg.eig`` gives ``v`` and
-        ``lam``, kept when ``kappa_1(v) = ||v||_1 ||v^{-1}||_1`` is at most
+        ``c`` is the generator (``i c_k`` in self-adjoint mode).  When ``c = z h``
+        for ``z`` in ``{1, i}`` and ``h`` Hermitian to working precision,
+        ``||h - h*||_F <= 8 m eps ||c||_F`` with ``eps`` the machine epsilon,
+        ``np.linalg.eigh(h) = (mu, q)`` gives ``v = q``, ``lam = z mu`` and
+        ``v_inv = q*``.  Otherwise ``np.linalg.eig`` gives ``v`` and ``lam``,
+        kept when ``kappa_1(v) = ||v||_1 ||v^{-1}||_1`` is at most
         ``_EIGENBASIS_KAPPA``; a defective ``c`` (a singular or ill-conditioned
         ``v``) gets ``v = lam = v_inv = None``.
         """
-        import scipy.linalg  # imported where called: sample, decompose, line, distance skip it
         m = self.base.dim
         out = []
         for gen in self.generators:
             c = 1j * gen if self.self_adjoint_mode else gen
-            tri, q = scipy.linalg.schur(c, output="complex")
-            if np.linalg.norm(np.triu(tri, 1)) <= 8 * m * np.finfo(float).eps * np.linalg.norm(c):
-                out.append((c, q, np.diagonal(tri), q.conj().T))
-                continue
-            lam, v = np.linalg.eig(c)
-            try:
-                v_inv = np.linalg.inv(v)
-            except np.linalg.LinAlgError:  # an exactly singular eigenbasis
-                v_inv = None
-            if v_inv is not None and np.linalg.norm(v, 1) * np.linalg.norm(v_inv, 1) <= _EIGENBASIS_KAPPA:
-                out.append((c, v, lam, v_inv))
+            # eigh reads the lower triangle and real diagonal of h: it factors h + triu(h* - h, 1) - i Im diag(h),
+            # off from h by ||s||_F / sqrt(2) at most, s = h - h* (||s||_F^2 = 2 ||triu(s, 1)||_F^2 + ||diag(s)||_F^2),
+            # so within 8 m eps ||c||_F, as was the triu(T, 1) that the Schur form c = Q T Q* used to drop
+            for z, h in ((1, c), (1j, -1j * c)):
+                if np.linalg.norm(h - h.conj().T) <= 8 * m * np.finfo(float).eps * np.linalg.norm(c):
+                    mu, q = np.linalg.eigh(h)
+                    out.append((c, q, z * mu, q.conj().T))
+                    break
             else:
-                out.append((c, None, None, None))
+                lam, v = np.linalg.eig(c)
+                try:
+                    v_inv = np.linalg.inv(v)
+                except np.linalg.LinAlgError:  # an exactly singular eigenbasis
+                    v_inv = None
+                if v_inv is not None and np.linalg.norm(v, 1) * np.linalg.norm(v_inv, 1) <= _EIGENBASIS_KAPPA:
+                    out.append((c, v, lam, v_inv))
+                else:
+                    out.append((c, None, None, None))
         return tuple(out)
 
     def _exp_stack(self, k: int, ts: np.ndarray) -> np.ndarray:
@@ -170,7 +174,7 @@ class ExpSimilarityPath:
         """
         c, v, lam, v_inv = self._exponents[k]
         if v is None:
-            import scipy.linalg
+            import scipy.linalg  # imported here: only a defective generator loads it
             return scipy.linalg.expm(ts[:, None, None] * c)
         e = (v * np.exp(ts[:, None] * lam)[:, None, :]) @ v_inv
         e[ts == 0] = identity_like(c)
@@ -297,13 +301,19 @@ def _polar_factors(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _hermitian_log_of_unitary(u: np.ndarray) -> np.ndarray:
     """Hermitian ``K`` with ``u = e^{iK}``, phases in ``[-pi, pi]``.
 
-    ``u = q t q*`` in complex Schur form; ``u`` is normal, so ``t`` is diagonal
-    to rounding and ``K = q diag(angle(diag t)) q*``.  A phase at -1 becomes
-    ``pi`` or ``-pi``, both of which exponentiate to -1.
+    ``zeta`` turns the middle of the widest gap (at least ``2 pi / m``) between the eigenvalue phases of ``u``
+    to -1, so the Cayley transform ``H = i (1 - zeta u)(1 + zeta u)^{-1}`` is well conditioned, Hermitian, and
+    has the eigenvectors of ``u``.  Its eigenbasis ``q`` gives ``K = q diag(theta) q*``, ``theta_j =
+    angle(q_j* u q_j)``; a phase at -1 becomes ``pi`` or ``-pi``, both of which exponentiate to -1.
     """
-    import scipy.linalg
-    t, q = scipy.linalg.schur(u, output="complex")
-    return (q * np.angle(np.diagonal(t))) @ q.conj().T
+    phases = np.sort(np.angle(np.linalg.eigvals(u)))
+    gaps = np.diff(phases, append=phases[0] + 2 * np.pi)
+    zu = np.exp(1j * (np.pi - (phases + gaps / 2)[np.argmax(gaps)])) * u
+    eye = identity_like(u)
+    h = 1j * np.linalg.solve(eye + zu, eye - zu)
+    _, q = np.linalg.eigh(0.5 * (h + h.conj().T))
+    theta = np.angle(np.sum(q.conj() * (u @ q), axis=0))
+    return (q * theta) @ q.conj().T
 
 
 def _range_basis(e: np.ndarray, r: int) -> np.ndarray:

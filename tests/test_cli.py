@@ -193,20 +193,27 @@ def test_reports_are_byte_identical_for_fixed_seed(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["decompose"],
-    ["line"],
-    ["connect", "--b", "{el}", "--method", "polygonal"],
-    ["mindeg", "--b", "{el}", "--seed", "0", "--dmax", "1"],
-], ids=["decompose", "line", "connect", "mindeg"])
+    ["decompose", "--a", "{el}"],
+    ["line", "--a", "{el}"],
+    ["connect", "--a", "{el}", "--b", "{el}", "--method", "polygonal"],
+    ["mindeg", "--a", "{el}", "--b", "{el}", "--seed", "0", "--dmax", "1"],
+    ["verify", "--path", "{exp}"],
+    ["verify", "--path", "{polygonal}"],
+], ids=["decompose", "line", "connect", "mindeg", "verify-exp-global", "verify-polygonal"])
 def test_roots_next_to_an_element_file_must_be_its_roots(tmp_path, capsys, argv):
-    # the element's own roots were used while the report echoed the flag's
-    el = str(tmp_path / "el.json")
-    assert main(["sample", "--roots", "0,1", "--sig", "1,1", "--seed", "0", "--out", el]) == 0
-    argv = [arg.format(el=el) for arg in argv[:1] + ["--a", "{el}"] + argv[1:]]
-    for roots in ("3,4", "1,0"):  # other roots, and the same ones in another order
+    # the file's own roots were used while the report echoed the flag's; verify
+    # of a path file certified over the flag's roots instead
+    files = {name: str(tmp_path / f"{name}.json") for name in ("el", "b", "exp", "polygonal")}
+    for name, seed in (("el", "0"), ("b", "1")):
+        assert main(["sample", "--roots", "0,1", "--sig", "1,1", "--seed", seed, "--out", files[name]]) == 0
+    for name, method in (("exp", "exp-global"), ("polygonal", "polygonal")):
+        assert main(["connect", "--a", files["el"], "--b", files["b"], "--method", method, "--out", files[name]]) == 0
+    argv = [arg.format(**files) for arg in argv]
+    holds = "a path" if argv[0] == "verify" else "an element"
+    for roots in ("3,4", "1,0", "0,1,2"):  # other roots, the same ones in another order, and more
         assert main(argv + ["--roots", roots]) == EXIT_PRECONDITION
         err = capsys.readouterr().err
-        assert "holds an element over the roots (0j, (1+0j))" in err and "--roots gives" in err
+        assert f"holds {holds} over the roots (0j, (1+0j))" in err and "--roots gives" in err
     assert main(argv + ["--roots", "0,1"]) == 0
     assert json.loads(capsys.readouterr().out)["config"]["roots"] == "0,1"
 
@@ -339,20 +346,49 @@ def test_rank_tol_is_not_a_flag(capsys):
     assert "unrecognized arguments: --rank-tol 0.5" in capsys.readouterr().err
 
 
-def test_subcommands_without_exponentials_never_load_scipy_linalg(tmp_path):
+def test_only_a_defective_generator_loads_scipy_linalg(tmp_path):
+    # every connect method and the verify of each result run on numpy alone; the
+    # expm of a defective (nilpotent Jordan) generator is the one use of scipy.linalg
     src = os.path.dirname(os.path.dirname(algpaths.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = """if True:
-        import sys
+        import json, sys
+        import numpy as np
+        from algpaths.algebraic import certify, validate_roots
         from algpaths.cli import main
+        from algpaths.paths import ExpSimilarityPath
+        from algpaths.serialize import element_from_json, path_to_json
         assert "scipy.linalg" not in sys.modules, "import algpaths.cli"
         for argv in (["sample", "--roots", "0,1,2", "--sig", "1,2,1", "--seed", "1", "--out", "a.json"],
+                     ["sample", "--roots", "0,1,2", "--sig", "1,2,1", "--seed", "2", "--out", "b.json"],
+                     ["sample", "--roots", "0,1,2", "--sig", "1,2,1", "--seed", "1", "--self-adjoint",
+                      "--out", "sa_a.json"],
+                     ["sample", "--roots", "0,1,2", "--sig", "1,2,1", "--seed", "2", "--self-adjoint",
+                      "--out", "sa_b.json"],
                      ["decompose", "--a", "a.json", "--out", "d.json"],
                      ["line", "--a", "a.json", "--out", "l.json"],
                      ["distance", "--roots", "0,1", "--sig", "1,2", "--sig2", "2,1", "--seed", "0",
                       "--budget", "4", "--out", "s.json"]):
             assert main(argv) == 0
             assert "scipy.linalg" not in sys.modules, argv[0]
+        a = element_from_json(json.load(open("a.json"))["result"]).a
+        g = np.eye(4) + 0.05 * np.triu(np.ones((4, 4)), 1)  # a pair close enough for exp-local
+        near = g @ a @ np.linalg.inv(g)
+        json.dump({"dim": 4, "entries": [[z.real, z.imag] for z in near.ravel()]}, open("near.json", "w"))
+        for method, pair in (("exp-local", ["--a", "a.json", "--b", "near.json", "--roots", "0,1,2"]),
+                             ("exp-global", ["--a", "a.json", "--b", "b.json"]),
+                             ("selfadjoint", ["--a", "sa_a.json", "--b", "sa_b.json"]),
+                             ("polygonal", ["--a", "a.json", "--b", "b.json"]),
+                             ("poly", ["--a", "a.json", "--b", "b.json", "--dmax", "2", "--budget", "4"])):
+            verify = ["verify", "--path", method + ".json"] + (["--roots", "0,1,2"] if method == "poly" else [])
+            for argv in (["connect", *pair, "--method", method, "--out", method + ".json"], verify):
+                assert main(argv) == 0, argv
+                assert "scipy.linalg" not in sys.modules, argv
+        jordan = ExpSimilarityPath(base=certify(np.diag([1.0, 0.0]), validate_roots([0, 1])),
+                                   generators=(0.1 * np.eye(2, k=1),))
+        json.dump(path_to_json(jordan), open("jordan.json", "w"))
+        assert main(["verify", "--path", "jordan.json"]) == 0
+        assert "scipy.linalg" in sys.modules, "verify of a defective generator"
     """
     done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr

@@ -385,22 +385,37 @@ def test_polar_factors_split_an_invertible_similarity(m):
     assert operator_norm(u @ h - w) <= 1e-13 * operator_norm(w)
 
 
-# Eigenvalue -1 of every multiplicity j, and clusters of j eigenvalues that
-# straddle -1 at phases pi - delta and -(pi - delta); the other eigenvalues
-# have uniform random phases, and the eigenbasis is a Haar unitary.
-@pytest.mark.parametrize("m", [2, 3, 4, 8, 16, 32])
-def test_hermitian_log_of_unitary_at_the_branch_cut(m):
-    eps = np.finfo(float).eps
-    rng = rng_from(m, 41)
+def _unitary_log_phases(m, rng):
+    """Eigenvalue phases for the unitary logarithm, ``m`` at a time.
+
+    Eigenvalue -1 of every multiplicity j, and clusters of j eigenvalues that
+    straddle -1 at phases pi - delta and -(pi - delta), the others uniform at
+    random; evenly spaced phases, every gap 2 pi / m (the narrowest the widest
+    gap can be, so the Cayley transform's worst case), one of them at -1, next to
+    it, or anywhere; and 1, 2 or 3 values each repeated exactly.
+    """
     for j in range(1, m + 1):
         for delta in (0.0, 1e-14, 1e-10, 1e-6, 1e-3):
             phases = rng.uniform(-np.pi, np.pi, m)
             phases[:j] = (np.pi - delta) * (-1.0) ** np.arange(j)
-            q = haar_unitary(m, [rng])[0]
-            u = (q * np.exp(1j * phases)) @ q.conj().T
-            k = paths._hermitian_log_of_unitary(u)
-            assert operator_norm(k - k.conj().T) <= 8 * m * eps * operator_norm(k)
-            assert operator_norm(scipy.linalg.expm(1j * k) - u) <= 8 * m * eps
+            yield phases
+    for offset in (0.0, 1e-14, np.pi / m, rng.uniform(-np.pi, np.pi)):
+        yield np.pi - offset - 2 * np.pi * np.arange(m) / m
+    for r in (1, 2, 3):
+        yield rng.uniform(-np.pi, np.pi, r)[rng.integers(0, r, m)]
+
+
+# the eigenbasis of each input is a Haar unitary
+@pytest.mark.parametrize("m", [2, 3, 4, 8, 16, 32])
+def test_hermitian_log_of_unitary_at_the_branch_cut(m):
+    eps = np.finfo(float).eps
+    rng = rng_from(m, 41)
+    for phases in _unitary_log_phases(m, rng):
+        q = haar_unitary(m, [rng])[0]
+        u = (q * np.exp(1j * phases)) @ q.conj().T
+        k = paths._hermitian_log_of_unitary(u)
+        assert operator_norm(k - k.conj().T) <= 8 * m * eps * operator_norm(k)
+        assert operator_norm(scipy.linalg.expm(1j * k) - u) <= 8 * m * eps
 
 
 def _refusing_segment_certificates(monkeypatch, refusals):
@@ -1041,20 +1056,21 @@ def test_verify_exp_path_calls_expm_once_per_generator_and_block(m, k, self_adjo
     # The random generators of both modes are diagonalizable with a well
     # conditioned eigenbasis (unitary for the Hermitian ones of self-adjoint
     # mode): no expm at all.  Defective generators take one stacked expm per
-    # generator, direction and block.  Either way the path takes one Schur form
-    # per generator, and one eig and inverse per non-normal generator, however
-    # many times it is evaluated.
+    # generator, direction and block.  Either way the path takes one eigh per
+    # normal generator, and one eig and inverse per non-normal generator, however
+    # many times it is evaluated, and never a Schur form.
     path, roots = _exp_path(m, k, self_adjoint, seed=53)
-    calls = {"expm": [], "schur": [], "eig": [], "inv": []}
-    for module, name in ((scipy.linalg, "expm"), (scipy.linalg, "schur"), (np.linalg, "eig"), (np.linalg, "inv")):
+    calls = {"expm": [], "schur": [], "eigh": [], "eig": [], "inv": []}
+    for module, name in ((scipy.linalg, "expm"), (scipy.linalg, "schur"), (np.linalg, "eigh"),
+                         (np.linalg, "eig"), (np.linalg, "inv")):
         real = getattr(module, name)
         monkeypatch.setattr(module, name,
                             lambda *a, _real=real, _seen=calls[name], **kw: _seen.append(a[0].shape) or _real(*a, **kw))
     end = path.value(1.0)
     verify_path(path, roots, expected_endpoint=end, samples=100)
     verify_path(path, roots, expected_endpoint=end, samples=100)
-    assert calls["expm"] == []
-    assert len(calls["schur"]) == k
+    assert calls["expm"] == [] and calls["schur"] == []
+    assert len(calls["eigh"]) == (k if self_adjoint else 0)
     assert len(calls["eig"]) == len(calls["inv"]) == (0 if self_adjoint else k)
     if self_adjoint:
         return
@@ -1070,12 +1086,13 @@ def test_verify_exp_path_calls_expm_once_per_generator_and_block(m, k, self_adjo
     blocks = -(-100 // per_block)
     assert len(calls["expm"]) == 2 * 2 * k * blocks
     assert all(shape[0] <= per_block for shape in calls["expm"])
-    assert len(calls["schur"]) == len(calls["eig"]) == k
+    assert calls["schur"] == calls["eigh"] == []
+    assert len(calls["eig"]) == k
     assert _routes(path) == ["expm"] * k
 
 
 def _routes(path):
-    """Per generator: ``"unitary"`` (its Schur basis), ``"eigenbasis"`` (``eig``) or ``"expm"``."""
+    """Per generator: ``"unitary"`` (its ``eigh`` basis), ``"eigenbasis"`` (``eig``) or ``"expm"``."""
     out = []
     for _, v, _, v_inv in path._exponents:
         if v is None:
@@ -1088,8 +1105,8 @@ def _routes(path):
 @pytest.mark.parametrize("m", [2, 4, 8, 16])
 def test_polar_and_selfadjoint_generators_take_the_diagonal_route(m):
     # log h and iK of the polar split and the Hermitian K of self-adjoint mode
-    # are normal and take their unitary Schur basis; the near-identity
-    # logarithm of exp-local is not normal and takes its eigenbasis
+    # are Hermitian or skew-Hermitian and take their unitary eigh basis; the
+    # near-identity logarithm of exp-local is not normal and takes its eigenbasis
     roots = validate_roots([0, 1, 2])
     ranks = (m - m // 2 - m // 4, m // 2, m // 4)
     for s in range(2):
@@ -1113,29 +1130,32 @@ def test_polar_and_selfadjoint_generators_take_the_diagonal_route(m):
 
 @pytest.mark.parametrize("side", [0.8, 1.25], ids=["below", "above"])
 def test_exponential_routes_agree_with_expm_at_the_normality_cutoff(side):
-    # c = Q (diag(lam) + eps N) Q* has departure from normality eps ||N||_F in
-    # every Schur form; put it a little below or above 8 m u ||c||_F.  Below it
-    # takes its unitary Schur basis, above it the eigenbasis from eig.
+    # c = z Q (diag(lam) + delta N) Q* for z in {1, i} and N strictly upper
+    # triangular: h = c / z has Hermitian defect ||h - h*||_F = sqrt(2) delta ||N||_F;
+    # put it a little below or above 8 m eps ||c||_F.  Below it takes the unitary
+    # eigh basis of h, above it the eigenbasis from eig.
     m = 8
+    eps = np.finfo(float).eps
     rng = rng_from(67, m)
     q, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
     lam = rng.uniform(-0.5, 0.5, m)
     n = np.triu(rng.standard_normal((m, m)), 1)
-    cutoff = 8 * m * np.finfo(float).eps * np.linalg.norm(lam)
-    c = q @ (np.diag(lam) + side * cutoff * n / np.linalg.norm(n)) @ q.conj().T
+    cutoff = 8 * m * eps * np.linalg.norm(lam)
+    h = q @ (np.diag(lam) + side * cutoff * n / (np.sqrt(2) * np.linalg.norm(n))) @ q.conj().T
     base = certify(np.diag([1.0] * (m // 2) + [0.0] * (m // 2)), R01)
-    path = paths.ExpSimilarityPath(base=base, generators=(c,))
-    t_schur, q_schur = scipy.linalg.schur(c, output="complex")
-    off = np.linalg.norm(np.triu(t_schur, 1)) / (np.finfo(float).eps * np.linalg.norm(c))
-    assert (off < 8 * m) == (side < 1)
-    assert _routes(path) == ["unitary" if side < 1 else "eigenbasis"]
-    assert np.array_equal(path._exponents[0][1], q_schur) == (side < 1)
-    ts = np.linspace(0.0, 1.0, 11)
-    for sign in (1.0, -1.0):
-        got = path._exp_stack(0, sign * ts)
-        for t, e in zip(sign * ts, got):
-            ref = scipy.linalg.expm(t * c)
-            assert operator_norm(e - ref) <= 1e-13 * operator_norm(ref)
+    for z in (1, 1j):
+        c = z * h
+        path = paths.ExpSimilarityPath(base=base, generators=(c,))
+        off = np.linalg.norm(h - h.conj().T) / (eps * np.linalg.norm(c))
+        assert (off < 8 * m) == (side < 1)
+        assert _routes(path) == ["unitary" if side < 1 else "eigenbasis"]
+        assert np.array_equal(path._exponents[0][1], np.linalg.eigh(h)[1]) == (side < 1)
+        ts = np.linspace(0.0, 1.0, 11)
+        for sign in (1.0, -1.0):
+            got = path._exp_stack(0, sign * ts)
+            for t, e in zip(sign * ts, got):
+                ref = scipy.linalg.expm(t * c)
+                assert operator_norm(e - ref) <= 1e-13 * operator_norm(ref)
 
 
 def _kappa_1(c):
