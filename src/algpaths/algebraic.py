@@ -56,12 +56,11 @@ class RootSystem:
     """The fixed data of every experiment: distinct complex roots.
 
     ``min_gap`` is the smallest pairwise distance (infinite for a single
-    root); ``all_real`` records whether the self-adjoint theory applies.
+    root).
     """
 
     roots: tuple[complex, ...]
     min_gap: float
-    all_real: bool
 
     @property
     def n(self) -> int:
@@ -89,12 +88,6 @@ class RootSystem:
                 f"magnitude scale prod(||x|| + |l_i|) is not finite for ||x|| up to {np.max(norm):.3e}"
             )
         return scale
-
-    def __eq__(self, other):
-        return isinstance(other, RootSystem) and self.roots == other.roots
-
-    def __hash__(self):
-        return hash(self.roots)
 
 
 def _vanishing_certificates(coeffs, bounds, roots: RootSystem, cfg: ToleranceConfig):
@@ -139,8 +132,14 @@ def validate_roots(roots) -> RootSystem:
                     f"roots {rs[i]} and {rs[j]} coincide within {_DISTINCTNESS_RTOL * scale:.3e}"
                 )
             min_gap = min(min_gap, gap)
-    all_real = all(r.imag == 0.0 for r in rs)
-    return RootSystem(roots=rs, min_gap=min_gap, all_real=all_real)
+    return RootSystem(roots=rs, min_gap=min_gap)
+
+
+def _require_real_spectrum(ranks, roots: RootSystem):
+    """A self-adjoint element has a real spectrum: refuse a nonzero rank at a non-real root."""
+    for r, k in zip(roots.roots, ranks):
+        if k and r.imag != 0.0:
+            raise BadSignature(f"self-adjoint elements have rank 0 at the non-real root {r}, not {k}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,12 +339,13 @@ def random_elements(
 
     Conjugates the diagonal model (root ``l_i`` repeated ``sig[i]`` times) by
     a random similarity with bounded condition number, or by a random unitary
-    in the self-adjoint case.  The generators come from one ``rngs_from(seeds)``
-    batch, and element ``j`` draws from its own, bit for bit
-    ``rng_from(seeds[j])``, alone, so it is bit-identical whichever seeds share
-    its stack; the factoring and the certificate then run on the whole stack
-    ``(N, m, m)`` at once.  A signature with a single present root gives that
-    root times the identity for every seed.
+    in the self-adjoint case, which needs rank 0 at every non-real root.  The
+    generators come from one ``rngs_from(seeds)`` batch, and element ``j``
+    draws from its own, bit for bit ``rng_from(seeds[j])``, alone, so it is
+    bit-identical whichever seeds share its stack; the factoring and the
+    certificate then run on the whole stack ``(N, m, m)`` at once.  A
+    signature with a single present root gives that root times the identity
+    for every seed.
 
     Returns the stack with each element's residual and self-adjointness flag.
     Every element is certified; the first failing one in seed order raises
@@ -359,8 +359,8 @@ def random_elements(
     m = sum(ranks)
     if m <= 0:
         raise BadSignature("total dimension must be positive")
-    if self_adjoint and not roots.all_real:
-        raise BadSignature("self-adjoint sampling needs an all-real root system")
+    if self_adjoint:
+        _require_real_spectrum(ranks, roots)
 
     present = [i for i, r in enumerate(ranks) if r > 0]
     if len(present) == 1:

@@ -178,7 +178,7 @@ def _report(ns, result: dict) -> dict:
 
 def _cmd_sample(ns, cfg):
     roots = validate_roots(_parse_roots(ns.roots))
-    sig = ComponentSignature(ranks=_parse_sig(ns.sig), dim=sum(_parse_sig(ns.sig)))
+    sig = ComponentSignature(_parse_sig(ns.sig))
     el = random_element(sig, roots, seed=ns.seed, self_adjoint=ns.self_adjoint, cond_bound=ns.cond, cfg=cfg)
     return ser.element_to_json(el), EXIT_OK
 
@@ -256,9 +256,7 @@ def _cmd_line(ns, cfg):
 
 def _cmd_distance(ns, cfg):
     roots = validate_roots(_parse_roots(ns.roots))
-    ranks1, ranks2 = _parse_sig(ns.sig), _parse_sig(ns.sig2)
-    sig1 = ComponentSignature(ranks=ranks1, dim=sum(ranks1))
-    sig2 = ComponentSignature(ranks=ranks2, dim=sum(ranks2))
+    sig1, sig2 = ComponentSignature(_parse_sig(ns.sig)), ComponentSignature(_parse_sig(ns.sig2))
     report = distance_scan(sig1, sig2, roots, budget=ns.budget, seed=ns.seed,
                            self_adjoint=ns.self_adjoint, cfg=cfg, workers=ns.threads)
     if ns.format == "json":

@@ -20,6 +20,7 @@ import numpy as np
 from .algebraic import (
     AlgebraicElement,
     RootSystem,
+    _require_real_spectrum,
     _vanishing_certificates,
     certify,
     random_elements,
@@ -46,15 +47,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ComponentSignature:
-    """Rank of each spectral idempotent, in root order."""
+    """Rank of each spectral idempotent, in root order; ``dim`` is their sum."""
 
     ranks: tuple[int, ...]
-    dim: int
 
     def __post_init__(self):
         object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
-        if any(r < 0 for r in self.ranks) or sum(self.ranks) != self.dim:
-            raise BadSignature(f"ranks {self.ranks} do not sum to dim {self.dim}")
+        if any(r < 0 for r in self.ranks):
+            raise BadSignature(f"ranks {self.ranks} must be non-negative")
+
+    @property
+    def dim(self) -> int:
+        return sum(self.ranks)
 
     @property
     def scalar(self) -> bool:
@@ -135,7 +139,7 @@ def partition_ranks(part) -> list[int]:
 def resolve(el: AlgebraicElement, cfg: ToleranceConfig = ToleranceConfig()):
     """The spectral resolution of ``el`` and the signature ranked from it."""
     part = spectral_resolution(el, cfg)
-    return part, ComponentSignature(ranks=tuple(partition_ranks(part)), dim=el.dim)
+    return part, ComponentSignature(partition_ranks(part))
 
 
 def signature(el: AlgebraicElement, cfg: ToleranceConfig = ToleranceConfig()) -> ComponentSignature:
@@ -398,6 +402,7 @@ def distance_scan(
     witnessing pair (the lowest restart index among equal distances).
     Restart ``k`` draws from the sub-stream ``(seed, k)``, so reports are
     reproducible and enlarging the budget only extends the restart list.
+    A self-adjoint scan needs rank 0 at every non-real root in both signatures.
 
     Restarts run in lockstep blocks whose perturbation buffer, refilled every
     ``_SCAN_CHUNK`` steps, takes at most ``_SCAN_BLOCK_BYTES``, so memory is
@@ -417,6 +422,8 @@ def distance_scan(
     for s in (sig1, sig2):
         if len(s.ranks) != roots.n:
             raise BadSignature(f"signature {s.ranks} does not fit {roots.n} roots")
+        if self_adjoint:
+            _require_real_spectrum(s.ranks, roots)
     if budget < 1:
         raise BadSignature("budget must be positive")
     if workers < 1:

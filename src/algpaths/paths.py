@@ -78,6 +78,7 @@ __all__ = [
     "verify_path",
 ]
 
+_GRID = np.linspace(0.0, 1.0, 100)  # the t an exponential path is certified at
 _GRID_BLOCK_BYTES = 64 * 1024  # per stacked (N, m, m) array of a sample grid
 # The largest kappa_1(v) = ||v||_1 ||v^{-1}||_1 of the eig eigenbasis of a
 # generator that ExpSimilarityPath exponentiates through it.  The computed
@@ -422,8 +423,6 @@ def connect_selfadjoint(
     solution set for every ``t``.
     """
     _require_self_adjoint(a, b)
-    if not a.roots.all_real:
-        raise NotSelfAdjoint("self-adjoint connections need an all-real root system")
     ea, fb, ranks = _require_same_component(a, b, cfg)
     ubasis = np.hstack([_eigbasis(e, r) for e, r in zip(ea.members, ranks)])
     vbasis = np.hstack([_eigbasis(f, r) for f, r in zip(fb.members, ranks)])
@@ -733,18 +732,15 @@ def verify_path(
     roots: RootSystem | None = None,
     cfg: ToleranceConfig = ToleranceConfig(),
     expected_endpoint: np.ndarray | None = None,
-    samples: int = 100,
 ) -> PathCertificate:
     """Re-certify a path of any kind, raising on the worst offender.
 
     Polynomial and polygonal paths are checked by exact coefficient
     certification of the composed polynomial; exponential paths by endpoint
-    and membership checks at ``samples >= 1`` evenly spaced ``t`` (membership
-    is exact by conjugation, the samples guard the floating-point drift of the
+    and membership checks at 100 evenly spaced ``t`` (membership is exact by
+    conjugation, the samples guard the floating-point drift of the
     exponentials), on Frobenius norms, then on operator norms where those fail.
     """
-    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1:
-        raise PreconditionError(f"samples must be an integer >= 1, got {samples!r}")
     if isinstance(path, PolynomialPath):
         if roots is None:
             raise PreconditionError("polynomial paths need the root system for verification")
@@ -754,7 +750,7 @@ def verify_path(
         return _verify_polygonal(path, rs, cfg)
     if isinstance(path, ExpSimilarityPath):
         rs = roots if roots is not None else path.base.roots
-        return _verify_exponential(path, rs, cfg, expected_endpoint, int(samples))
+        return _verify_exponential(path, rs, cfg, expected_endpoint)
     raise TypeError(f"not a path: {type(path)!r}")
 
 
@@ -814,11 +810,10 @@ def _verify_polygonal(path: PolygonalPath, roots, cfg) -> PathCertificate:
     )
 
 
-def _sample_bounds(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``lo <= sigma_1 <= hi`` on each matrix of a stack ``(..., m, m)``, ``sigma_1`` as LAPACK computes it:
-    ``||R||_F / sqrt(m) <= sigma_1(R) <= ||R||_F`` on :func:`_frobenius`, widened by the rounding; a
-    norm that overflows gives ``(0, inf)``."""
-    m = stack.shape[-1]
+def _sample_bounds(fro: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``lo <= sigma_1 <= hi`` on each ``m x m`` matrix ``R`` whose :func:`_frobenius` norm is ``fro``,
+    ``sigma_1`` as LAPACK computes it: ``||R||_F / sqrt(m) <= sigma_1(R) <= ||R||_F``, widened by the
+    rounding; a norm that overflows gives ``(0, inf)``."""
     # With u = eps / 2, the computed norm (two m^2-term dot products of squares, their sum and
     # a root) is within (m^2 / 2 + 2) u of the exact one (Higham, Thm 3.5), and LAPACK's sigma_1
     # within p(m) u with p modest; taking p(m) <= 2 m^2, each side errs by under 2 m^2 eps, an
@@ -826,7 +821,6 @@ def _sample_bounds(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # most the smallest normal number (also where subnormals flush to zero), hence the floor.
     slack, floor = 16 * m * m * np.finfo(float).eps, 2 * m * np.sqrt(np.finfo(float).tiny)
     with np.errstate(over="ignore", invalid="ignore"):
-        fro = _frobenius(stack)
         lo = np.where(np.isfinite(fro), np.maximum(0.0, (1.0 - slack) * fro - floor) / np.sqrt(m), 0.0)
         return lo, np.where(np.isfinite(fro), (1.0 + slack) * fro + floor, np.inf)
 
@@ -843,7 +837,7 @@ def _sample_tolerances(norm_x, roots, cfg, self_adjoint: bool) -> np.ndarray:
     return np.stack(tols)
 
 
-def _verify_exponential(path: ExpSimilarityPath, roots, cfg, expected_endpoint, samples):
+def _verify_exponential(path: ExpSimilarityPath, roots, cfg, expected_endpoint):
     self_adjoint = path.self_adjoint_mode
     worst = [0.0] * (1 + self_adjoint)  # the largest ||p(x)||_F, then ||x - x*||_F in self-adjoint mode
     if self_adjoint:
@@ -852,17 +846,18 @@ def _verify_exponential(path: ExpSimilarityPath, roots, cfg, expected_endpoint, 
             if h > cfg.residual_tol * (1.0 + operator_norm(c)):
                 raise CertificationFailed(f"generator {i} is not Hermitian: {h:.3e}", coefficient=i, value=h)
             worst[1] = max(worst[1], h)
-    grid = np.linspace(0.0, 1.0, samples)
     step = max(1, _GRID_BLOCK_BYTES // (16 * path.base.dim**2))  # complex128 samples
-    for first in range(0, samples, step):
-        ts = grid[first : first + step]
+    for first in range(0, _GRID.size, step):
+        ts = _GRID[first : first + step]
         with np.errstate(over="ignore", invalid="ignore"):  # defining_poly_value rejects what overflowed
             x = path.values(ts)
         parts = [x, defining_poly_value(x, roots)]
         if self_adjoint:
             parts.append(x - x.conj().swapaxes(-1, -2))
         parts = np.stack(parts)
-        lo, hi = _sample_bounds(parts)
+        with np.errstate(over="ignore"):
+            fro = _frobenius(parts)
+        lo, hi = _sample_bounds(fro, path.base.dim)
         try:
             roots.magnitude(hi[0])
         except MagnitudeOverflow:
@@ -870,8 +865,7 @@ def _verify_exponential(path: ExpSimilarityPath, roots, cfg, expected_endpoint, 
         # A sample passes when the upper bound of each defect clears the tolerance of the lower bound of
         # ||x||; the others get the exact checks.  A Frobenius norm that overflows reports the exact one.
         rows = np.flatnonzero(~np.all(hi[1:] <= _sample_tolerances(lo[0], roots, cfg, self_adjoint), axis=0))
-        with np.errstate(over="ignore"):
-            reported = _frobenius(parts[1:])
+        reported = fro[1:]
         if rows.size:
             exact = np.linalg.svd(parts[:, rows], compute_uv=False)[..., 0]
             reported[:, rows] = np.where(np.isfinite(reported[:, rows]), reported[:, rows], exact[1:])
@@ -887,12 +881,11 @@ def _verify_exponential(path: ExpSimilarityPath, roots, cfg, expected_endpoint, 
         worst = [max(w, float(r.max())) for w, r in zip(worst, reported)]
     endpoint_error = None
     if expected_endpoint is not None:
-        end = x[-1] if samples > 1 else path.value(1.0)  # the grid ends at t = 1
-        endpoint_error = _endpoint_error(end, expected_endpoint, cfg)
+        endpoint_error = _endpoint_error(x[-1], expected_endpoint, cfg)  # the grid ends at t = 1
     return PathCertificate(
         kind="exponential",
         worst_membership=worst[0],
         endpoint_error=endpoint_error,
         worst_hermiticity=worst[1] if self_adjoint else None,
-        samples=samples,
+        samples=_GRID.size,
     )

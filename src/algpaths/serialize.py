@@ -8,7 +8,8 @@ tampered file fails loudly rather than silently.  A malformed file raises
 :class:`PreconditionError` here: a missing field or a wrong container, a
 ``dim`` that is not an integer ``>= 1``, a matrix with the wrong number of
 entries or a non-finite one, pairs that are not ``[re, im]`` numbers (bools
-and integers count as numbers), an empty root list, and an unknown path kind.
+and integers count as numbers), an empty root list, an unknown path kind, and
+a path's mode flag that is not JSON ``true`` or ``false``.
 
 Reports are written by :func:`canonical_dumps`, byte for byte the text of
 ``json.dumps(obj, sort_keys=True, indent=2) + "\n"``.
@@ -128,10 +129,11 @@ def _field(obj, key):
         raise PreconditionError(f"missing field {key!r}") from None
 
 
-def _list(obj, key) -> list:
-    value = _field(obj, key)
-    if not isinstance(value, list):
-        raise PreconditionError(f"field {key!r} must be a list, got {type(value).__name__}")
+def _typed(obj, key, kind: type):
+    """``obj[key]``, a JSON list or a JSON ``true``/``false`` flag (not ``"false"``, 0 or null)."""
+    if not isinstance(value := _field(obj, key), kind):
+        what = "true or false" if kind is bool else "a list"
+        raise PreconditionError(f"field {key!r} must be {what}, got {type(value).__name__}")
     return value
 
 
@@ -255,26 +257,26 @@ def path_from_json(obj: dict, cfg: ToleranceConfig = ToleranceConfig()):
     kind = _field(obj, "kind")
     if kind == "exp":
         base = element_from_json(_field(obj, "base"), cfg)
-        generators = [matrix_from_json(c) for c in _list(obj, "generators")]
+        generators = [matrix_from_json(c) for c in _typed(obj, "generators", list)]
         _one_size([base.a, *generators], "generators and base")  # no generator: the constant path
         return ExpSimilarityPath(
             base=base,
             generators=tuple(generators),
-            self_adjoint_mode=bool(_field(obj, "self_adjoint_mode")),
+            self_adjoint_mode=_typed(obj, "self_adjoint_mode", bool),
         )
     if kind == "polygonal":
-        breakpoints = [element_from_json(b, cfg) for b in _list(obj, "breakpoints")]
+        breakpoints = [element_from_json(b, cfg) for b in _typed(obj, "breakpoints", list)]
         _one_size([b.a for b in breakpoints], "breakpoints")
         return PolygonalPath(
             breakpoints=tuple(breakpoints),
-            certificates=tuple(_number(c, "certificates") for c in _list(obj, "certificates")),
+            certificates=tuple(_number(c, "certificates") for c in _typed(obj, "certificates", list)),
         )
     if kind == "polynomial":
-        coeffs = _one_size([matrix_from_json(c) for c in _list(obj, "coeffs")], "coeffs")
+        coeffs = _one_size([matrix_from_json(c) for c in _typed(obj, "coeffs", list)], "coeffs")
         return PolynomialPath(
             x=MatrixPolynomial(np.stack(coeffs)),
             certificate=_number(_field(obj, "certificate"), "certificate"),
-            self_adjoint=bool(_field(obj, "self_adjoint")),
+            self_adjoint=_typed(obj, "self_adjoint", bool),
         )
     raise PreconditionError(f"unknown path kind {kind!r}")
 

@@ -89,7 +89,7 @@ def run_suite(seed=0, samples=50, budget=400, cfg=ToleranceConfig(), stream=None
         for k in range(samples):
             rng = rng_from(seed, 1, k)
             roots = validate_roots([_ROOTS_IDEMPOTENT, _ROOTS_THREE, _ROOTS_COMPLEX][k % 3])
-            sa = (k % 3 == 0) and roots.all_real
+            sa = k % 3 == 0
             m = int(rng.integers(2, 9))
             sig = _sig_for(rng, roots.roots, m)
             el = random_element(sig, roots, seed=(seed, 1, k, 7), self_adjoint=sa, cfg=cfg)
@@ -253,8 +253,7 @@ def run_suite(seed=0, samples=50, budget=400, cfg=ToleranceConfig(), stream=None
     @item("distance")
     def _distance():
         roots = validate_roots(_ROOTS_IDEMPOTENT)
-        sig1 = ComponentSignature((1, 2), 3)
-        sig2 = ComponentSignature((2, 1), 3)
+        sig1, sig2 = ComponentSignature((1, 2)), ComponentSignature((2, 1))
         floor = np.inf
         for sa in (True, False):
             rep = distance_scan(sig1, sig2, roots, budget=budget, seed=seed, self_adjoint=sa, cfg=cfg)
@@ -262,7 +261,7 @@ def run_suite(seed=0, samples=50, budget=400, cfg=ToleranceConfig(), stream=None
         exact = operator_norm(np.diag([1, 0, 0]).astype(complex) - np.diag([1, 1, 0]))
         roots3 = validate_roots(_ROOTS_THREE)
         logged = distance_scan(
-            ComponentSignature((1, 1, 1), 3), ComponentSignature((0, 2, 1), 3),
+            ComponentSignature((1, 1, 1)), ComponentSignature((0, 2, 1)),
             roots3, budget=max(10, budget // 4), seed=seed, cfg=cfg)
         ok = floor >= 1.0 - 1e-6 and abs(exact - 1.0) == 0.0
         return ok, (

@@ -1,6 +1,7 @@
 """Root systems, certification, spectral resolutions, and the sampler."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ UPPER = np.array([[0, 1], [0, 1]], dtype=complex)  # idempotent: UPPER @ UPPER =
 def test_validate_roots_unit_pair():
     rs = validate_roots([0, 1])
     assert rs.min_gap == 1.0
-    assert rs.all_real
+    assert rs == validate_roots([0.0, 1.0]) != validate_roots([1, 0])
 
 
 def test_validate_roots_rejects_repeated_root():
@@ -65,7 +66,7 @@ def test_validate_roots_complex_triple():
     # pairwise distances: |1 - i| = sqrt(2), |1 - (-1)| = 2, |i + 1| = sqrt(2)
     rs = validate_roots([1, 1j, -1])
     assert abs(rs.min_gap - math.sqrt(2.0)) < 1e-15
-    assert not rs.all_real
+    assert rs.roots == (1, 1j, -1)
 
 
 def test_validate_roots_single_root():
@@ -218,6 +219,34 @@ def test_sampler_rejects_bad_signatures():
         random_elements((0, 0), R01, [0, 1])
 
 
+# Self-adjoint signatures over root systems with non-real roots: rank 0 at each of them.
+SA_COMPLEX_SHAPES = [((1, 1j, -1), (1, 0, 2)), ((1, 1j, -1, -1j), (2, 0, 1, 0)), ((0, 1, 1j), (2, 1, 0))]
+
+
+@pytest.mark.parametrize("roots, ranks", SA_COMPLEX_SHAPES, ids=["1,i,-1", "1,i,-1,-i", "0,1,i"])
+def test_self_adjoint_sampling_needs_rank_zero_only_at_the_non_real_roots(roots, ranks):
+    roots = validate_roots(roots)
+    for seed in range(5):
+        el = random_element(ranks, roots, seed=seed, self_adjoint=True)
+        assert el.self_adjoint and signature(el).ranks == ranks
+        np.testing.assert_array_equal(el.a, el.a.conj().T)
+        spectrum = np.sort(np.linalg.eigvalsh(el.a))
+        expected = np.sort(np.repeat(np.real(roots.roots), ranks))
+        np.testing.assert_allclose(spectrum, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("roots, ranks, root, rank", [
+    ((1, 1j, -1), (1, 1, 1), 1j, 1),
+    ((1, 1j, -1, -1j), (2, 0, 1, 3), -1j, 3),
+    ((1j, -1j), (1, 1), 1j, 1),
+])
+def test_self_adjoint_sampling_refuses_a_rank_at_a_non_real_root(roots, ranks, root, rank):
+    roots = validate_roots(roots)
+    with pytest.raises(BadSignature, match=re.escape(f"rank 0 at the non-real root {complex(root)}, not {rank}")):
+        random_element(ranks, roots, seed=0, self_adjoint=True)
+    random_element(ranks, roots, seed=0)  # general mode takes any ranks
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.integers(0, 100_000))
 def test_partition_invariants_on_random_elements(seed):
@@ -227,7 +256,7 @@ def test_partition_invariants_on_random_elements(seed):
     m = int(rng.integers(2, 9))
     cuts = sorted(rng.integers(0, m + 1, size=n - 1).tolist()) if n > 1 else []
     ranks = tuple(int(r) for r in np.diff([0] + cuts + [m]))
-    sa = roots.all_real and bool(rng.integers(0, 2))
+    sa = all(r.imag == 0.0 for r in roots.roots) and bool(rng.integers(0, 2))
     el = random_element(ranks, roots, seed=(seed, 9), self_adjoint=sa)
     part = spectral_resolution(el)
     a = el.a

@@ -86,6 +86,29 @@ def test_connect_exponential_methods_then_verify(tmp_path, capsys, method, self_
     assert verified["kind"] == "exponential" and (verified["worst_hermiticity"] is not None) is self_adjoint
 
 
+def test_self_adjoint_sample_over_non_real_roots(tmp_path, capsys):
+    # rank 0 at i: a Hermitian sample, which connects and distance-scans in self-adjoint mode
+    files = []
+    for seed in (0, 1):
+        out = tmp_path / f"sa{seed}.json"
+        assert main(["sample", "--roots", "1,1j,-1", "--sig", "1,0,2", "--seed", str(seed),
+                     "--self-adjoint", "--out", str(out)]) == 0
+        result = json.loads(out.read_text())["result"]
+        assert result["self_adjoint"] is True
+        files.append(str(out))
+    report = tmp_path / "path.json"
+    assert main(["connect", "--a", files[0], "--b", files[1], "--method", "selfadjoint",
+                 "--out", str(report)]) == 0
+    assert main(["verify", "--path", str(report)]) == 0
+    assert main(["distance", "--roots", "1,1j,-1", "--sig", "1,0,2", "--sig2", "2,0,1", "--seed", "0",
+                 "--budget", "5", "--self-adjoint"]) == 0
+    capsys.readouterr()
+    # a nonzero rank at i names no self-adjoint element (exit 3), in either command
+    for argv in (["sample", "--sig", "1,1,1"], ["distance", "--sig", "1,1,1", "--sig2", "1,0,2", "--budget", "5"]):
+        assert main(argv + ["--roots", "1,1j,-1", "--seed", "0", "--self-adjoint"]) == EXIT_PRECONDITION
+        assert "rank 0 at the non-real root 1j, not 1" in capsys.readouterr().err
+
+
 def test_mindeg_min_motion_holds_in_general_mode(tmp_path, capsys):
     # the degree-1 segment from diag(1, 0) to itself does not move
     e10 = _write(tmp_path / "e10.json", _matrix([[1, 0], [0, 0]]))
@@ -115,7 +138,7 @@ def test_mindeg_reports_degree(tmp_path, proj_pair, capsys):
 
 def test_verify_of_an_exponential_path_with_no_generators_is_the_constant_path(tmp_path, capsys):
     # used to end in an IndexError traceback
-    base = random_element(ComponentSignature((1, 2), 3), validate_roots([0, 1]), seed=4)
+    base = random_element(ComponentSignature((1, 2)), validate_roots([0, 1]), seed=4)
     file = _write(tmp_path / "p.json", path_to_json(ExpSimilarityPath(base=base, generators=())))
     assert main(["verify", "--path", file]) == 0
     result = json.loads(capsys.readouterr().out)["result"]

@@ -69,8 +69,10 @@ def test_signature_non_hermitian_idempotent():
 
 
 def test_component_signature_validates():
-    with pytest.raises(BadSignature):
-        ComponentSignature((1, 1), 3)
+    # the dimension is the sum of the ranks, so only a negative rank is refused
+    with pytest.raises(BadSignature, match=r"ranks \(1, -1\) must be non-negative"):
+        ComponentSignature((1, -1))
+    assert ComponentSignature((1, 2, 0)).dim == 3
 
 
 def test_same_component_equal_signatures():
@@ -348,8 +350,7 @@ def test_spectral_floor_from_scalars():
 
 
 def _sigs(ranks1, ranks2):
-    m = sum(ranks1)
-    return ComponentSignature(ranks1, m), ComponentSignature(ranks2, m)
+    return ComponentSignature(ranks1), ComponentSignature(ranks2)
 
 
 def _pairs(sig1, sig2, roots, self_adjoint, n, seed=21):
@@ -365,6 +366,10 @@ def _pairs(sig1, sig2, roots, self_adjoint, n, seed=21):
     ((1, 1, 2), (0, 2, 2), (0, 1, 2), 1.0),
     ((1, 1, 1, 1), (0, 2, 1, 1), (0, 1, 2.5, -1.5), 1.0),
     ((2, 0, 1, 1), (0, 1, 1, 2), (0, 1, 2.5, -1.5), 1.5),
+    # rank 0 at the non-real roots: the floor repeats the real ones only
+    ((1, 0, 2), (2, 0, 1), (1, 1j, -1), 2.0),
+    ((2, 0, 1, 0), (1, 0, 2, 0), (1, 1j, -1, -1j), 2.0),
+    ((2, 1, 0), (1, 2, 0), (0, 1, 1j), 1.0),
 ])
 def test_self_adjoint_floor_is_the_distance_of_the_sorted_diagonal_models(ranks1, ranks2, roots, exact):
     sig1, sig2 = _sigs(ranks1, ranks2)
@@ -397,8 +402,8 @@ def test_general_three_root_floor_is_zero(ranks1, ranks2):
 
 
 def test_distance_scan_two_root_floor():
-    sig1 = ComponentSignature((1, 2), 3)
-    sig2 = ComponentSignature((2, 1), 3)
+    sig1 = ComponentSignature((1, 2))
+    sig2 = ComponentSignature((2, 1))
     rep = distance_scan(sig1, sig2, R01, budget=60, seed=0, self_adjoint=True)
     assert rep.best_distance >= 1.0 - 1e-6
     assert rep.conjecture_bound == 1.0
@@ -406,9 +411,40 @@ def test_distance_scan_two_root_floor():
         assert signature(w) == sig
 
 
+@pytest.mark.parametrize("ranks1, ranks2, roots, floor", [
+    ((1, 0, 2), (2, 0, 1), (1, 1j, -1), 2.0),
+    ((2, 0, 1, 0), (1, 0, 2, 0), (1, 1j, -1, -1j), 2.0),
+    ((2, 1, 0), (1, 2, 0), (0, 1, 1j), 1.0),
+], ids=["1,i,-1", "1,i,-1,-i", "0,1,i"])
+def test_self_adjoint_scan_over_non_real_roots_reaches_the_weyl_floor(ranks1, ranks2, roots, floor):
+    sig1, sig2 = _sigs(ranks1, ranks2)
+    roots = validate_roots(list(roots))
+    rep = distance_scan(sig1, sig2, roots, budget=20, seed=0, self_adjoint=True)
+    assert abs(rep.best_distance - floor) <= 1e-12
+    for w, sig in zip(rep.witness, (sig1, sig2)):
+        assert w.self_adjoint and signature(w) == sig
+
+
+def test_self_adjoint_scan_refuses_a_rank_at_a_non_real_root_before_any_pool(monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a refused scan started a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    roots = validate_roots([1, 1j, -1])
+    sig1, sig2 = _sigs((1, 0, 2), (1, 1, 1))
+    for a, b in ((sig1, sig2), (sig2, sig1)):
+        with pytest.raises(BadSignature, match=r"rank 0 at the non-real root 1j, not 1$"):
+            distance_scan(a, b, roots, budget=20, seed=0, self_adjoint=True, workers=2)
+    # general mode takes any ranks (through the same stubbed pool, which then fails)
+    with pytest.raises(AssertionError, match="started a process pool"):
+        distance_scan(sig1, sig2, roots, budget=20, seed=0, workers=2)
+
+
 def test_distance_scan_central_pair():
     rep = distance_scan(
-        ComponentSignature((2, 0), 2), ComponentSignature((0, 2), 2), R01, budget=5, seed=0
+        ComponentSignature((2, 0)), ComponentSignature((0, 2)), R01, budget=5, seed=0
     )
     assert abs(rep.best_distance - 1.0) <= 1e-12
 
@@ -418,7 +454,7 @@ def test_distance_scan_central_pair_on_shifted_roots_stays_on_the_floor():
     # than the decrease a step must gain at distance 1; a restart that starts
     # on the floor takes no step, so none of that drift reaches the report
     roots = validate_roots([1e6, 1e6 + 1])
-    rep = distance_scan(ComponentSignature((2, 0), 2), ComponentSignature((0, 2), 2), roots, budget=5, seed=0)
+    rep = distance_scan(ComponentSignature((2, 0)), ComponentSignature((0, 2)), roots, budget=5, seed=0)
     assert rep.best_distance == 1.0
     np.testing.assert_array_equal(rep.witness[0].a, 1e6 * np.eye(2))
 
@@ -428,16 +464,16 @@ def test_distance_scan_explicit_pair_distance_is_exactly_one():
 
 
 def test_distance_scan_monotone_in_budget():
-    sig1 = ComponentSignature((1, 2), 3)
-    sig2 = ComponentSignature((2, 1), 3)
+    sig1 = ComponentSignature((1, 2))
+    sig2 = ComponentSignature((2, 1))
     small = distance_scan(sig1, sig2, R01, budget=20, seed=5)
     large = distance_scan(sig1, sig2, R01, budget=40, seed=5)
     assert large.best_distance <= small.best_distance
 
 
 def test_distance_scan_deterministic():
-    sig1 = ComponentSignature((1, 1), 2)
-    sig2 = ComponentSignature((0, 2), 2)
+    sig1 = ComponentSignature((1, 1))
+    sig2 = ComponentSignature((0, 2))
     r1 = distance_scan(sig1, sig2, R01, budget=15, seed=3)
     r2 = distance_scan(sig1, sig2, R01, budget=15, seed=3)
     assert r1.best_distance == r2.best_distance
@@ -445,8 +481,8 @@ def test_distance_scan_deterministic():
 
 
 def test_distance_scan_parallel_matches_serial():
-    sig1 = ComponentSignature((1, 1), 2)
-    sig2 = ComponentSignature((0, 2), 2)
+    sig1 = ComponentSignature((1, 1))
+    sig2 = ComponentSignature((0, 2))
     budget = 2 * _scan_block_size(2) + 5  # two full blocks and a partial one
     serial = distance_scan(sig1, sig2, R01, budget=budget, seed=3)
     parallel = distance_scan(sig1, sig2, R01, budget=budget, seed=3, workers=2)
@@ -456,14 +492,14 @@ def test_distance_scan_parallel_matches_serial():
 
 
 def test_distance_scan_preconditions():
-    sig = ComponentSignature((1, 2), 3)
+    sig = ComponentSignature((1, 2))
     with pytest.raises(BadSignature):
         distance_scan(sig, sig, R01, budget=5, seed=0)
     with pytest.raises(BadSignature):
-        distance_scan(sig, ComponentSignature((2, 2), 4), R01, budget=5, seed=0)
+        distance_scan(sig, ComponentSignature((2, 2)), R01, budget=5, seed=0)
     with pytest.raises(BadSignature, match=r"^signature \(1, 2, 0\) does not fit 2 roots$"):
-        distance_scan(ComponentSignature((1, 2, 0), 3), sig, R01, budget=5, seed=0)
-    other = ComponentSignature((2, 1), 3)
+        distance_scan(ComponentSignature((1, 2, 0)), sig, R01, budget=5, seed=0)
+    other = ComponentSignature((2, 1))
     with pytest.raises(BadSignature):
         distance_scan(sig, other, R01, budget=0, seed=0)
     with pytest.raises(BadSignature):
@@ -599,7 +635,7 @@ def _block(ks, sig1, sig2, roots, self_adjoint, seed=11, incumbent=np.inf):
 def test_scan_block_is_bit_identical_to_per_restart_descent(ranks1, ranks2, roots, self_adjoint,
                                                             monkeypatch):
     m = sum(ranks1)
-    sig1, sig2 = ComponentSignature(ranks1, m), ComponentSignature(ranks2, m)
+    sig1, sig2 = ComponentSignature(ranks1), ComponentSignature(ranks2)
     roots = validate_roots(list(roots))
     budget = 7
     trails = _reference_trails(range(budget), sig1, sig2, roots, self_adjoint)
@@ -630,7 +666,7 @@ def test_scan_chunks_that_do_not_divide_the_steps_are_bit_identical(ranks1, rank
     monkeypatch.setattr(components, "_SCAN_CHUNK", 7)
     monkeypatch.setattr(components, "_SCAN_ITERS", iters)
     m = sum(ranks1)
-    sig1, sig2 = ComponentSignature(ranks1, m), ComponentSignature(ranks2, m)
+    sig1, sig2 = ComponentSignature(ranks1), ComponentSignature(ranks2)
     roots = validate_roots(list(roots))
     trails = _reference_trails(range(5), sig1, sig2, roots, self_adjoint, iters)
     for ks in (range(5), [3, 1]):
@@ -657,7 +693,7 @@ def test_scan_draws_perturbations_only_while_a_restart_is_live(iters, monkeypatc
     chunk, m, n = 7, 3, 8
     monkeypatch.setattr(components, "_SCAN_CHUNK", chunk)
     monkeypatch.setattr(components, "_SCAN_ITERS", iters)
-    sig1, sig2 = ComponentSignature((1, 2), m), ComponentSignature((2, 1), m)
+    sig1, sig2 = ComponentSignature((1, 2)), ComponentSignature((2, 1))
     # the steps each restart runs unpruned: its trail holds its start and one state per step
     trails = _reference_trails(range(n), sig1, sig2, R01, False, iters)
     steps = [len(trails[k]) - 1 for k in range(n)]
@@ -818,7 +854,7 @@ def test_budget_200_scan_runs_few_blocks(ranks1, ranks2, roots, blocks, monkeypa
     block = components._scan_block
     monkeypatch.setattr(components, "_scan_block", lambda ks, **kw: calls.append(len(ks)) or block(ks, **kw))
     m = sum(ranks1)
-    distance_scan(ComponentSignature(ranks1, m), ComponentSignature(ranks2, m),
+    distance_scan(ComponentSignature(ranks1), ComponentSignature(ranks2),
                   validate_roots(list(roots)), budget=200, seed=0)
     assert len(calls) == blocks and sum(calls) == 200
     # the chunk buffer of a full block stays within the byte cap
@@ -877,7 +913,7 @@ def test_scan_restart_ignores_block_boundaries_and_budget():
     # own best, so where a pruned restart stops depends on its company; every
     # row stays a state of its own descent, and the restarts split over
     # blocks elect the whole block's winner
-    sig1, sig2 = ComponentSignature((1, 2), 3), ComponentSignature((2, 1), 3)
+    sig1, sig2 = ComponentSignature((1, 2)), ComponentSignature((2, 1))
     trails = _reference_trails(range(9), sig1, sig2, R01, False)
 
     def winner(blocks):
@@ -1030,7 +1066,7 @@ def test_scan_samples_with_one_stacked_qr_per_signature_and_block(ranks1, ranks2
     calls = []
     qr = np.linalg.qr
     monkeypatch.setattr(np.linalg, "qr", lambda z: calls.append(z.shape) or qr(z))
-    distance_scan(ComponentSignature(ranks1, 3), ComponentSignature(ranks2, 3), R01,
+    distance_scan(ComponentSignature(ranks1), ComponentSignature(ranks2), R01,
                   budget=10, seed=2, self_adjoint=self_adjoint)
     shape = (3, 3) if self_adjoint else (2, 3, 3)  # U, or U and V side by side
     assert calls == [(b,) + shape for b in (4, 4, 2) for _ in range(sampled)]
@@ -1047,8 +1083,8 @@ def test_frobenius_is_bit_exact_with_numpy_norm(m):
 def test_three_root_scan_runs_and_logs():
     roots = validate_roots([0, 1, 2])
     rep = distance_scan(
-        ComponentSignature((1, 1, 1), 3),
-        ComponentSignature((0, 2, 1), 3),
+        ComponentSignature((1, 1, 1)),
+        ComponentSignature((0, 2, 1)),
         roots,
         budget=25,
         seed=1,

@@ -18,7 +18,7 @@ from algpaths.errors import (
     PreconditionError,
     SubspaceSplitFailed,
 )
-from algpaths.matkernel import MatrixPolynomial, ToleranceConfig, operator_norm, poly_from_roots
+from algpaths.matkernel import MatrixPolynomial, ToleranceConfig, _frobenius, operator_norm, poly_from_roots
 from algpaths.paths import (
     PolynomialPath,
     connect_exp_global,
@@ -103,6 +103,21 @@ def test_exp_global_antipodal_two_generators():
     assert cert.worst_membership <= 1e-9
 
 
+@pytest.mark.parametrize("roots, ranks", [((1, 1j, -1), (1, 0, 2)), ((1, 1j, -1, -1j), (2, 0, 1, 0))],
+                         ids=["1,i,-1", "1,i,-1,-i"])
+def test_selfadjoint_paths_over_roots_with_non_real_ones(roots, ranks):
+    # rank 0 at the non-real roots: a Hermitian pair, and a unitary path between them
+    roots = validate_roots(roots)
+    for s in range(5):
+        a = random_element(ranks, roots, seed=(s, 0), self_adjoint=True)
+        b = random_element(ranks, roots, seed=(s, 1), self_adjoint=True)
+        path = connect_selfadjoint(a, b)
+        assert path.self_adjoint_mode
+        cert = verify_path(path, expected_endpoint=b.a)
+        assert cert.worst_membership <= 1e-13 and cert.endpoint_error <= 1e-13
+        assert cert.worst_hermiticity <= 1e-13
+
+
 def test_exp_global_keeps_two_generators_for_close_pairs():
     # a pair close enough for the local constructor still gets the polar pair
     roots = validate_roots([0, 1, 2])
@@ -123,7 +138,7 @@ def test_exp_global_random_pairs_certify():
         a = random_element(ranks, roots, seed=(s, 13))
         b = random_element(ranks, roots, seed=(s, 14))
         path = connect_exp_global(a, b)
-        cert = verify_path(path, expected_endpoint=b.a, samples=25)
+        cert = verify_path(path, expected_endpoint=b.a)
         assert cert.worst_membership <= 1e-9
 
 
@@ -177,12 +192,12 @@ def test_selfadjoint_requires_hermitian_inputs():
     b = certify(E, R01)
     with pytest.raises(NotSelfAdjoint):
         connect_selfadjoint(a, b)
-    # Hermitian elements over roots that are not all real
+    # Hermitian elements over roots that are not all real: rank 0 at i, so they connect
     roots = validate_roots([0, 1, 1j])
     a, b = certify(F_SWAP, roots), certify(E, roots)
     assert a.self_adjoint and b.self_adjoint
-    with pytest.raises(NotSelfAdjoint, match="need an all-real root system"):
-        connect_selfadjoint(a, b)
+    cert = verify_path(connect_selfadjoint(a, b), expected_endpoint=b.a)
+    assert cert.worst_membership <= 1e-14 and cert.endpoint_error <= 1e-14
 
 
 def test_selfadjoint_random_pairs_stay_hermitian():
@@ -195,7 +210,7 @@ def test_selfadjoint_random_pairs_stay_hermitian():
         a = random_element(ranks, roots, seed=(s, 16), self_adjoint=True)
         b = random_element(ranks, roots, seed=(s, 17), self_adjoint=True)
         path = connect_selfadjoint(a, b)
-        cert = verify_path(path, expected_endpoint=b.a, samples=30)
+        cert = verify_path(path, expected_endpoint=b.a)
         assert cert.worst_hermiticity <= 1e-9
         assert cert.worst_membership <= 1e-9
 
@@ -929,10 +944,10 @@ def _reference_value(path, t):
     return g @ path.base.a @ ginv
 
 
-def _reference_samples(path, roots, samples):
-    """(t, x, membership residual, its scale, hermiticity residual, ||x||) per sample."""
+def _reference_samples(path, roots):
+    """(t, x, membership residual, its scale, hermiticity residual, ||x||) per sample of the grid."""
     out = []
-    for t in np.linspace(0.0, 1.0, samples):
+    for t in paths._GRID:
         x = _reference_value(path, float(t))
         value = np.eye(x.shape[0], dtype=complex)
         norm_x = operator_norm(x)
@@ -968,16 +983,15 @@ GRID_SHAPES = [(m, k, sa) for sa in (False, True) for k in (1, 2, 3) for m in (2
                          ids=[f"{'sa' if sa else 'gen'}-k{k}-m{m}" for m, k, sa in GRID_SHAPES])
 def test_exp_grid_matches_per_sample_reference(m, k, self_adjoint):
     path, roots = _exp_path(m, k, self_adjoint, seed=41)
-    ref = _reference_samples(path, roots, samples=40)
-    ts = np.linspace(0.0, 1.0, 40)
-    xs = path.values(ts)
+    ref = _reference_samples(path, roots)
+    xs = path.values(paths._GRID)
     for (t, x, *_), got in zip(ref, xs):
         assert operator_norm(got - x) <= 1e-13 * operator_norm(x)
         assert operator_norm(path.value(t) - x) <= 1e-13 * operator_norm(x)
     assert xs[0].tobytes() == path.base.a.tobytes()  # bit for bit, signed zeros too
     assert path.value(0.0).tobytes() == path.base.a.tobytes()
 
-    cert = verify_path(path, roots, expected_endpoint=ref[-1][1], samples=40)
+    cert = verify_path(path, roots, expected_endpoint=ref[-1][1])
     scale = max(s[3] for s in ref)
     assert abs(cert.worst_membership - max(s[2] for s in ref)) <= 1e-13 * scale
     assert cert.endpoint_error <= 1e-13 * operator_norm(ref[-1][1])
@@ -1024,7 +1038,7 @@ def test_exp_grid_reports_the_first_failing_sample():
     off[0, 1] += 1e-6
     base = type(path.base)(a=off, roots=roots, residual=0.0, self_adjoint=False)
     path = paths.ExpSimilarityPath(base=base, generators=path.generators)
-    ref = _reference_samples(path, roots, samples=100)
+    ref = _reference_samples(path, roots)
     ratios = np.array([res / scale for _, _, res, scale, _, _ in ref])
     assert ratios[0] < ratios.max()
     for tol in (ratios[0] * (ratios.max() / ratios[0]) ** q for q in (0.3, 0.6, 0.9)):
@@ -1067,8 +1081,8 @@ def test_verify_exp_path_calls_expm_once_per_generator_and_block(m, k, self_adjo
         monkeypatch.setattr(module, name,
                             lambda *a, _real=real, _seen=calls[name], **kw: _seen.append(a[0].shape) or _real(*a, **kw))
     end = path.value(1.0)
-    verify_path(path, roots, expected_endpoint=end, samples=100)
-    verify_path(path, roots, expected_endpoint=end, samples=100)
+    verify_path(path, roots, expected_endpoint=end)
+    verify_path(path, roots, expected_endpoint=end)
     assert calls["expm"] == [] and calls["schur"] == []
     assert len(calls["eigh"]) == (k if self_adjoint else 0)
     assert len(calls["eig"]) == len(calls["inv"]) == (0 if self_adjoint else k)
@@ -1080,8 +1094,8 @@ def test_verify_exp_path_calls_expm_once_per_generator_and_block(m, k, self_adjo
     path = paths.ExpSimilarityPath(base=path.base, generators=_jordan_generators(m, k, seed=53))
     end = path.value(1.0)
     calls["expm"].clear()
-    verify_path(path, roots, expected_endpoint=end, samples=100)
-    verify_path(path, roots, expected_endpoint=end, samples=100)
+    verify_path(path, roots, expected_endpoint=end)
+    verify_path(path, roots, expected_endpoint=end)
     per_block = max(1, paths._GRID_BLOCK_BYTES // (16 * m * m))
     blocks = -(-100 // per_block)
     assert len(calls["expm"]) == 2 * 2 * k * blocks
@@ -1287,7 +1301,13 @@ def test_verify_rejects_paths_whose_magnitude_overflows():
 # ||x - x*|| from a stacked SVD, and the certificate's worst values from each
 # sample's np.linalg.norm (its operator norm where that is not finite).  The
 # bracketed verifier must give the same certificate, or the same failure, bit
-# for bit.
+# for bit.  Both read the grid paths._GRID, which the tests below set to other
+# sizes with _use_grid.
+
+
+def _use_grid(monkeypatch, samples):
+    """Certify at ``samples`` evenly spaced t (t = 1 alone for one): the grid ends where the endpoint is read."""
+    monkeypatch.setattr(paths, "_GRID", np.linspace(0.0, 1.0, samples) if samples > 1 else np.ones(1))
 
 
 def _reported(defects, exact):
@@ -1295,7 +1315,7 @@ def _reported(defects, exact):
     return float(np.where(np.isfinite(fro), fro, exact).max())
 
 
-def _oracle_verify_exponential(path, roots, cfg, expected_endpoint, samples):
+def _oracle_verify_exponential(path, roots, cfg, expected_endpoint):
     worst_mem = 0.0
     worst_herm = 0.0 if path.self_adjoint_mode else None
     if path.self_adjoint_mode:
@@ -1304,9 +1324,9 @@ def _oracle_verify_exponential(path, roots, cfg, expected_endpoint, samples):
             if h > cfg.residual_tol * (1.0 + operator_norm(c)):
                 raise CertificationFailed(f"generator {i} is not Hermitian: {h:.3e}", coefficient=i, value=h)
             worst_herm = max(worst_herm, h)
-    grid = np.linspace(0.0, 1.0, samples)
+    grid = paths._GRID
     step = max(1, paths._GRID_BLOCK_BYTES // (16 * path.base.dim**2))
-    for lo in range(0, samples, step):
+    for lo in range(0, grid.size, step):
         ts = grid[lo : lo + step]
         with np.errstate(over="ignore", invalid="ignore"):
             x = path.values(ts)
@@ -1330,11 +1350,10 @@ def _oracle_verify_exponential(path, roots, cfg, expected_endpoint, samples):
             worst_herm = max(worst_herm, _reported(x - x.conj().swapaxes(-1, -2), herm))
     endpoint_error = None
     if expected_endpoint is not None:
-        end = x[-1] if samples > 1 else path.value(1.0)
-        endpoint_error = paths._endpoint_error(end, expected_endpoint, cfg)
+        endpoint_error = paths._endpoint_error(x[-1], expected_endpoint, cfg)
     return paths.PathCertificate(kind="exponential", worst_membership=worst_mem,
                                  endpoint_error=endpoint_error, worst_hermiticity=worst_herm,
-                                 samples=samples)
+                                 samples=grid.size)
 
 
 def _outcome(verify, *args):
@@ -1345,9 +1364,9 @@ def _outcome(verify, *args):
         return type(exc).__name__, str(exc), repr(vars(exc))
 
 
-def _assert_matches_the_oracle(path, roots, cfg, samples, expected_endpoint=None):
-    got = _outcome(verify_path, path, roots, cfg, expected_endpoint, samples)
-    want = _outcome(_oracle_verify_exponential, path, roots, cfg, expected_endpoint, samples)
+def _assert_matches_the_oracle(path, roots, cfg, expected_endpoint=None):
+    got = _outcome(verify_path, path, roots, cfg, expected_endpoint)
+    want = _outcome(_oracle_verify_exponential, path, roots, cfg, expected_endpoint)
     assert got == want
     return want
 
@@ -1382,13 +1401,13 @@ def _oracle_bases(m, self_adjoint):
         generators=path.generators, self_adjoint_mode=self_adjoint) for b in bases], roots
 
 
-def _oracle_tolerances(path, roots, samples):
+def _oracle_tolerances(path, roots):
     """The default tolerance, and per check three taken from the ratios of the
     samples' exact defects to their scales: the ratio at t = 0, which fails the
     samples above it along the path; the largest, which ties the worst sample
     with its own tolerance to rounding; and just below the largest, which fails
     the worst sample alone, whichever samples the brackets clear around it."""
-    x = path.values(np.linspace(0.0, 1.0, samples))
+    x = path.values(paths._GRID)
     value, scale, norm_x = algebraic.eval_defining_poly(x, roots)
     ratios = [np.linalg.svd(value, compute_uv=False)[:, 0] / scale]
     if path.self_adjoint_mode:
@@ -1400,13 +1419,13 @@ def _oracle_tolerances(path, roots, samples):
 ORACLE_SHAPES = [(m, n, sa) for sa in (False, True) for m in (2, 16, 32) for n in (1, 2, 100, 257)]
 
 
-def _assert_sweep_matches_the_oracle(m, samples, self_adjoint):
+def _assert_sweep_matches_the_oracle(m, self_adjoint):
     variants, roots = _oracle_bases(m, self_adjoint)
     kinds, failed_at = set(), set()
     for path in variants:
         end = path.value(1.0)
-        for tol in _oracle_tolerances(path, roots, samples):
-            want = _assert_matches_the_oracle(path, roots, ToleranceConfig(residual_tol=tol), samples, end)
+        for tol in _oracle_tolerances(path, roots):
+            want = _assert_matches_the_oracle(path, roots, ToleranceConfig(residual_tol=tol), end)
             if isinstance(want, tuple):
                 kinds.add(want[1].split(" at t = ")[0])
                 failed_at.add(want[1].split(" at t = ")[1][:6])
@@ -1416,14 +1435,15 @@ def _assert_sweep_matches_the_oracle(m, samples, self_adjoint):
     if self_adjoint:
         expected.add("path leaves the self-adjoint set")
     assert expected <= kinds
-    if samples > 2:
+    if paths._GRID.size > 2:
         assert failed_at - {"0.0000"}  # some failure lies beyond the first sample
 
 
 @pytest.mark.parametrize("m, samples, self_adjoint", ORACLE_SHAPES,
                          ids=[f"{'sa' if sa else 'gen'}-m{m}-n{n}" for m, n, sa in ORACLE_SHAPES])
-def test_verify_exponential_matches_the_svd_oracle(m, samples, self_adjoint):
-    _assert_sweep_matches_the_oracle(m, samples, self_adjoint)
+def test_verify_exponential_matches_the_svd_oracle(m, samples, self_adjoint, monkeypatch):
+    _use_grid(monkeypatch, samples)
+    _assert_sweep_matches_the_oracle(m, self_adjoint)
 
 
 def _overflowing_paths(self_adjoint):
@@ -1442,23 +1462,31 @@ def _overflowing_paths(self_adjoint):
 
 @pytest.mark.parametrize("self_adjoint", [False, True], ids=["general", "self-adjoint"])
 @pytest.mark.parametrize("samples", [1, 2, 100, 257])
-def test_verify_exponential_overflow_matches_the_svd_oracle(samples, self_adjoint):
+def test_verify_exponential_overflow_matches_the_svd_oracle(samples, self_adjoint, monkeypatch):
+    _use_grid(monkeypatch, samples)
     cases, roots = _overflowing_paths(self_adjoint)
     for path in cases:
-        want = _assert_matches_the_oracle(path, roots, ToleranceConfig(), samples)
+        want = _assert_matches_the_oracle(path, roots, ToleranceConfig())
         if samples > 2 or self_adjoint:
             assert want[0] == "MagnitudeOverflow"
 
 
-def _loose_bounds(stack):
-    """A valid bracket far looser than the Frobenius one: the computed norm times
-    a random factor in [1/4, 1] below and in [1, 4] above."""
-    finite = np.isfinite(stack).all(axis=(-2, -1))
-    sigma = np.zeros(stack.shape[:-2])
-    sigma[finite] = np.linalg.svd(stack[finite], compute_uv=False)[:, 0]
-    rng = np.random.default_rng(sigma.size)
-    lo = sigma * rng.uniform(0.25, 1.0, sigma.shape)
-    return lo, np.where(finite, sigma * rng.uniform(1.0, 4.0, sigma.shape), np.inf)
+_frobenius_bounds = paths._sample_bounds
+
+
+def _bounds(stack):
+    """:func:`paths._sample_bounds` of a stack, from its Frobenius norms as the verifier takes them."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _frobenius_bounds(_frobenius(stack), stack.shape[-1])
+
+
+def _loose_bounds(fro, m):
+    """A valid bracket far looser than the Frobenius one: its lower end times a
+    random factor in [1/4, 1], its upper end times one in [1, 4]."""
+    lo, hi = _frobenius_bounds(fro, m)
+    rng = np.random.default_rng(lo.size)
+    with np.errstate(over="ignore"):
+        return lo * rng.uniform(0.25, 1.0, lo.shape), hi * rng.uniform(1.0, 4.0, hi.shape)
 
 
 @pytest.mark.parametrize("self_adjoint", [False, True], ids=["general", "self-adjoint"])
@@ -1468,9 +1496,10 @@ def test_verify_exponential_needs_only_a_valid_bracket(m, samples, self_adjoint,
     # more samples reach the exact checks, and the outcome is still the
     # oracle's, bit for bit
     monkeypatch.setattr(paths, "_sample_bounds", _loose_bounds)
-    _assert_sweep_matches_the_oracle(m, samples, self_adjoint)
+    _use_grid(monkeypatch, samples)
+    _assert_sweep_matches_the_oracle(m, self_adjoint)
     for path in _overflowing_paths(self_adjoint)[0]:
-        _assert_matches_the_oracle(path, path.base.roots, ToleranceConfig(), samples)
+        _assert_matches_the_oracle(path, path.base.roots, ToleranceConfig())
 
 
 def test_verify_exponential_rows_holding_the_max_may_pass_before_a_failing_sample():
@@ -1482,7 +1511,7 @@ def test_verify_exponential_rows_holding_the_max_may_pass_before_a_failing_sampl
     base = AlgebraicElement(a=np.array([[1 + d, 100], [0, d]], dtype=complex), roots=R01,
                             residual=0.0, self_adjoint=False)
     path = paths.ExpSimilarityPath(base=base, generators=(np.diag([-2.0, 2.0]).astype(complex),))
-    want = _assert_matches_the_oracle(path, R01, ToleranceConfig(), 100)
+    want = _assert_matches_the_oracle(path, R01, ToleranceConfig())
     assert want[1].startswith("membership fails at t = 0.")
     assert not want[1].startswith("membership fails at t = 0.0000")
 
@@ -1494,14 +1523,14 @@ def test_verify_exponential_scale_bracket_straddling_the_float_maximum():
     s = np.sqrt(big / 2) * (1 - 16 * np.finfo(float).eps)
     roots = validate_roots([0, s])
     base = AlgebraicElement(a=s * E, roots=roots, residual=0.0, self_adjoint=True)
-    lo, hi = paths._sample_bounds(base.a[None])
+    lo, hi = _bounds(base.a[None])
     with pytest.raises(MagnitudeOverflow):
         roots.magnitude(hi)
     assert np.isfinite(roots.magnitude(operator_norm(base.a)))
     for self_adjoint in (False, True):
         path = paths.ExpSimilarityPath(base=base, generators=(np.zeros((2, 2), dtype=complex),),
                                        self_adjoint_mode=self_adjoint)
-        cert = _assert_matches_the_oracle(path, roots, ToleranceConfig(), 100, base.a)
+        cert = _assert_matches_the_oracle(path, roots, ToleranceConfig(), base.a)
         assert "worst_membership=0.0" in cert
 
 
@@ -1527,7 +1556,7 @@ def _bracket_stacks(m, seed):
 def test_sample_bounds_bracket_the_computed_norm(m):
     floor = 2 * m * np.sqrt(np.finfo(float).tiny)
     for stack in _bracket_stacks(m, seed=97):
-        lo, hi = paths._sample_bounds(stack)
+        lo, hi = _bounds(stack)
         sigma = np.linalg.svd(stack, compute_uv=False)[..., 0]
         assert np.all(lo <= sigma) and np.all(sigma <= hi)
         # at most sqrt(m) apart, plus the slack and the underflow floor
@@ -1542,7 +1571,7 @@ def test_sample_bounds_of_non_finite_matrices():
     stack[2, 1, 2] = complex(0.0, -np.inf)
     stack[3, 0, 1] = 1e200  # finite, but its square overflows
     stack[4] = np.eye(3)
-    lo, hi = paths._sample_bounds(stack)
+    lo, hi = _bounds(stack)
     np.testing.assert_array_equal(lo[:4], 0.0)
     np.testing.assert_array_equal(hi[:4], np.inf)
     assert lo[4] <= 1.0 <= hi[4]
@@ -1556,18 +1585,6 @@ def test_a_passing_grid_takes_no_svd(self_adjoint, monkeypatch):
     end = path.value(1.0)
     shapes, svd = [], np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: shapes.append(np.shape(a)) or svd(a, *args, **kw))
-    cert = verify_path(path, roots, expected_endpoint=end, samples=257)  # five blocks of 64 samples
+    cert = verify_path(path, roots, expected_endpoint=end)  # two blocks, of 64 and 36 samples
     assert shapes == [(8, 8)] * (2 + 2 * len(path.generators) * self_adjoint)
-    assert cert.samples == 257 and cert.worst_membership > 0.0
-
-
-@pytest.mark.parametrize("samples", [0, -1, 2.5, True])
-def test_verify_path_needs_a_positive_integer_sample_count(samples):
-    # samples=0 used to certify an exponential path without evaluating it, and
-    # a negative count ended in a bare numpy ValueError
-    base = certify(E, R01)
-    path = paths.ExpSimilarityPath(base=base, generators=(np.array([[0, 800], [800, 0]], dtype=complex),))
-    with pytest.raises(PreconditionError, match=rf"^samples must be an integer >= 1, got {samples!r}$"):
-        verify_path(path, samples=samples)
-    with pytest.raises(MagnitudeOverflow):
-        verify_path(path, samples=np.int64(2))
+    assert cert.samples == 100 and cert.worst_membership > 0.0

@@ -49,8 +49,10 @@ def test_matrix_json_layout():
 
 
 def test_signature_roundtrip():
-    sig = ComponentSignature((1, 2, 0), 3)
-    assert ComponentSignature(**signature_to_json(sig)) == sig
+    sig = ComponentSignature((1, 2, 0))
+    obj = signature_to_json(sig)
+    assert obj == {"ranks": [1, 2, 0], "dim": 3}  # the report keeps dim, derived from the ranks
+    assert ComponentSignature(obj["ranks"]) == sig
 
 
 def test_partition_and_witness_serialize():
@@ -65,7 +67,7 @@ def test_partition_and_witness_serialize():
 
 def test_scan_report_json_and_csv():
     rep = distance_scan(
-        ComponentSignature((1, 1), 2), ComponentSignature((0, 2), 2), R01, budget=5, seed=2
+        ComponentSignature((1, 1)), ComponentSignature((0, 2)), R01, budget=5, seed=2
     )
     obj = scan_report_to_json(rep)
     assert obj["restarts"] == 5 and obj["seed"] == 2
@@ -308,6 +310,14 @@ _ELEMENT_2 = {"matrix": {"dim": 2, "entries": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0
     (matrix_from_json, {"dim": 1.0, "entries": [[1.0, 0.0]]}, "dim must be an integer >= 1, got 1.0"),
     (matrix_from_json, {"dim": "2", "entries": [[1.0, 0.0]] * 4}, "dim must be an integer >= 1, got '2'"),
     (matrix_from_json, {"dim": True, "entries": [[1.0, 0.0]]}, "dim must be an integer >= 1, got True"),
+    # a mode flag is JSON true or false: "false" used to read as true, null, 0, [] and {} as false
+    *((path_from_json, {"kind": "exp", "base": _ELEMENT, "generators": [], "self_adjoint_mode": flag},
+       f"field 'self_adjoint_mode' must be true or false, got {type(flag).__name__}")
+      for flag in ("false", "no", None, 0, 1, [], {})),
+    *((path_from_json, {"kind": "polynomial", "coeffs": [_M1], "certificate": 0.0, "self_adjoint": flag},
+       f"field 'self_adjoint' must be true or false, got {type(flag).__name__}")
+      for flag in ("false", None, 0)),
+    (path_from_json, {"kind": "exp", "base": _ELEMENT, "generators": []}, "missing field 'self_adjoint_mode'"),
 ])
 def test_malformed_wire_objects_are_preconditions(read, obj, message):
     with pytest.raises(PreconditionError, match=re.escape(message)):
