@@ -5,8 +5,8 @@ JSON (or CSV) report: same configuration and seed, byte-identical output.
 Reports embed the full configuration, the tool version, and enough data
 (matrices, seeds, certificates) to re-verify offline with ``verify``.
 
-Exit codes: 0 success, 2 a certificate failed, 3 a precondition was violated,
-64 usage error.
+Exit codes: 0 success, 2 a certificate failed (or a suite item did), 3 a
+precondition was violated (an unwritable --out among them), 64 usage error.
 """
 
 from __future__ import annotations
@@ -74,9 +74,6 @@ _roots_flag = _checked_text(_parse_roots, "comma-separated complex numbers")
 _sig_flag = _checked_text(_parse_sig, "comma-separated integers")
 
 
-_THREADS_FROM_ENV = "$ALGPATHS_THREADS"
-
-
 def _int_at_least(low: int):
     """Flag type: an integer ``>= low``, anything else a usage error."""
 
@@ -94,15 +91,6 @@ def _int_at_least(low: int):
 
 _non_negative = _int_at_least(0)
 _positive = _int_at_least(1)
-
-
-def _threads(text: str) -> int:
-    # argparse also runs this on a string default, on every parse, so the
-    # parser can be built once while a bad ALGPATHS_THREADS stays a usage
-    # error of the one subcommand that reads it
-    if text == _THREADS_FROM_ENV:
-        text = os.environ.get("ALGPATHS_THREADS", "1")
-    return _positive(text)
 
 
 def _float_flag(text: str, ok, expected: str) -> float:
@@ -132,6 +120,18 @@ def _load_json(path: str) -> dict:
     if not isinstance(obj, dict):
         raise PreconditionError(f"{path} does not hold a JSON object")
     return obj
+
+
+def _write(path, text: str, mode: str = "w") -> None:
+    """Write ``text`` to the file ``path``, or to stdout when there is none."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, mode, encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise PreconditionError(f"cannot write {path}: {exc}") from None
 
 
 def _load_element(path: str, cfg: ToleranceConfig, roots_flag=None):
@@ -258,22 +258,15 @@ def _cmd_distance(ns, cfg):
     roots = validate_roots(_parse_roots(ns.roots))
     sig1, sig2 = ComponentSignature(_parse_sig(ns.sig)), ComponentSignature(_parse_sig(ns.sig2))
     report = distance_scan(sig1, sig2, roots, budget=ns.budget, seed=ns.seed,
-                           self_adjoint=ns.self_adjoint, cfg=cfg, workers=ns.threads)
+                           self_adjoint=ns.self_adjoint, cfg=cfg)
     if ns.format == "json":
         return ser.scan_report_to_json(report), EXIT_OK
-    row = ser.scan_csv_row(report) + "\n"
-    if ns.out:
-        # scan batches accumulate: append rows, write the header once
-        try:
-            fresh = os.path.getsize(ns.out) == 0
-        except OSError:
-            fresh = True
-        with open(ns.out, "a", encoding="utf-8") as fh:
-            if fresh:
-                fh.write(ser.SCAN_CSV_HEADER + "\n")
-            fh.write(row)
-    else:
-        sys.stdout.write(ser.SCAN_CSV_HEADER + "\n" + row)
+    # scan batches accumulate in a file: append rows, write the header once
+    try:
+        fresh = not ns.out or os.path.getsize(ns.out) == 0
+    except OSError:
+        fresh = True
+    _write(ns.out, (ser.SCAN_CSV_HEADER + "\n" if fresh else "") + ser.scan_csv_row(report) + "\n", "a")
     return None, EXIT_OK
 
 
@@ -289,7 +282,7 @@ def _cmd_mindeg(ns, cfg):
 
 def _cmd_suite(ns, cfg):
     outcome = run_suite(seed=ns.seed, samples=ns.samples, budget=ns.budget, cfg=cfg, stream=sys.stdout)
-    return outcome, EXIT_OK if outcome["all_passed"] else 1
+    return outcome, EXIT_OK if outcome["all_passed"] else EXIT_CERTIFICATION
 
 
 # -- wiring ---------------------------------------------------------------------
@@ -370,9 +363,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=_positive, default=1000, help="scan restarts, >= 1")
     p.add_argument("--self-adjoint", action="store_true")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--threads", type=_threads, default=_THREADS_FROM_ENV,
-                   help="worker processes for the restart blocks (default: $ALGPATHS_THREADS or 1); "
-                        "the scan result does not depend on it")
+    # the scan runs in one process; the flag stays so that the command lines
+    # and report configs that pass --threads 1 still parse
+    p.add_argument("--threads", type=int, choices=[1], default=1,
+                   help="accepts only 1: the scan runs in one process")
     _add_common(p)
     p.set_defaults(func=_cmd_distance)
 
@@ -435,19 +429,14 @@ def main(argv=None) -> int:
     try:
         ns = _parse(_parser(), argv)
         result, code = ns.func(ns, _tolerances(ns))
+        if result is not None:
+            _write(ns.out, ser.canonical_dumps(_report(ns, result)))
     except PreconditionError as exc:
         print(f"algpaths: precondition: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except CertificationError as exc:
         print(f"algpaths: certification failed: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATION
-    if result is not None:
-        text = ser.canonical_dumps(_report(ns, result))
-        if ns.out:
-            with open(ns.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
     return code
 
 

@@ -13,7 +13,6 @@ between distinct components.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -298,9 +297,9 @@ def _scan_block(ks, seed, sig1, sig2, roots, self_adjoint, cfg, incumbent=np.inf
     distance and stops once the step collapses, at entry when it starts on
     the proven floor :func:`_distance_floor`, or as soon as a proven lower
     bound on every distance its remaining steps can reach
-    (:func:`_reach_floor`) lies above the best distance so far: the block's
-    own, or ``incumbent`` when that is smaller (a serial scan passes the best
-    distance of the blocks it has already run).  Perturbations are drawn
+    (:func:`_reach_floor`) lies above the best distance so far, the smaller
+    of the block's own and ``incumbent``, the best of the blocks run before
+    it.  Perturbations are drawn
     ``_SCAN_CHUNK`` steps at a time, by the restarts still live, into one
     ``(B, _SCAN_CHUNK, m, m)`` buffer; the generator's stream does not depend
     on how its draws are chunked.  The stacked linear algebra works matrix by
@@ -393,7 +392,6 @@ def distance_scan(
     seed: int,
     self_adjoint: bool = False,
     cfg: ToleranceConfig = ToleranceConfig(),
-    workers: int = 1,
 ) -> DistanceScanReport:
     """Randomized probe of the distance between two components.
 
@@ -408,12 +406,10 @@ def distance_scan(
     ``_SCAN_CHUNK`` steps, takes at most ``_SCAN_BLOCK_BYTES``, so memory is
     bounded by the dimension whatever the budget.  A block samples its pairs
     on stacked arrays, one :func:`random_elements` call per signature, and
-    every sampled element is certified.  ``workers > 1`` splits the restarts
-    into at least that many blocks and maps them over that many processes.
-    A block stops a restart once it provably cannot reach the best distance
-    so far: in a serial scan the best of all restarts run so far, in a pool
-    the best of the block's own.  The reported restart is never stopped and
-    comes out bit-identical, so the report does not change.
+    every sampled element is certified.  A block stops a restart once it
+    provably cannot reach the best distance of all restarts run so far; the
+    reported restart is never stopped and comes out bit-identical, so the
+    report does not depend on the block size.
     """
     if sig1 == sig2:
         raise BadSignature("distance scan needs two distinct signatures")
@@ -426,35 +422,15 @@ def distance_scan(
             _require_real_spectrum(s.ranks, roots)
     if budget < 1:
         raise BadSignature("budget must be positive")
-    if workers < 1:
-        raise BadSignature("workers must be positive")
 
-    # with a pool, at least one block per worker
-    size = min(_scan_block_size(sig1.dim), -(-budget // workers))
-    blocks = [range(s, min(s + size, budget)) for s in range(0, budget, size)]
-    task = partial(_scan_block, seed=seed, sig1=sig1, sig2=sig2, roots=roots,
-                   self_adjoint=self_adjoint, cfg=cfg)
-
-    def best(results):
-        rows = (row for ks, (d, x, y) in zip(blocks, results) for row in zip(d, ks, x, y))
-        return min(rows, key=lambda row: (row[0], row[1]))
-
-    def serial():
-        # each block prunes against the best distance of every block run before it
-        incumbent = np.inf
-        for ks in blocks:
-            d, x, y = task(ks, incumbent=incumbent)
-            incumbent = min(incumbent, d.min())
-            yield d, x, y
-
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # pooled blocks run at the same time, so each prunes against its own best
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            dist, _, xa, ya = best(pool.map(task, blocks))
-    else:
-        dist, _, xa, ya = best(serial())
+    size = _scan_block_size(sig1.dim)
+    dist, xa, ya = np.inf, None, None
+    for start in range(0, budget, size):
+        d, x, y = _scan_block(range(start, min(start + size, budget)), seed=seed, sig1=sig1, sig2=sig2,
+                              roots=roots, self_adjoint=self_adjoint, cfg=cfg, incumbent=dist)
+        j = int(np.argmin(d))  # the first of equal distances, so the lowest restart index
+        if d[j] < dist:
+            dist, xa, ya = d[j], x[j], y[j]
     wx = certify(xa, roots, cfg)
     wy = certify(ya, roots, cfg)
     return DistanceScanReport(

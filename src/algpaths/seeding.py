@@ -2,8 +2,7 @@
 
 Every stochastic operation takes an integer seed and derives independent
 sub-streams from (seed, branch indices).  Reports produced from the same seed
-are bit-identical, and parallel shards can claim disjoint branches without
-coordinating.
+are bit-identical.
 """
 
 from __future__ import annotations

@@ -166,6 +166,18 @@ def test_distance_json_and_csv(tmp_path):
     assert len(lines) == 3 and lines[1] == lines[2]
 
 
+def test_an_unwritable_out_is_a_precondition(tmp_path, capsys):
+    missing = tmp_path / "missing" / "x.json"
+    assert main(["sample", "--roots", "0,1", "--sig", "1,1", "--seed", "0", "--out", str(missing)]) \
+        == EXIT_PRECONDITION
+    assert capsys.readouterr().err.startswith(f"algpaths: precondition: cannot write {missing}: ")
+    # the scan's CSV rows are appended, here to a directory
+    assert main(["distance", "--roots", "0,1", "--sig", "1,1", "--sig2", "0,2", "--seed", "0",
+                 "--budget", "2", "--format", "csv", "--out", str(tmp_path)]) == EXIT_PRECONDITION
+    assert capsys.readouterr().err.startswith(f"algpaths: precondition: cannot write {tmp_path}: ")
+    assert not missing.parent.exists() and os.listdir(tmp_path) == []
+
+
 def test_distance_csv_goes_to_stdout_and_writes_complex_roots(capsys):
     assert main(["distance", "--roots=1,1j,-1", "--sig", "1,1,0", "--sig2", "0,1,1", "--seed", "0",
                  "--budget", "3", "--format", "csv"]) == 0
@@ -182,27 +194,40 @@ def test_distance_signatures_of_different_dimensions_are_a_precondition(capsys):
     assert capsys.readouterr().err == "algpaths: precondition: signatures live in different dimensions\n"
 
 
-def test_threads_must_be_a_positive_integer(monkeypatch, capsys):
+def test_threads_must_be_a_positive_integer(capsys):
     args = ["distance", "--roots", "0,1", "--sig", "1,1", "--sig2", "0,2", "--seed", "3",
             "--budget", "2"]
     for bad in ("abc", "0", "-2", "1.5"):
         with pytest.raises(SystemExit) as err:
             main(args + ["--threads", bad])
         assert err.value.code == EXIT_USAGE
-    monkeypatch.setenv("ALGPATHS_THREADS", "abc")
-    with pytest.raises(SystemExit) as err:
-        main(args)
-    assert err.value.code == EXIT_USAGE
-    assert "--threads" in capsys.readouterr().err
-    # commands that run no scan never read the variable
-    with pytest.raises(SystemExit) as err:
-        main(["decompose", "--help"])
-    assert err.value.code == 0
+        assert "--threads" in capsys.readouterr().err
     assert main(args + ["--threads", "1"]) == 0
-    monkeypatch.setenv("ALGPATHS_THREADS", "2")
-    capsys.readouterr()
-    assert main(args) == 0
-    assert json.loads(capsys.readouterr().out)["config"]["threads"] == 2
+
+
+def test_threads_accepts_only_one(tmp_path, capsys):
+    # the scan runs in one process; --threads 1 stays, as every scan report's
+    # config carries it, and any other value is a usage error
+    args = ["distance", "--roots", "0,1", "--sig", "1,2", "--sig2", "2,1", "--seed", "3",
+            "--budget", "20"]
+    with pytest.raises(SystemExit) as err:
+        main(args + ["--threads", "2"])
+    assert err.value.code == EXIT_USAGE
+    assert "invalid choice: 2" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as err:
+        main(["distance", "--help"])
+    assert err.value.code == 0
+    assert "the scan runs in one process" in " ".join(capsys.readouterr().out.split())
+    outs = []
+    for i, extra in enumerate((["--threads", "1"], [])):
+        out = tmp_path / f"r{i}.json"
+        assert main(args + extra + ["--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    config = _write(tmp_path / "config.json", json.loads(outs[0])["config"])
+    assert json.loads(outs[0])["config"]["threads"] == 1
+    assert main(["distance", "--config", config, "--out", str(tmp_path / "r2.json")]) == 0
+    outs.append((tmp_path / "r2.json").read_bytes())
+    assert outs[0] == outs[1] == outs[2]
 
 
 def test_reports_are_byte_identical_for_fixed_seed(tmp_path):
@@ -285,18 +310,19 @@ def test_config_file_supplies_required_flags(tmp_path, capsys):
 def test_config_values_get_their_flags_type_and_check(tmp_path, capsys):
     args = ["distance", "--roots", "0,1", "--sig", "1,1", "--sig2", "0,2", "--seed", "0",
             "--budget", "4"]
-    for bad in ("abc", 0):
-        cfgfile = _write(tmp_path / "bad.json", {"threads": bad})
+    for key, bad in (("threads", "abc"), ("threads", 0), ("threads", 2), ("budget", 0)):
+        cfgfile = _write(tmp_path / "bad.json", {key: bad})
         with pytest.raises(SystemExit) as err:
             main(args + ["--config", cfgfile])
         assert err.value.code == EXIT_USAGE
-        assert "--threads" in capsys.readouterr().err
-    cfgfile = _write(tmp_path / "good.json", {"threads": 2})
-    assert main(args + ["--config", cfgfile]) == 0
-    assert json.loads(capsys.readouterr().out)["config"]["threads"] == 2
+        assert f"--{key}" in capsys.readouterr().err
+    cfgfile = _write(tmp_path / "good.json", {"threads": 1, "budget": 5})
+    assert main(args[:-2] + ["--config", cfgfile]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert config["threads"] == 1 and config["budget"] == 5
     # an explicit flag wins, also when abbreviated
-    assert main(args + ["--config", cfgfile, "--thr", "1"]) == 0
-    assert json.loads(capsys.readouterr().out)["config"]["threads"] == 1
+    assert main(args[:-2] + ["--config", cfgfile, "--bud", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["budget"] == 4
 
 
 def test_config_keys_that_name_no_flag_are_a_usage_error(tmp_path, capsys):
@@ -659,8 +685,9 @@ def test_suite_quick_run_deterministic_and_sensitive_to_tolerance(tmp_path, caps
     rep = json.loads(outs[0])
     assert rep["result"]["all_passed"] is True
     assert len(rep["result"]["items"]) == 11
-    # a corrupted tolerance makes certificates unattainable: nonzero exit
+    # a corrupted tolerance makes certificates unattainable: a failed item
+    # exits as a failed certificate does
     code = main(["suite", "--seed", "1", "--samples", "6", "--budget", "20",
                  "--tol", "1e-30", "--out", str(tmp_path / "bad.json")])
     capsys.readouterr()
-    assert code != 0
+    assert code == EXIT_CERTIFICATION

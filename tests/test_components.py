@@ -425,21 +425,19 @@ def test_self_adjoint_scan_over_non_real_roots_reaches_the_weyl_floor(ranks1, ra
         assert w.self_adjoint and signature(w) == sig
 
 
-def test_self_adjoint_scan_refuses_a_rank_at_a_non_real_root_before_any_pool(monkeypatch):
-    import concurrent.futures
+def test_self_adjoint_scan_refuses_a_rank_at_a_non_real_root(monkeypatch):
+    def no_block(*args, **kwargs):
+        raise AssertionError("a refused scan ran a block")
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a refused scan started a process pool")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(components, "_scan_block", no_block)
     roots = validate_roots([1, 1j, -1])
     sig1, sig2 = _sigs((1, 0, 2), (1, 1, 1))
     for a, b in ((sig1, sig2), (sig2, sig1)):
         with pytest.raises(BadSignature, match=r"rank 0 at the non-real root 1j, not 1$"):
-            distance_scan(a, b, roots, budget=20, seed=0, self_adjoint=True, workers=2)
-    # general mode takes any ranks (through the same stubbed pool, which then fails)
-    with pytest.raises(AssertionError, match="started a process pool"):
-        distance_scan(sig1, sig2, roots, budget=20, seed=0, workers=2)
+            distance_scan(a, b, roots, budget=20, seed=0, self_adjoint=True)
+    # general mode takes any ranks (and reaches the stubbed block, which then fails)
+    with pytest.raises(AssertionError, match="ran a block"):
+        distance_scan(sig1, sig2, roots, budget=20, seed=0)
 
 
 def test_distance_scan_central_pair():
@@ -480,17 +478,6 @@ def test_distance_scan_deterministic():
     np.testing.assert_array_equal(r1.witness[0].a, r2.witness[0].a)
 
 
-def test_distance_scan_parallel_matches_serial():
-    sig1 = ComponentSignature((1, 1))
-    sig2 = ComponentSignature((0, 2))
-    budget = 2 * _scan_block_size(2) + 5  # two full blocks and a partial one
-    serial = distance_scan(sig1, sig2, R01, budget=budget, seed=3)
-    parallel = distance_scan(sig1, sig2, R01, budget=budget, seed=3, workers=2)
-    assert serial.best_distance == parallel.best_distance
-    for ws, wp in zip(serial.witness, parallel.witness):
-        np.testing.assert_array_equal(ws.a, wp.a)
-
-
 def test_distance_scan_preconditions():
     sig = ComponentSignature((1, 2))
     with pytest.raises(BadSignature):
@@ -502,8 +489,6 @@ def test_distance_scan_preconditions():
     other = ComponentSignature((2, 1))
     with pytest.raises(BadSignature):
         distance_scan(sig, other, R01, budget=0, seed=0)
-    with pytest.raises(BadSignature):
-        distance_scan(sig, other, R01, budget=5, seed=0, workers=0)
 
 
 # The per-restart descent the lockstep scan replaced, kept as the reference it
@@ -876,43 +861,11 @@ def test_budget_200_scan_builds_its_streams_in_batches(self_adjoint, batches, mo
     assert made == [] and sizes == batches
 
 
-@pytest.mark.parametrize("workers, sizes", [(2, [100, 100]), (3, [67, 67, 66]), (8, [25] * 8)])
-def test_scan_pool_gets_a_block_per_worker(workers, sizes, monkeypatch):
-    import concurrent.futures
-
-    class SerialPool:  # records the blocks a process pool would be handed
-        def __init__(self, max_workers):
-            assert max_workers == workers
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, blocks):
-            blocks = list(blocks)
-            mapped.extend(len(ks) for ks in blocks)
-            return map(fn, blocks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    # central (1,1)/(0,2): every restart stops at entry; general (1,2)/(2,1):
-    # the restarts descend, and each pooled block prunes against its own best,
-    # where a serial scan's blocks prune against the best of all blocks before
-    for ranks1, ranks2 in (((1, 1), (0, 2)), ((1, 2), (2, 1))):
-        sig1, sig2 = _sigs(ranks1, ranks2)
-        mapped = []
-        pooled = distance_scan(sig1, sig2, R01, budget=200, seed=4, workers=workers)
-        assert mapped == sizes
-        serial = distance_scan(sig1, sig2, R01, budget=200, seed=4)
-        assert scan_report_to_json(pooled) == scan_report_to_json(serial)
-
-
 def test_scan_restart_ignores_block_boundaries_and_budget():
-    # a block run on its own, as a pool runs each block, prunes against its
-    # own best, so where a pruned restart stops depends on its company; every
-    # row stays a state of its own descent, and the restarts split over
-    # blocks elect the whole block's winner
+    # a block run with no incumbent prunes against its own best, so where a
+    # pruned restart stops depends on its company; every row stays a state of
+    # its own descent, and the restarts split over blocks elect the whole
+    # block's winner
     sig1, sig2 = ComponentSignature((1, 2)), ComponentSignature((2, 1))
     trails = _reference_trails(range(9), sig1, sig2, R01, False)
 
@@ -933,16 +886,14 @@ def test_scan_restart_ignores_block_boundaries_and_budget():
 @pytest.mark.parametrize("ranks1, ranks2, roots", [((1, 2), (2, 1), (0, 1)), ((1, 1, 2), (0, 2, 2), (0, 1, 2))],
                          ids=["m3", "m4-three-roots"])
 def test_serial_blocks_prune_against_the_best_of_the_blocks_before(ranks1, ranks2, roots, monkeypatch):
-    # 30 restarts in serial blocks of 8: each block after the first runs
-    # against the smallest distance of the blocks before it, stops restarts
-    # its own best would have let run, and the report stays that of one
-    # block and of a pool, whose blocks prune against their own best only
+    # 30 restarts in blocks of 8: each block after the first runs against the
+    # smallest distance of the blocks before it, stops restarts its own best
+    # would have let run, and the report stays that of one block of 30
     sig1, sig2 = _sigs(ranks1, ranks2)
     roots = validate_roots(list(roots))
     m, budget = sig1.dim, 30
     one_block = scan_report_to_json(distance_scan(sig1, sig2, roots, budget=budget, seed=11))
     monkeypatch.setattr(components, "_SCAN_BLOCK_BYTES", 8 * components._SCAN_CHUNK * m * m * 16)
-    pooled = scan_report_to_json(distance_scan(sig1, sig2, roots, budget=budget, seed=11, workers=2))
 
     svd, block = np.linalg.svd, components._scan_block
     runs, rows = [], []
@@ -958,7 +909,7 @@ def test_serial_blocks_prune_against_the_best_of_the_blocks_before(ranks1, ranks
     monkeypatch.setattr(components, "_scan_block", run)
     serial = scan_report_to_json(distance_scan(sig1, sig2, roots, budget=budget, seed=11))
     monkeypatch.setattr(components, "_scan_block", block)
-    assert serial == one_block == pooled
+    assert serial == one_block
     assert [len(ks) for ks, *_ in runs] == [8, 8, 8, 6]
     bests = np.minimum.accumulate([dist.min() for _, _, (dist, _, _), _ in runs])
     assert [incumbent for _, incumbent, _, _ in runs] == [np.inf, *bests[:-1]]

@@ -215,6 +215,36 @@ def test_selfadjoint_random_pairs_stay_hermitian():
         assert cert.worst_membership <= 1e-9
 
 
+# -- every constructor at m = 32 ---------------------------------------------------
+
+_CONNECT = {"exp-global": connect_exp_global, "polygonal": connect_polygonal,
+            "selfadjoint": connect_selfadjoint, "exp-local": connect_exp_local}
+
+
+@pytest.mark.parametrize("roots, ranks, sa_ranks", [((0, 1), (16, 16), (16, 16)),
+                                                    ((0, 1, 2), (10, 11, 11), (10, 11, 11)),
+                                                    ((1, 1j, -1), (10, 11, 11), (21, 0, 11))],
+                         ids=["0,1", "0,1,2", "1,i,-1"])
+@pytest.mark.parametrize("method", list(_CONNECT))
+def test_each_constructor_certifies_a_pair_at_m_32(method, roots, ranks, sa_ranks):
+    # a random pair of one component (Hermitian for the self-adjoint
+    # constructor, with rank 0 at i); exp-local's partner is the element
+    # conjugated by 1 + 0.05 triu(ones, 1) / m, within its reach
+    roots, m, sa = validate_roots(roots), 32, method == "selfadjoint"
+    a = random_element(sa_ranks if sa else ranks, roots, seed=(32, 0), self_adjoint=sa)
+    if method == "exp-local":
+        g = np.eye(m) + 0.05 * np.triu(np.ones((m, m)), 1) / m
+        b = certify(np.linalg.solve(g.T, (g @ a.a).T).T, roots)
+    else:
+        b = random_element(sa_ranks if sa else ranks, roots, seed=(32, 1), self_adjoint=sa)
+    path = _CONNECT[method](a, b)
+    cert = verify_path(path, expected_endpoint=b.a)
+    assert cert.worst_membership <= 1e-10
+    assert cert.endpoint_error is None or cert.endpoint_error <= 1e-12
+    if sa:
+        assert path.self_adjoint_mode and cert.worst_hermiticity <= 1e-13
+
+
 # -- polygonal paths ----------------------------------------------------------------
 
 
