@@ -59,56 +59,22 @@ def _parse_sig(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(","))
 
 
-def _checked_text(parse, expected: str):
-    def check(text: str) -> str:
-        try:  # malformed text is a usage error; the text is kept, as the report echoes it
-            parse(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from None
-        return text
+def _flag(parse, expected: str, ok):
+    """Flag type: ``parse(text)`` when that parses and ``ok`` accepts the value, else a usage error.
 
-    return check
+    ``ok`` rejects a value by returning something false or by raising ``ValueError``.
+    """
 
-
-_roots_flag = _checked_text(_parse_roots, "comma-separated complex numbers")
-_sig_flag = _checked_text(_parse_sig, "comma-separated integers")
-
-
-def _int_at_least(low: int):
-    """Flag type: an integer ``>= low``, anything else a usage error."""
-
-    def check(text: str) -> int:
+    def check(text: str):
         try:
-            value = int(text)
+            value = parse(text)
+            if ok(value):  # NaN fails every range
+                return value
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {value}")
-        return value
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
 
     return check
-
-
-_non_negative = _int_at_least(0)
-_positive = _int_at_least(1)
-
-
-def _float_flag(text: str, ok, expected: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not ok(value):  # NaN fails every check
-        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
-    return value
-
-
-def _tolerance(text: str) -> float:
-    return _float_flag(text, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
-
-
-def _cond(text: str) -> float:
-    return _float_flag(text, lambda v: 1.0 <= v < math.inf, "a finite number >= 1")
 
 
 def _load_json(path: str) -> dict:
@@ -120,6 +86,14 @@ def _load_json(path: str) -> dict:
     if not isinstance(obj, dict):
         raise PreconditionError(f"{path} does not hold a JSON object")
     return obj
+
+
+def _require_out_dir(path) -> None:
+    """Refuse an ``--out`` that is a directory or lies in a missing one, before any work runs."""
+    if path and os.path.isdir(path):
+        raise PreconditionError(f"cannot write {path}: it is a directory")
+    if path and not os.path.isdir(os.path.dirname(path) or "."):
+        raise PreconditionError(f"cannot write {path}: its directory does not exist")
 
 
 def _write(path, text: str, mode: str = "w") -> None:
@@ -254,19 +228,32 @@ def _cmd_line(ns, cfg):
     return result, EXIT_OK
 
 
+def _needs_csv_header(path) -> bool:
+    """Whether a scan row appended to ``path`` needs the header first; a file that is not a scan CSV is refused."""
+    if not path:
+        return True
+    try:
+        with open(path, "rb") as fh:
+            first = fh.readline()
+    except FileNotFoundError:
+        return True
+    except OSError as exc:
+        raise PreconditionError(f"cannot read {path}: {exc}") from None
+    if first and first.rstrip(b"\r\n") != ser.SCAN_CSV_HEADER.encode():
+        raise PreconditionError(f"{path} is not a scan CSV: its first line is not {ser.SCAN_CSV_HEADER!r}")
+    return not first
+
+
 def _cmd_distance(ns, cfg):
     roots = validate_roots(_parse_roots(ns.roots))
     sig1, sig2 = ComponentSignature(_parse_sig(ns.sig)), ComponentSignature(_parse_sig(ns.sig2))
+    # scan batches accumulate in a file: append rows, write the header once; the file is checked before the scan
+    header = ns.format == "csv" and _needs_csv_header(ns.out)
     report = distance_scan(sig1, sig2, roots, budget=ns.budget, seed=ns.seed,
                            self_adjoint=ns.self_adjoint, cfg=cfg)
     if ns.format == "json":
         return ser.scan_report_to_json(report), EXIT_OK
-    # scan batches accumulate in a file: append rows, write the header once
-    try:
-        fresh = not ns.out or os.path.getsize(ns.out) == 0
-    except OSError:
-        fresh = True
-    _write(ns.out, (ser.SCAN_CSV_HEADER + "\n" if fresh else "") + ser.scan_csv_row(report) + "\n", "a")
+    _write(ns.out, (ser.SCAN_CSV_HEADER + "\n" if header else "") + ser.scan_csv_row(report) + "\n", "a")
     return None, EXIT_OK
 
 
@@ -290,23 +277,25 @@ def _cmd_suite(ns, cfg):
 
 def _add_roots(p: argparse.ArgumentParser, required=False, help="comma-separated roots, e.g. '0,1' or '1+1j,-1'"):
     # argparse reads a value that starts with '-' as a flag: "--roots -1,1" is a usage error
-    p.add_argument("--roots", type=_roots_flag, required=required, default=None,
+    p.add_argument("--roots", type=_flag(str, "comma-separated complex numbers", _parse_roots),
+                   required=required, default=None,
                    help=f"{help}; a list that starts with a minus sign takes '=', as in --roots=-1,1")
 
 
-def _add_search(p: argparse.ArgumentParser, **seed):
-    # the degree-search flags of connect --method poly and mindeg; mindeg passes its
-    # --seed rule, which its usage line lists after --budget (connect's comes before)
-    p.add_argument("--dmax", type=_positive, default=3, help="max degree of the polynomial search, >= 1")
-    p.add_argument("--budget", type=_positive, default=32, help="restarts per degree, >= 1")
-    if seed:
-        p.add_argument("--seed", type=_non_negative, **seed)
+def _add_search(p: argparse.ArgumentParser):
+    # the degree-search flags of connect --method poly and mindeg
+    p.add_argument("--dmax", type=_flag(int, "an integer >= 1", lambda v: v >= 1), default=3,
+                   help="max degree of the polynomial search, >= 1")
+    p.add_argument("--budget", type=_flag(int, "an integer >= 1", lambda v: v >= 1), default=32,
+                   help="restarts per degree, >= 1")
     p.add_argument("--self-adjoint", action="store_true", help="Hermitian coefficients")
-    p.add_argument("--min-motion", type=_tolerance, default=0.0)
+    p.add_argument("--min-motion", type=_flag(float, "a finite number >= 0", lambda v: 0.0 <= v < math.inf),
+                   default=0.0)
 
 
 def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--tol", type=_tolerance, default=None, help="residual tolerance override")
+    p.add_argument("--tol", type=_flag(float, "a finite number >= 0", lambda v: 0.0 <= v < math.inf),
+                   default=None, help="residual tolerance override")
     p.add_argument("--out", default=None, help="report file (stdout when omitted)")
     p.add_argument("--config", default=None, help="JSON file with defaults for any flag")
 
@@ -319,10 +308,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="draw a random certified element")
     _add_roots(p, required=True)
-    p.add_argument("--sig", type=_sig_flag, required=True, help="rank per root, e.g. '1,2'")
-    p.add_argument("--seed", type=_non_negative, required=True)
+    p.add_argument("--sig", type=_flag(str, "comma-separated integers", _parse_sig), required=True,
+                   help="rank per root, e.g. '1,2'")
+    p.add_argument("--seed", type=_flag(int, "an integer >= 0", lambda v: v >= 0), required=True)
     p.add_argument("--self-adjoint", action="store_true")
-    p.add_argument("--cond", type=_cond, default=20.0, help="similarity condition bound, >= 1")
+    p.add_argument("--cond", type=_flag(float, "a finite number >= 1", lambda v: 1.0 <= v < math.inf),
+                   default=20.0, help="similarity condition bound, >= 1")
     _add_common(p)
     p.set_defaults(func=_cmd_sample)
 
@@ -338,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True,
                    choices=["exp-local", "exp-global", "polygonal", "poly", "selfadjoint"])
     _add_roots(p)
-    p.add_argument("--seed", type=_non_negative, default=0)
+    p.add_argument("--seed", type=_flag(int, "an integer >= 0", lambda v: v >= 0), default=0)
     _add_search(p)
     _add_common(p)
     p.set_defaults(func=_cmd_connect)
@@ -357,10 +348,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("distance", help="randomized distance scan between two components")
     _add_roots(p, required=True)
-    p.add_argument("--sig", type=_sig_flag, required=True)
-    p.add_argument("--sig2", type=_sig_flag, required=True)
-    p.add_argument("--seed", type=_non_negative, required=True)
-    p.add_argument("--budget", type=_positive, default=1000, help="scan restarts, >= 1")
+    p.add_argument("--sig", type=_flag(str, "comma-separated integers", _parse_sig), required=True)
+    p.add_argument("--sig2", type=_flag(str, "comma-separated integers", _parse_sig), required=True)
+    p.add_argument("--seed", type=_flag(int, "an integer >= 0", lambda v: v >= 0), required=True)
+    p.add_argument("--budget", type=_flag(int, "an integer >= 1", lambda v: v >= 1), default=1000,
+                   help="scan restarts, >= 1")
     p.add_argument("--self-adjoint", action="store_true")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     # the scan runs in one process; the flag stays so that the command lines
@@ -374,14 +366,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     _add_roots(p)
-    _add_search(p, required=True)
+    p.add_argument("--seed", type=_flag(int, "an integer >= 0", lambda v: v >= 0), required=True)
+    _add_search(p)
     _add_common(p)
     p.set_defaults(func=_cmd_mindeg)
 
     p = sub.add_parser("suite", help="seeded battery over all experiment families")
-    p.add_argument("--seed", type=_non_negative, default=0)
-    p.add_argument("--samples", type=_non_negative, default=50, help="sample count per family, >= 0")
-    p.add_argument("--budget", type=_positive, default=400, help="restarts for the scan items, >= 1")
+    p.add_argument("--seed", type=_flag(int, "an integer >= 0", lambda v: v >= 0), default=0)
+    p.add_argument("--samples", type=_flag(int, "an integer >= 0", lambda v: v >= 0), default=50,
+                   help="sample count per family, >= 0")
+    p.add_argument("--budget", type=_flag(int, "an integer >= 1", lambda v: v >= 1), default=400,
+                   help="restarts for the scan items, >= 1")
     _add_common(p)
     p.set_defaults(func=_cmd_suite)
 
@@ -428,6 +423,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         ns = _parse(_parser(), argv)
+        _require_out_dir(ns.out)
         result, code = ns.func(ns, _tolerances(ns))
         if result is not None:
             _write(ns.out, ser.canonical_dumps(_report(ns, result)))

@@ -20,7 +20,7 @@ least-squares on the exact coefficients of the composed polynomial, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from math import comb
 
@@ -736,22 +736,27 @@ def verify_path(
     """Re-certify a path of any kind, raising on the worst offender.
 
     Polynomial and polygonal paths are checked by exact coefficient
-    certification of the composed polynomial; exponential paths by endpoint
-    and membership checks at 100 evenly spaced ``t`` (membership is exact by
-    conjugation, the samples guard the floating-point drift of the
-    exponentials), on Frobenius norms, then on operator norms where those fail.
+    certification of the composed polynomial; exponential paths by membership
+    checks at 100 evenly spaced ``t`` (membership is exact by conjugation, the
+    samples guard the floating-point drift of the exponentials), on Frobenius
+    norms, then on operator norms where those fail.  With ``expected_endpoint``
+    the value at ``t = 1`` must lie within ``residual_tol (1 + ||b||)`` of it.
     """
     if isinstance(path, PolynomialPath):
         if roots is None:
             raise PreconditionError("polynomial paths need the root system for verification")
-        return _verify_polynomial(path, roots, cfg)
-    if isinstance(path, PolygonalPath):
+        cert, end = _verify_polynomial(path, roots, cfg), path.end
+    elif isinstance(path, PolygonalPath):
         rs = roots if roots is not None else path.breakpoints[0].roots
-        return _verify_polygonal(path, rs, cfg)
-    if isinstance(path, ExpSimilarityPath):
+        cert, end = _verify_polygonal(path, rs, cfg), path.breakpoints[-1].a
+    elif isinstance(path, ExpSimilarityPath):
         rs = roots if roots is not None else path.base.roots
         return _verify_exponential(path, rs, cfg, expected_endpoint)
-    raise TypeError(f"not a path: {type(path)!r}")
+    else:
+        raise TypeError(f"not a path: {type(path)!r}")
+    if expected_endpoint is None:
+        return cert
+    return replace(cert, endpoint_error=_endpoint_error(end, expected_endpoint, cfg))
 
 
 def _verify_polynomial(path: PolynomialPath, roots, cfg) -> PathCertificate:

@@ -178,6 +178,40 @@ def test_an_unwritable_out_is_a_precondition(tmp_path, capsys):
     assert not missing.parent.exists() and os.listdir(tmp_path) == []
 
 
+def test_an_unwritable_out_is_refused_before_the_work(tmp_path, monkeypatch, capsys):
+    from algpaths import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the command ran before its --out was checked")
+
+    monkeypatch.setattr(cli, "distance_scan", refuse)
+    monkeypatch.setattr(cli, "run_suite", refuse)
+    scan = ["distance", "--roots", "0,1", "--sig", "1,1", "--sig2", "0,2", "--seed", "0", "--budget", "100000"]
+    for out, why in ((tmp_path / "missing" / "x.json", "its directory does not exist"),
+                     (tmp_path, "it is a directory")):
+        for argv in (scan, scan + ["--format", "csv"], ["suite"]):
+            assert main(argv + ["--out", str(out)]) == EXIT_PRECONDITION
+            assert capsys.readouterr().err == f"algpaths: precondition: cannot write {out}: {why}\n"
+
+
+def test_scan_rows_are_appended_only_to_a_scan_csv(tmp_path, monkeypatch, capsys):
+    from algpaths import cli
+
+    report = tmp_path / "el.json"
+    assert main(["sample", "--roots", "0,1", "--sig", "1,1", "--seed", "0", "--out", str(report)]) == 0
+    before = report.read_bytes()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the scan ran before its --out was checked")
+
+    monkeypatch.setattr(cli, "distance_scan", refuse)
+    assert main(["distance", "--roots", "0,1", "--sig", "1,1", "--sig2", "0,2", "--seed", "0",
+                 "--format", "csv", "--out", str(report)]) == EXIT_PRECONDITION
+    assert capsys.readouterr().err == (f"algpaths: precondition: {report} is not a scan CSV: its first line "
+                                       "is not 'sig1,sig2,roots,m,seed,budget,best_distance,bound'\n")
+    assert report.read_bytes() == before
+
+
 def test_distance_csv_goes_to_stdout_and_writes_complex_roots(capsys):
     assert main(["distance", "--roots=1,1j,-1", "--sig", "1,1,0", "--sig2", "0,1,1", "--seed", "0",
                  "--budget", "3", "--format", "csv"]) == 0
@@ -661,6 +695,79 @@ def test_count_seed_and_motion_flags_are_checked_by_the_parser(proj_pair, capsys
         main(argv + [flag, bad])
     assert err.value.code == EXIT_USAGE
     assert f"argument {flag}" in capsys.readouterr().err
+
+
+# Every flag declaration whose value goes through cli._flag: (command, flag, a valid value,
+# the value the report's config stores for it).  --roots and --tol are declared once for every
+# command, and --dmax, --budget and --min-motion once for connect and mindeg.
+_FLAG_DECLARATIONS = [
+    ("sample", "--roots", "0, 1", "0, 1"), ("sample", "--tol", "1e-08", 1e-08),
+    ("sample", "--sig", "2,1", "2,1"), ("sample", "--seed", "7", 7), ("sample", "--cond", "5", 5.0),
+    ("connect", "--seed", "1", 1), ("connect", "--dmax", "2", 2), ("connect", "--budget", "4", 4),
+    ("connect", "--min-motion", "0.01", 0.01),
+    ("distance", "--sig", "2,0", "2,0"), ("distance", "--sig2", "2,0", "2,0"), ("distance", "--seed", "4", 4),
+    ("distance", "--budget", "3", 3),
+    ("mindeg", "--seed", "1", 1),
+    ("suite", "--seed", "1", 1), ("suite", "--samples", "1", 1), ("suite", "--budget", "2", 2),
+]
+_INTEGER_BAD = ["x", "1.5", "nan", "inf", "", "-1"]
+_FINITE_BAD = ["x", "nan", "inf", "", "-1"]
+_FLAG_RULES = {  # the expected value, and malformed and out-of-range values
+    "--roots": ("comma-separated complex numbers", ["x", "", "1,,2", "0,1j+"]),
+    "--sig": ("comma-separated integers", ["x", "1.5", "", "1,,2"]),
+    "--sig2": ("comma-separated integers", ["x", "1.5", "", "1,,2"]),
+    "--seed": ("an integer >= 0", _INTEGER_BAD),
+    "--samples": ("an integer >= 0", _INTEGER_BAD),
+    "--budget": ("an integer >= 1", _INTEGER_BAD + ["0"]),
+    "--dmax": ("an integer >= 1", _INTEGER_BAD + ["0"]),
+    "--tol": ("a finite number >= 0", _FINITE_BAD + ["-0.5"]),
+    "--min-motion": ("a finite number >= 0", _FINITE_BAD + ["-0.5"]),
+    "--cond": ("a finite number >= 1", _FINITE_BAD + ["0.5"]),
+}
+
+
+def _without(argv, flag):
+    """``argv`` with ``flag`` and its value left out."""
+    if flag not in argv:
+        return argv
+    i = argv.index(flag)
+    return argv[:i] + argv[i + 2:]
+
+
+@pytest.mark.parametrize("command, flag, valid, stored", _FLAG_DECLARATIONS,
+                         ids=[f"{c}{f}" for c, f, _, _ in _FLAG_DECLARATIONS])
+def test_every_checked_flag_names_what_it_expected(tmp_path, proj_pair, capsys, command, flag, valid, stored):
+    a, b = proj_pair
+    argv = {
+        "sample": ["sample", "--roots", "0,1", "--sig", "1,1", "--seed", "0"],
+        "connect": ["connect", "--a", a, "--b", b, "--roots", "0,1", "--method", "poly"],
+        "distance": ["distance", "--roots", "0,1", "--sig", "1,1", "--sig2", "0,2", "--seed", "0",
+                     "--budget", "2"],
+        "mindeg": ["mindeg", "--a", a, "--b", b, "--roots", "0,1", "--seed", "0"],
+        "suite": ["suite", "--samples", "0", "--budget", "1"],
+    }[command]
+    key = flag[2:].replace("-", "_")
+    expected, bad_values = _FLAG_RULES[flag]
+    for bad in bad_values:
+        cfgfile = _write(tmp_path / "bad.json", {key: bad})
+        for bad_argv in (argv + [flag, bad], argv + ["--config", cfgfile]):
+            with pytest.raises(SystemExit) as err:
+                main(bad_argv)
+            assert err.value.code == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert f"argument {flag}: expected {expected}, got {bad!r}\n" in captured.err
+            assert "Traceback" not in captured.err
+    # a valid value, on argv or from --config, writes the same report, its config holding the value
+    argv = _without(argv, flag)
+    cfgfile = _write(tmp_path / "good.json", {key: stored})
+    codes, reports = set(), []
+    for i, good_argv in enumerate((argv + [flag, valid], argv + ["--config", cfgfile])):
+        codes.add(main(good_argv + ["--out", str(tmp_path / f"r{i}.json")]))
+        reports.append((tmp_path / f"r{i}.json").read_bytes())
+    capsys.readouterr()
+    assert reports[0] == reports[1] and len(codes) == 1
+    config_value = json.loads(reports[0])["config"][key]
+    assert config_value == stored and type(config_value) is type(stored)
 
 
 def test_distance_takes_its_dimension_from_the_signature(capsys):

@@ -233,3 +233,27 @@ def test_tolerance_config_validation():
     for bad in (float("inf"), float("nan")):
         with pytest.raises(ValueError, match="finite"):
             ToleranceConfig(residual_tol=bad)
+
+
+def test_operator_norm_of_an_empty_array_is_zero():
+    assert operator_norm(np.zeros((0, 0))) == 0.0
+
+
+def test_no_coefficients_evaluate_to_the_zero_matrix():
+    np.testing.assert_array_equal(poly_eval_scalar_coeffs([], E12), np.zeros((2, 2)))
+
+
+def test_no_coefficients_compose_to_the_zero_polynomial():
+    q = matpoly_compose_p([], MatrixPolynomial(E12[None]))
+    assert q.coeffs.shape == (1, 2, 2) and not q.coeffs.any()
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (1, 2, 3), (1, 2, 2, 2)])
+def test_matrix_polynomial_refuses_coefficients_that_are_not_a_stack_of_squares(shape):
+    with pytest.raises(ValueError, match=r"expected coefficients of shape \(d\+1, m, m\)"):
+        MatrixPolynomial(np.zeros(shape))
+
+
+def test_matpoly_mul_refuses_mismatched_dimensions():
+    with pytest.raises(ValueError, match="coefficient dimensions differ"):
+        matpoly_mul(MatrixPolynomial(np.zeros((1, 2, 2))), MatrixPolynomial(np.zeros((1, 3, 3))))

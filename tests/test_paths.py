@@ -853,6 +853,24 @@ def test_construction_and_verification_share_the_endpoint_gate():
     assert verify_path(path, expected_endpoint=a.a).endpoint_error == 0.0
 
 
+@pytest.mark.parametrize("kind", ["polygonal", "polynomial"])
+def test_every_path_kind_checks_its_expected_endpoint(kind):
+    # the endpoint used to be checked for exponential paths only, so a wrong
+    # one passed the polygonal and polynomial certificates
+    a, b = certify(E, R01), certify(F_SWAP, R01)
+    path = connect_polygonal(a, b) if kind == "polygonal" else min_degree_search(a, b, d_max=3, budget=8).path
+    with pytest.raises(CertificationFailed, match=r"^endpoint error .* exceeds 2\.000e-09$"):
+        verify_path(path, R01, expected_endpoint=a.a)
+    cert = verify_path(path, R01, expected_endpoint=b.a)
+    assert cert.endpoint_error <= ToleranceConfig().residual_tol * (1.0 + operator_norm(b.a))
+    assert verify_path(path, R01).endpoint_error is None
+
+
+def test_verify_path_refuses_what_is_not_a_path():
+    with pytest.raises(TypeError, match="not a path"):
+        verify_path(E, R01)
+
+
 def test_verify_polygonal_flags_bad_breakpoint():
     a = certify(E, R01)
     b = certify(F_SHEAR, R01)

@@ -24,6 +24,7 @@ from algpaths.serialize import (
     matrix_to_json,
     partition_to_json,
     path_from_json,
+    path_to_json,
     roots_from_json,
     scan_csv_row,
     scan_report_to_json,
@@ -161,6 +162,11 @@ def test_writer_raises_type_error_where_json_does(obj):
         _oracle(obj)
     with pytest.raises(TypeError):
         canonical_dumps(obj)
+
+
+def test_path_to_json_refuses_what_is_not_a_path():
+    with pytest.raises(TypeError, match="not a path"):
+        path_to_json(np.eye(2))
 
 
 def test_a_writer_that_sorts_the_converted_keys_fails_the_oracle():
